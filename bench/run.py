@@ -67,7 +67,8 @@ WORKER_ENV = {
 TIME_LIMIT_S = 170.0
 
 # reference values are compared with this relative tolerance
-REFERENCE_RTOL = {"worst_check_ratio": 1e-6, "E0_final": 1e-10, "E2_final": 1e-10}
+REFERENCE_RTOL = {"worst_check_ratio": 1e-6, "E0_final": 1e-10, "E2_final": 1e-10,
+                  "energy_final": 1e-10}
 CONSTANT_RTOL = 1e-6
 
 
@@ -203,6 +204,7 @@ def environment() -> dict:
         "git_sha": sha,
         "nproc": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
+        "worker_cpu": max(os.sched_getaffinity(0)),  # see worker.pin_to_one_cpu
         **WORKER_ENV,
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
@@ -211,8 +213,7 @@ def environment() -> dict:
     }
 
 
-def measure(name: str, spec: dict, seed: int, seconds: int, trace: bool,
-            kernel_sizes: dict = KERNEL_SIZES) -> dict:
+def measure(name: str, spec: dict, seed: int, seconds: int, trace: bool) -> dict:
     """Run one benchmark invocation; returns the full result record."""
     deadline = time.monotonic() + TIME_LIMIT_S
     spec = dict(spec, name=name)
@@ -235,7 +236,7 @@ def measure(name: str, spec: dict, seed: int, seconds: int, trace: bool,
         # one pass each (a budget of 0 s), so that counts are exact per run
         plain = run_worker(deadline, "pass", spec_json, seed, 0, 0, out_dir)
         traced = run_worker(deadline, "pass", spec_json, seed, 0, 1, out_dir)
-        kern = run_worker(deadline, "kernels", json.dumps(kernel_sizes))
+        kern = run_worker(deadline, "kernels", json.dumps(KERNEL_SIZES))
         traced_run_s = median([p["run_s"] for p in traced["passes"]])
         metrics = dict(traced["layers"], **kern)
         metrics["trace.run_s"] = traced_run_s

@@ -5,7 +5,7 @@
 Runs ``run.py --trace 0`` once per seed, one after another, and prints per
 metric the median and the distance between the first and third quartile as a
 share of the median, next to the metric's bound from ``BENCHMARK.json``. A
-spread above a third of its bound is flagged (``setup_s`` is reported only).
+spread above a third of its bound is flagged.
 The raw figures are appended to ``bench/results/spread.jsonl``.
 """
 
@@ -63,14 +63,12 @@ def main(argv=None) -> int:
     worst = 0.0
     for metric in bench["end_to_end"]:
         share = relative_spread(values[metric["name"]])
-        flag = ""
-        if metric["name"] != "setup_s":
-            worst = max(worst, share / metric["bound"])
-            flag = "  above a third of the bound" if share > metric["bound"] / 3 else ""
+        worst = max(worst, share / metric["bound"])
+        flag = "  above a third of the bound" if share > metric["bound"] / 3 else ""
         print(f"{metric['name']:<18} median {median(values[metric['name']]):.6g}  "
               f"spread {share:.4f}  "
               f"bound {metric['bound']}{flag}")
-    print(f"largest spread/bound (setup_s excluded): {worst:.3f}")
+    print(f"largest spread/bound: {worst:.3f}")
     return 0
 
 

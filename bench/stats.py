@@ -26,12 +26,12 @@ def relative_spread(values) -> float:
     return (q3 - q1) / abs(q2)
 
 
-def tail_percentile(values, min_beyond: int = MIN_BEYOND) -> tuple[int, float, int]:
-    """Highest whole percentile that has at least ``min_beyond`` samples
+def tail_percentile(values) -> tuple[int, float, int]:
+    """Highest whole percentile that has at least ``MIN_BEYOND`` samples
     beyond it, by the nearest-rank rule.
 
     Returns ``(percentile, value, samples_beyond)``. With fewer than
-    ``2 * min_beyond`` samples no percentile from the median up qualifies;
+    ``2 * MIN_BEYOND`` samples no percentile from the median up qualifies;
     the maximum is returned as percentile 100 with no sample beyond it.
     """
     xs = sorted(values)
@@ -40,6 +40,6 @@ def tail_percentile(values, min_beyond: int = MIN_BEYOND) -> tuple[int, float, i
         raise ValueError("tail percentile of an empty sample")
     for p in range(99, 49, -1):
         rank = math.ceil(p * n / 100)
-        if n - rank >= min_beyond:
+        if n - rank >= MIN_BEYOND:
             return p, float(xs[rank - 1]), n - rank
     return 100, float(xs[-1]), 0

@@ -114,9 +114,9 @@ class TestSmokeRun:
         assert all(v > 0 for v in record["metrics"].values())
         assert record["reference"] == "absent"
 
-    def test_traced(self):
-        record = run.measure("tiny", TINY, seed=0, seconds=1, trace=True,
-                             kernel_sizes=TINY_KERNELS)
+    def test_traced(self, monkeypatch):
+        monkeypatch.setattr(run, "KERNEL_SIZES", TINY_KERNELS)
+        record = run.measure("tiny", TINY, seed=0, seconds=1, trace=True)
         assert record["correct"], record["problems"]
         metrics = record["metrics"]
         declared = _names("per_layer")
@@ -158,6 +158,15 @@ class TestCorrectness:
         verdict = run.correctness("tiny", 0, [{"passes": [_pass()]}])
         assert not verdict["correct"]
         assert verdict["reference"] == "compared"
+
+    def test_weakform_reference_depends_on_seed(self):
+        with open(BENCH / "reference.json") as fh:
+            entries = json.load(fh)["weakform"]
+        keys = {"worst_check_ratio", "energy_final"} | {f"residual.{i}" for i in range(10)}
+        assert all(set(e) == keys for e in entries.values())
+        # the seeded random run's outputs differ from seed to seed
+        assert len({e["energy_final"] for e in entries.values()}) == len(entries)
+        assert len({e["residual.1"] for e in entries.values()}) == len(entries)
 
     def test_reference_compare_tolerance(self, tmp_path, monkeypatch):
         ref = {"tiny": {"0": {"worst_check_ratio": 0.5, "E0_final": 1.0}}}
