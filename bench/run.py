@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 bench/run.py --workload verify-n32 --seed 0 --seconds 30 --trace 0
+    python3 bench/run.py --workload verify-n32 --seed 0 --seconds 50 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics: the median set-up time of
 several fresh processes, then the workload's passes in one more process.
@@ -29,7 +29,8 @@ import sys
 import time
 from pathlib import Path
 
-from stats import median, tail_percentile
+from gauge import scale
+from stats import median, nearest_rank, tail_rank
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -42,19 +43,11 @@ WORKLOADS = {
         "kind": "verify", "n": 32, "l_box_pi": 8, "xi_cutoff": 2.3,
         "tau_max": 5.0, "dtau": 0.02, "checks": "all",
     },
-    # the default n=64 scenario on tau in [0, 0.8]; the four checks that
-    # need samples past tau = 1 (fits and tail budgets) run on verify-n32
-    "verify-n64": {
-        "kind": "verify", "n": 64, "l_box_pi": 16, "xi_cutoff": 2.4,
-        "tau_max": 0.8, "dtau": 0.02,
-        "checks": ["lemma2.1", "lemma2.2-grad", "lemma2.2-lap", "eq3.7-identity",
-                   "eq3.21-chi", "eq3.10", "eq4.4"],
-    },
     # harness.criterion_weak_form: integrator and weak_residual, no ledger
     "weakform": {"kind": "weakform"},
 }
 
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 KERNEL_SIZES = {"sizes": [32, 64, 128], "reps": {"32": 5, "64": 3, "128": 1}}
 # One FFT thread: on two cores it is as fast as two at n = 32 and n = 64 and
 # its run-to-run spread is smaller; BLAS is pinned to one thread likewise.
@@ -128,24 +121,52 @@ def probe_setup(deadline: float, spec: dict, seed: int) -> float:
     return elapsed
 
 
-def end_to_end(setups: list, run: dict) -> tuple[dict, list]:
-    """End-to-end metrics and, per pass, the tail percentile used.
+def _mean(values) -> float:
+    return sum(values) / len(values)
 
-    Sample statistics are taken per pass, then the median over passes, so
-    the tail percentile does not depend on how many passes fit.
+
+def _run_factor(passes: list) -> float:
+    """Scale to the reference host speed by the median gauge time of a run;
+    the median, so that a tick cut into by another process does not count."""
+    return scale(median([t for p in passes for t in p["gauge_s"]]))
+
+
+def end_to_end(setups: list, run: dict) -> tuple[dict, dict]:
+    """End-to-end metrics, and the same timings in plain wall-clock terms.
+
+    Every timing is scaled to the reference host speed by the gauge times
+    taken over the whole run (see gauge.py), set-up probes included: a
+    probe is too short to gauge on its own. ``run_s`` is the mean over
+    passes, ``samples_per_s`` counts the snapshot intervals of all
+    passes against their total time, and the interval median and tail are
+    taken over the intervals of all passes; the tail at the highest
+    percentile that leaves at least ten intervals of one pass beyond it.
     """
     passes = run["passes"]
-    tails = [tail_percentile(p["gaps_ms"]) for p in passes]
-    return {
-        "setup_s": median(setups),
-        "run_s": median([p["run_s"] for p in passes]),
-        "samples_per_s": median([p["samples_per_s"] for p in passes]),
-        "sample_ms_p50": median([median(p["gaps_ms"]) for p in passes]),
-        "sample_ms_tail": median([value for _, value, _ in tails]),
+    gaps = [g for p in passes for g in p["gaps_ms"]]
+    # the tail percentile is set by one pass, so that it does not change
+    # with the number of passes that fit; all passes' intervals fill it
+    pct = tail_rank(min(len(p["gaps_ms"]) for p in passes))
+    tail, beyond = nearest_rank(gaps, pct)
+    wall = {
+        "run_s": _mean([p["run_s"] for p in passes]),
+        "samples_per_s": len(gaps) / (sum(gaps) / 1e3),
+        "sample_ms_p50": median(gaps),
+        "sample_ms_tail": tail,
+    }
+    factor = _run_factor(passes)
+    metrics = {
+        "setup_s": median(setups) * factor,
+        "run_s": wall["run_s"] * factor,
+        "samples_per_s": wall["samples_per_s"] / factor,
+        "sample_ms_p50": wall["sample_ms_p50"] * factor,
+        "sample_ms_tail": wall["sample_ms_tail"] * factor,
         "peak_rss_mb": run["peak_rss_mb"],
         "worst_check_ratio": max(p["values"]["worst_check_ratio"] for p in passes),
-    }, [{"percentile": pct, "samples": len(p["gaps_ms"]), "beyond": beyond}
-        for p, (pct, _, beyond) in zip(passes, tails)]
+    }
+    wall.update(setup_s=median(setups), scale=factor,
+                tail_percentile=pct, intervals=len(gaps), beyond_tail=beyond)
+    return metrics, wall
 
 
 def _close(a: float, b: float, rtol: float) -> bool:
@@ -229,20 +250,22 @@ def measure(name: str, spec: dict, seed: int, seconds: int, trace: bool) -> dict
         run = run_worker(deadline, "pass", spec_json, seed, seconds, 0, out_dir)
         setups += [probe_setup(deadline, spec, seed)
                    for _ in range(SETUP_PROBES - before)]
-        metrics, tail = end_to_end(setups, run)
-        record.update(setup_probes_s=setups, sample_ms_tail=tail)
+        metrics, wall = end_to_end(setups, run)
+        record.update(setup_probes_s=setups, wall_clock=wall)
         runs = [run]
     else:
         # one pass each (a budget of 0 s), so that counts are exact per run
         plain = run_worker(deadline, "pass", spec_json, seed, 0, 0, out_dir)
         traced = run_worker(deadline, "pass", spec_json, seed, 0, 1, out_dir)
         kern = run_worker(deadline, "kernels", json.dumps(KERNEL_SIZES))
-        traced_run_s = median([p["run_s"] for p in traced["passes"]])
+        # each scaled like the end-to-end run_s, by its own run's gauge
+        plain_run_s, traced_run_s = (
+            _mean([p["run_s"] for p in r["passes"]]) * _run_factor(r["passes"])
+            for r in (plain, traced)
+        )
         metrics = dict(traced["layers"], **kern)
         metrics["trace.run_s"] = traced_run_s
-        metrics["trace.overhead_s"] = traced_run_s - median(
-            [p["run_s"] for p in plain["passes"]]
-        )
+        metrics["trace.overhead_s"] = traced_run_s - plain_run_s
         runs = [plain, traced]
     record["runs"] = runs
     record["metrics"] = metrics

@@ -26,20 +26,22 @@ def relative_spread(values) -> float:
     return (q3 - q1) / abs(q2)
 
 
-def tail_percentile(values) -> tuple[int, float, int]:
-    """Highest whole percentile that has at least ``MIN_BEYOND`` samples
-    beyond it, by the nearest-rank rule.
-
-    Returns ``(percentile, value, samples_beyond)``. With fewer than
-    ``2 * MIN_BEYOND`` samples no percentile from the median up qualifies;
-    the maximum is returned as percentile 100 with no sample beyond it.
-    """
-    xs = sorted(values)
-    n = len(xs)
-    if n == 0:
-        raise ValueError("tail percentile of an empty sample")
+def tail_rank(n: int) -> int:
+    """Highest whole percentile of ``n`` samples that has at least
+    ``MIN_BEYOND`` of them beyond it, by the nearest-rank rule; 100 when no
+    percentile from the median up qualifies (fewer than ``2 * MIN_BEYOND``)."""
     for p in range(99, 49, -1):
-        rank = math.ceil(p * n / 100)
-        if n - rank >= MIN_BEYOND:
-            return p, float(xs[rank - 1]), n - rank
-    return 100, float(xs[-1]), 0
+        if n - math.ceil(p * n / 100) >= MIN_BEYOND:
+            return p
+    return 100
+
+
+def nearest_rank(values, p: int) -> tuple[float, int]:
+    """The ``p``-th percentile by the nearest-rank rule, and the number of
+    samples beyond it."""
+    xs = sorted(values)
+    if not xs:
+        raise ValueError("percentile of an empty sample")
+    rank = max(1, math.ceil(p * len(xs) / 100))
+    return float(xs[rank - 1]), len(xs) - rank
+

@@ -18,7 +18,7 @@ sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
 from spans import Tracer, layer_metrics  # noqa: E402
-from stats import median, quartiles, relative_spread, tail_percentile  # noqa: E402
+from stats import median, nearest_rank, quartiles, relative_spread, tail_rank  # noqa: E402
 
 with open(BENCH.parent / "BENCHMARK.json") as _fh:
     BENCHMARK = json.load(_fh)
@@ -36,7 +36,8 @@ class TestTailPercentile:
     @pytest.mark.parametrize("n, percentile", [(20, 50), (30, 66), (100, 90),
                                                (250, 96), (1000, 99)])
     def test_highest_percentile_with_ten_beyond(self, n, percentile):
-        p, value, beyond = tail_percentile(list(range(1, n + 1)))
+        p = tail_rank(n)
+        value, beyond = nearest_rank(list(range(1, n + 1)), p)
         assert p == percentile
         assert beyond >= 10
         assert value == math.ceil(p * n / 100)
@@ -45,15 +46,23 @@ class TestTailPercentile:
 
     def test_beyond_counts_samples_above_the_value(self):
         values = [float(v) for v in range(250, 0, -1)]
-        p, value, beyond = tail_percentile(values)
+        value, beyond = nearest_rank(values, tail_rank(len(values)))
         assert sum(v > value for v in values) == beyond
 
     def test_too_few_samples_gives_the_maximum(self):
-        assert tail_percentile([3.0, 1.0, 2.0] * 6) == (100, 3.0, 0)
+        assert tail_rank(18) == 100
+        assert nearest_rank([3.0, 1.0, 2.0] * 6, 100) == (3.0, 0)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            tail_percentile([])
+            nearest_rank([], 90)
+
+    def test_pooled_passes_keep_one_pass_percentile(self):
+        # two passes of 250 intervals: p96 as for one pass, 20 beyond it
+        pooled = list(range(1, 251)) * 2
+        p = tail_rank(250)
+        value, beyond = nearest_rank(pooled, p)
+        assert (p, value, beyond) == (96, 240.0, 20)
 
 
 class TestQuartiles:
@@ -80,7 +89,7 @@ def _kernel_fns(names):
 
 class TestMetricNames:
     def test_end_to_end_names(self):
-        fake_pass = {"run_s": 1.0, "samples_per_s": 2.0, "gaps_ms": [1.0, 2.0],
+        fake_pass = {"run_s": 1.0, "gaps_ms": [1.0, 2.0], "gauge_s": [0.003],
                      "values": {"worst_check_ratio": 0.5}}
         metrics, _ = run.end_to_end([0.5], {"passes": [fake_pass], "peak_rss_mb": 9.0})
         assert set(metrics) == _names("end_to_end")

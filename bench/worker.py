@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gauge import Gauge
 from spans import NullTracer, Tracer, instrument, layer_metrics
 
 # criterion_weak_form's pass/fail bound on the normalized residual
@@ -74,18 +75,37 @@ def _worst_ratio(reports) -> float:
     return max(ratios) if ratios else -math.inf
 
 
-def verify_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
+def _stamper(gauge: Gauge):
+    """A snapshot consumer that stamps each snapshot, then ticks the gauge.
+
+    Returns it with the list of ``(arrival, resume)`` stamps it fills; the
+    time between one resume and the next arrival leaves the gauge out."""
+    stamps = []
+
+    def consume(snap=None):
+        arrival = time.perf_counter()
+        gauge.tick()
+        stamps.append((arrival, time.perf_counter()))
+
+    return consume, stamps
+
+
+def _gaps_ms(stamps) -> list:
+    return [(arrival - resume) * 1e3
+            for (_, resume), (arrival, _) in zip(stamps, stamps[1:])]
+
+
+def verify_pass(spec: dict, seed: int, out_dir: Path, tracer, gauge: Gauge) -> dict:
     """Pipeline, every enabled check, and the CSV/JSON artifacts."""
     from nsverify import harness, ledger
 
     cfg = scenario(spec, seed)
-    stamps = []
+    ticks, spent_s = len(gauge.times), gauge.spent_s
+    consume, stamps = _stamper(gauge)
     # run_pipeline builds its grid, field and ledger context before the first
     # snapshot; the clock starts at that snapshot, so set-up stays in setup_s
-    series = harness.run_pipeline(
-        cfg, consumers=[lambda snap: stamps.append(time.perf_counter())]
-    )
-    start = stamps[0]
+    series = harness.run_pipeline(cfg, consumers=[consume])
+    start = stamps[0][0]
     reports, errors = {}, {}
     with tracer.span("ledger.checks"):
         for name in cfg.checks:
@@ -98,7 +118,7 @@ def verify_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
     with tracer.span("ledger.write"):
         ledger.write_records_csv(series, csv_path)
         ledger.write_check_report(json_path, spec["name"], reports, {})
-    run_s = time.perf_counter() - start
+    run_s = time.perf_counter() - start - (gauge.spent_s - spent_s)
 
     summaries = ledger.summarize_reports(reports)
     failed = sorted(errors) + [s["name"] for s in summaries if not s["pass"]]
@@ -134,8 +154,8 @@ def verify_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
     return {
         "run_s": run_s,
         "samples": len(series),
-        "samples_per_s": (len(stamps) - 1) / (stamps[-1] - start),
-        "gaps_ms": (np.diff(stamps) * 1e3).tolist(),
+        "gaps_ms": _gaps_ms(stamps),
+        "gauge_s": gauge.times[ticks:],
         "attempted": len(cfg.checks),
         "failed": failed,
         "errors": errors,
@@ -144,19 +164,21 @@ def verify_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
     }
 
 
-def weakform_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
+def weakform_pass(spec: dict, seed: int, out_dir: Path, tracer, gauge: Gauge) -> dict:
     """``criterion_weak_form``, with its snapshots stamped and its
     residuals observed at the harness's own bindings."""
     from nsverify import harness
 
     simulate, weak_residual = harness.simulate, harness.weak_residual
     trajectories, energies, residuals = [], [], []
+    ticks, spent_s = len(gauge.times), gauge.spent_s
 
     def stamped_simulate(*args, **kwargs):
-        times = [time.perf_counter()]
-        trajectories.append(times)
+        consume, stamps = _stamper(gauge)
+        trajectories.append(stamps)
+        consume()
         for snap in simulate(*args, **kwargs):
-            times.append(time.perf_counter())
+            consume()
             yield snap
         energies.append(snap.energy)
 
@@ -170,7 +192,7 @@ def weakform_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
     try:
         start = time.perf_counter()
         result = harness.criterion_weak_form(seed)
-        run_s = time.perf_counter() - start
+        run_s = time.perf_counter() - start - (gauge.spent_s - spent_s)
     finally:
         harness.simulate, harness.weak_residual = simulate, weak_residual
 
@@ -183,7 +205,7 @@ def weakform_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
     # sample timings from the last trajectory, the random small-data run
     # sampled at dtau = 0.02 like the verify workloads; the planar-vortex
     # run before it mixes one- and two-step sample intervals half and half
-    times = trajectories[-1]
+    stamps = trajectories[-1]
     # every residual and the random run's final energy, so that the outputs
     # of the seeded run are compared, not only the planar-vortex worst case
     values = {"worst_check_ratio": worst / WEAK_BOUND, "energy_final": energies[-1]}
@@ -191,8 +213,8 @@ def weakform_pass(spec: dict, seed: int, out_dir: Path, tracer) -> dict:
     return {
         "run_s": run_s,
         "samples": sum(len(t) - 1 for t in trajectories),
-        "samples_per_s": (len(times) - 1) / (times[-1] - times[0]),
-        "gaps_ms": (np.diff(times[1:]) * 1e3).tolist(),
+        "gaps_ms": _gaps_ms(stamps[1:]),
+        "gauge_s": gauge.times[ticks:],
         "attempted": len(residuals),
         "failed": failed,
         "errors": {},
@@ -208,6 +230,7 @@ def run_passes(spec: dict, seed: int, seconds: float, trace: bool, out_dir: Path
     """Repeat the workload's pass while another one is expected to fit in
     ``seconds``; always at least one."""
     tracer = Tracer() if trace else NullTracer()
+    gauge = Gauge()
     if trace:
         instrument(tracer)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,7 +238,7 @@ def run_passes(spec: dict, seed: int, seconds: float, trace: bool, out_dir: Path
     start = time.perf_counter()
     while True:
         begin = time.perf_counter()
-        passes.append(PASSES[spec["kind"]](spec, seed, out_dir, tracer))
+        passes.append(PASSES[spec["kind"]](spec, seed, out_dir, tracer, gauge))
         last = time.perf_counter() - begin
         if time.perf_counter() - start + last > seconds:
             break
