@@ -7,7 +7,8 @@ Subcommands:
                       scaling, weakform, all)
 * ``profiles``        export the cutoff tables as CSV
 
-``NSVERIFY_FFT_WORKERS`` caps the FFT thread count.
+``NSVERIFY_FFT_WORKERS`` sets the FFT thread count; by default it is the
+number of CPUs the process may run on (its affinity mask).
 """
 
 from __future__ import annotations

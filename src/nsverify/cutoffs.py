@@ -27,7 +27,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import DomainError
-from .spectral import SpectralVectorField
+from .spectral import SpectralVectorField, mode_energy, mode_sum
 
 DEFAULT_ALPHA = 0.1
 ALPHA_MAX = 0.125
@@ -341,7 +341,8 @@ def decompose(w: SpectralVectorField, alpha: float = DEFAULT_ALPHA) -> Decomposi
 def dilation_flux(
     w: SpectralVectorField, psi: CutoffProfile, scale: float = 1.0
 ) -> float:
-    """Discrete dilation flux ``sum r * d(psi^2)/dr (r) * |w_hat|^2``.
+    """Discrete dilation flux ``sum r * d(psi^2)/dr (r) * |w_hat|^2`` over the
+    full lattice.
 
     With ``scale = s`` the kernel is evaluated at ``r = s|xi|`` and the sum is
     premultiplied by ``1/s``, which is the similarity-variable flux expressed
@@ -349,10 +350,7 @@ def dilation_flux(
     """
     g = w.grid
     kern = psi.flux_kernel(scale * g.xi_mag)
-    abs2 = (
-        np.abs(w.coeffs[0]) ** 2 + np.abs(w.coeffs[1]) ** 2 + np.abs(w.coeffs[2]) ** 2
-    )
-    return float((kern * abs2).sum() / scale)
+    return mode_sum(kern * mode_energy(w.coeffs), g) / scale
 
 
 def bernstein_constant(alpha: float, m: float) -> float:

@@ -39,7 +39,9 @@ from .spectral import (
     Grid,
     SpectralVectorField,
     l2_norm,
+    l2_norm_sq,
     leray_project,
+    parseval_pair,
     phys_to_spec,
     spec_to_phys,
     spectral_tail_fraction,
@@ -184,9 +186,10 @@ def nse_rhs(
 
 
 def _amplitude_bound(u_hat: SpectralVectorField) -> float:
-    """Cheap upper bound on ``max_x |u(x)|`` from coefficient magnitudes."""
+    """Cheap upper bound on ``max_x |u(x)|``: per component the full-lattice
+    ``sum |c|``, each stored mode weighted by its multiplicity."""
     g = u_hat.grid
-    sums = np.abs(u_hat.coeffs).sum(axis=(1, 2, 3))
+    sums = np.abs(u_hat.coeffs).reshape(3, -1) @ g.multiplicity.ravel()
     return float(np.sqrt((sums**2).sum()) / g.l_box**1.5)
 
 
@@ -221,8 +224,8 @@ def _ifrk4(
         return _nonlinear_tendency(SpectralVectorField(g, coeffs, True))
 
     a = nonlin(c)
-    pairing = abs(float(np.vdot(a, c).real))
-    denom = float(np.sqrt(np.vdot(a, a).real * np.vdot(c, c).real))
+    pairing = abs(parseval_pair(a, c, g))
+    denom = math.sqrt(parseval_pair(a, a, g) * parseval_pair(c, c, g))
     orth = pairing / denom if denom > 0 else 0.0
 
     stage = a * (dt / 2.0)
@@ -267,13 +270,13 @@ def _prepare_initial(u0: SpectralVectorField, cfg: TrajectoryConfig) -> Spectral
     g = u0.grid
     if g.n != cfg.n or abs(g.l_box - cfg.l_box) > 1e-12 * cfg.l_box:
         raise ConfigurationError("initial field grid does not match the config")
-    coeffs = u0.coeffs * g.dealias_mask
-    norm = float(np.sqrt(np.vdot(coeffs, coeffs).real))
+    u = SpectralVectorField(g, u0.coeffs * g.dealias_mask, True)
+    norm = l2_norm(u)
     if norm > 0.0:
         # entry contract: data is rescaled so ||u0|| = delta; the zero field
         # stays zero and yields the all-zero trajectory
-        coeffs = coeffs * (cfg.delta / norm)
-    return SpectralVectorField(g, coeffs, True)
+        u.coeffs *= cfg.delta / norm
+    return u
 
 
 def initial_from_snapshot(path) -> tuple[SpectralVectorField, float]:
@@ -318,7 +321,7 @@ def simulate(
                 u, orth = _ifrk4(u, dt, cfg, factors)
                 worst_orth = max(worst_orth, orth)
             t = t_target
-        energy = float(np.vdot(u.coeffs, u.coeffs).real)
+        energy = l2_norm_sq(u)
         if energy > prev_energy * (1.0 + 1e-12):
             raise RuntimeError(
                 f"energy increased between samples ({prev_energy} -> {energy})"
@@ -361,26 +364,27 @@ def rescale_data(
 
     Integer ``lam`` keeps periodicity: the coefficient at wavenumber ``k``
     moves to ``lam * k`` with amplitude multiplied by ``lam`` (so the fixed-box
-    L2 norm is multiplied by ``lam``). Raises if an active frequency would
-    leave the representable range; modes below ``active_tol`` of the peak
-    magnitude count as inactive and are dropped, which lets evolved fields
-    (whose dealiased spectrum is populated at rounding level) be dilated.
+    L2 norm is multiplied by ``lam``); the stored ``kz >= 0`` half maps onto
+    itself. Raises if an active frequency would leave the representable range;
+    modes below ``active_tol`` of the peak magnitude count as inactive and are
+    dropped, which lets evolved fields (whose dealiased spectrum is populated
+    at rounding level) be dilated.
     """
     if not isinstance(lam, (int, np.integer)) or lam < 1:
         raise RescaleError(f"dilation factor must be a positive integer, got {lam}")
     g = u0.grid
     if lam == 1:
         return SpectralVectorField(g, u0.coeffs.copy(), u0.solenoidal_flag)
-    k1d = g.wavenumbers.astype(int)
-    target_k = lam * k1d
+    target_k = lam * g.wavenumbers.astype(int)
+    target_kz = lam * np.arange(g.n // 2 + 1)
     valid = np.abs(target_k) < g.n // 2
+    valid_z = target_kz < g.n // 2
     mags = np.abs(u0.coeffs).sum(axis=0)
     threshold = active_tol * mags.max()
-    bad = ~valid
     escaped = max(
-        mags[bad, :, :].max(initial=0.0),
-        mags[:, bad, :].max(initial=0.0),
-        mags[:, :, bad].max(initial=0.0),
+        mags[~valid, :, :].max(initial=0.0),
+        mags[:, ~valid, :].max(initial=0.0),
+        mags[:, :, ~valid_z].max(initial=0.0),
     )
     if escaped > threshold:
         raise RescaleError(
@@ -388,8 +392,11 @@ def rescale_data(
         )
     src = np.nonzero(valid)[0]
     tgt = target_k[valid] % g.n
+    src_z = np.nonzero(valid_z)[0]
     out = np.zeros_like(u0.coeffs)
-    out[np.ix_(range(3), tgt, tgt, tgt)] = lam * u0.coeffs[np.ix_(range(3), src, src, src)]
+    out[np.ix_(range(3), tgt, tgt, target_kz[valid_z])] = lam * u0.coeffs[
+        np.ix_(range(3), src, src, src_z)
+    ]
     return SpectralVectorField(g, out, u0.solenoidal_flag)
 
 
@@ -508,6 +515,7 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
             grad_v[j, k] = spec_to_phys(1j * g.xi[j] * v.coeffs[k], g)
     norm_v = l2_norm(v)
     grad_norm_v = float(np.sqrt((grad_v**2).sum() * g.cell_volume))
+    xi_sq_v = g.xi_sq * v.coeffs
 
     cell = g.cell_volume
     values = np.empty(len(snapshots))
@@ -517,8 +525,8 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
         t = snap.frame.t
         theta = testfield.envelope(t)
         theta_dot = testfield.envelope_rate(t)
-        u_v = float(np.vdot(v.coeffs, u_hat.coeffs).real)
-        gradu_gradv = float(np.vdot(g.xi_sq * v.coeffs, u_hat.coeffs).real)
+        u_v = parseval_pair(v.coeffs, u_hat.coeffs, g)
+        gradu_gradv = parseval_pair(xi_sq_v, u_hat.coeffs, g)
         u = spec_to_phys(u_hat.coeffs, g)
         adv = 0.0
         uu_sq = 0.0
@@ -527,9 +535,9 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
                 prod = u[j] * u[k]
                 adv -= float((prod * grad_v[j, k]).sum() * cell)
                 uu_sq += float((prod**2).sum() * cell)
-        norm_u = math.sqrt(max(float(np.vdot(u_hat.coeffs, u_hat.coeffs).real), 0.0))
+        norm_u = l2_norm(u_hat)
         grad_norm_u = math.sqrt(
-            max(float(np.vdot(g.xi_sq * u_hat.coeffs, u_hat.coeffs).real), 0.0)
+            max(parseval_pair(g.xi_sq * u_hat.coeffs, u_hat.coeffs, g), 0.0)
         )
         jac = snap.frame.t_horizon - t  # dt/dtau
         values[i] = jac * (-theta_dot * u_v + theta * (gradu_gradv + adv))

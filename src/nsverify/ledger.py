@@ -35,7 +35,7 @@ import numpy as np
 from .cutoffs import weight_tables
 from .dynamics import Snapshot
 from .errors import DomainError, FitError
-from .spectral import Grid, phys_to_spec, spec_to_phys
+from .spectral import Grid, mode_energy, phys_to_spec, spec_to_phys
 
 __all__ = [
     "EnergyRecord",
@@ -157,13 +157,14 @@ class LedgerContext:
         self.grid = grid
         self.alpha = float(alpha)
         self.delta = delta
-        self.xi2 = grid.xi_sq
-        self.xi4 = grid.xi_sq**2
-        self.xi6 = grid.xi_sq**3
+        # full-lattice Parseval weights on the stored half spectrum:
+        # multiplicity * |xi|^(2j), j = 0..4
+        mult = grid.multiplicity
+        self.mult_xi_pow = [mult * grid.xi_sq**j for j in range(5)]
         # lattice shells: distinct |xi| values and the mode -> shell index map
         radii, index = np.unique(np.round(grid.xi_mag, 12), return_inverse=True)
         self.shell_radii = radii
-        self.shell_index = index.reshape(grid.xi_mag.shape)
+        self.shell_index = index.ravel()
 
 
 class RecordsBuilder:
@@ -310,45 +311,68 @@ def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
     return out
 
 
+def _strain_cubic(grads: np.ndarray) -> float:
+    """``sum_x sum_jkl d_j u_k d_j u_l d_l u_k`` from ``grads[j, k] = d_j u_k``:
+    ``M_kl = sum_j d_j u_k d_j u_l`` is symmetric, so each off-diagonal pair
+    is contracted once against ``d_l u_k + d_k u_l``."""
+    total = 0.0
+    for k in range(3):
+        for l in range(k, 3):
+            m_kl = grads[0, k] * grads[0, l]
+            m_kl += grads[1, k] * grads[1, l]
+            m_kl += grads[2, k] * grads[2, l]
+            other = grads[l, k] if k == l else grads[l, k] + grads[k, l]
+            total += float(np.vdot(m_kl, other))
+    return total
+
+
+def _advected_pairing(a: np.ndarray, gb: np.ndarray, adjoint: np.ndarray) -> float:
+    """``sum_x sum_jk a_j gb[j, k] adjoint_k`` as ``v_k = sum_j a_j gb[j, k]``
+    paired with ``adjoint``."""
+    total = 0.0
+    for k in range(3):
+        v_k = a[0] * gb[0, k]
+        v_k += a[1] * gb[1, k]
+        v_k += a[2] * gb[2, k]
+        total += float(np.vdot(v_k, adjoint[k]))
+    return total
+
+
 def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     g = ctx.grid
     s = snap.frame.scale
     c = snap.u_hat.coeffs
     cell = g.cell_volume
+    half = c.shape[1:]
 
-    abs2 = np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2 + np.abs(c[2]) ** 2
+    abs2 = mode_energy(c)
     u = spec_to_phys(c, g)
-    grad_spec = np.empty((3, 3) + c.shape[1:], dtype=complex)
+    grad_spec = np.empty((3, 3) + half, dtype=complex)
     for j in range(3):
         for k in range(3):
             np.multiply(1j * g.xi[j], c[k], out=grad_spec[j, k])
-    grads = spec_to_phys(grad_spec.reshape((9,) + c.shape[1:]), g).reshape(
-        grad_spec.shape
+    grads = spec_to_phys(grad_spec.reshape((9,) + half), g).reshape(
+        (3, 3) + u.shape[1:]
     )
-    G = np.einsum("jabc,jkabc->kabc", u, grads)
+    G = u[0] * grads[0]
+    G += u[1] * grads[1]
+    G += u[2] * grads[2]
     G_hat = phys_to_spec(G, g)
     G_hat *= g.dealias_mask
-    rgu = (
-        (G_hat[0] * np.conj(c[0])).real
-        + (G_hat[1] * np.conj(c[1])).real
-        + (G_hat[2] * np.conj(c[2])).real
-    )
+    rgu = (G_hat * np.conj(c)).real.sum(axis=0)
 
     r = s * g.xi_mag
     w = weight_tables(r, ctx.alpha)
     w["r_kern_phi_slope"] = r * w["kern_phi_slope"]
     w["r_kern_chi_slope"] = r * w["kern_chi_slope"]
+    # per-mode densities times multiplicity * |xi|^(2j): dotted with a radial
+    # weight they give full-lattice Parseval sums
     flat = {
-        (0, "abs2"): abs2.ravel(),
-        (1, "abs2"): (abs2 * ctx.xi2).ravel(),
-        (2, "abs2"): (abs2 * ctx.xi4).ravel(),
-        (3, "abs2"): (abs2 * ctx.xi6).ravel(),
-        (4, "abs2"): (abs2 * ctx.xi4 * ctx.xi4).ravel(),
-        (0, "rgu"): rgu.ravel(),
-        (1, "rgu"): (rgu * ctx.xi2).ravel(),
-        (2, "rgu"): (rgu * ctx.xi4).ravel(),
-        (3, "rgu"): (rgu * ctx.xi6).ravel(),
+        (j, "abs2"): (abs2 * ctx.mult_xi_pow[j]).ravel() for j in range(5)
     }
+    flat.update(
+        {(j, "rgu"): (rgu * ctx.mult_xi_pow[j]).ravel() for j in range(4)}
+    )
 
     def wsum(arr, weight=None, power=0):
         base = flat[(power, "rgu" if arr is rgu else "abs2")]
@@ -370,9 +394,7 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     E1_high = s * wsum(abs2, w["one_minus_phi_sq"], 1)
     E2_high = s**3 * wsum(abs2, w["one_minus_phi_sq"], 2)
 
-    T_grad = s**3 * cell * float(
-        np.einsum("jkabc,jlabc,lkabc->", grads, grads, grads, optimize=True)
-    )
+    T_grad = s**3 * cell * _strain_cubic(grads)
     T_lap = s**5 * wsum(rgu, power=2)
     T_low = s * wsum(rgu, w["phi2"])
     T_chi = s * wsum(rgu, w["chi2"])
@@ -380,16 +402,14 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
 
     u_low = spec_to_phys(w["phi"] * c, g)
     lowgrads = spec_to_phys(
-        (w["phi"] * grad_spec).reshape((9,) + c.shape[1:]), g
-    ).reshape(grad_spec.shape)
-    adjoint = spec_to_phys(w["one_minus_phi_sq"] * ctx.xi2 * c, g)
+        (w["phi"] * grad_spec).reshape((9,) + half), g
+    ).reshape(grads.shape)
+    adjoint = spec_to_phys(w["one_minus_phi_sq"] * g.xi_sq * c, g)
     u_high = u - u_low
     highgrads = grads - lowgrads
 
     def split(a, gb):
-        return s**3 * cell * float(
-            np.einsum("jabc,jkabc,kabc->", a, gb, adjoint, optimize=True)
-        )
+        return s**3 * cell * _advected_pairing(a, gb, adjoint)
 
     T_split_ll = split(u_low, lowgrads)
     T_split_lh = split(u_low, highgrads)
@@ -459,14 +479,10 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
         dyn = -wsum(abs2, m, j + 1) - wsum(rgu, m, j)
         fdots[name] = -0.5 * s**p * drift + 2.0 * s ** (p + 2) * dyn
     nshell = len(ctx.shell_radii)
-    shell_e = np.bincount(
-        ctx.shell_index.ravel(), weights=abs2.ravel(), minlength=nshell
-    )
-    rdu = -ctx.xi2 * abs2 - rgu
+    shell_e = np.bincount(ctx.shell_index, weights=flat[(0, "abs2")], minlength=nshell)
+    rdu = -flat[(1, "abs2")] - flat[(0, "rgu")]
     shell_edot = np.bincount(
-        ctx.shell_index.ravel(),
-        weights=(2.0 * s**2 * rdu).ravel(),
-        minlength=nshell,
+        ctx.shell_index, weights=2.0 * s**2 * rdu, minlength=nshell
     )
     return rec, fvals, fdots, (shell_e, shell_edot)
 

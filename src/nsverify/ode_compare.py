@@ -14,7 +14,6 @@ extremal dynamics, which is the falsifiable case.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -156,9 +155,3 @@ def run_trapping_draws(
         "worst_margin": float((barrier - max_h).min()),
         "max_initial_fraction": float((h0 / barrier).max()),
     }
-
-
-def write_trapping_summary(path, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .cutoffs import CutoffProfile, apply_profile
 from .errors import HorizonError, UnsupportedOrderError
-from .spectral import SpectralVectorField, _as_multi_index
+from .spectral import SpectralVectorField, _as_multi_index, mode_energy, mode_sum
 
 __all__ = [
     "SimilarityFrame",
@@ -83,12 +83,7 @@ def similarity_norm(u_hat: SpectralVectorField, fr: SimilarityFrame, beta) -> fl
     for axis, b in enumerate(beta):
         if b:
             weight = weight * g.xi[axis] ** (2 * b)
-    abs2 = (
-        np.abs(u_hat.coeffs[0]) ** 2
-        + np.abs(u_hat.coeffs[1]) ** 2
-        + np.abs(u_hat.coeffs[2]) ** 2
-    )
-    return float(fr.scale ** (2 * order - 1) * (weight * abs2).sum())
+    return fr.scale ** (2 * order - 1) * mode_sum(weight * mode_energy(u_hat.coeffs), g)
 
 
 def similarity_filter(
@@ -114,12 +109,7 @@ def similarity_filtered_energy(
     """
     s = fr.scale
     mult = psi.sq(s * u_hat.grid.xi_mag)
-    abs2 = (
-        np.abs(u_hat.coeffs[0]) ** 2
-        + np.abs(u_hat.coeffs[1]) ** 2
-        + np.abs(u_hat.coeffs[2]) ** 2
-    )
-    return float((mult * abs2).sum() / s)
+    return mode_sum(mult * mode_energy(u_hat.coeffs), u_hat.grid) / s
 
 
 def blowup_rate_ratio(sup_norm: float, fr: SimilarityFrame) -> float:

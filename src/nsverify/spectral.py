@@ -4,17 +4,25 @@ Conventions used everywhere in the package:
 
 * collocation points ``x_j = j * l_box / n`` per axis, arrays indexed
   ``[component, ix, iy, iz]``;
-* signed integer wavenumbers ``k in {-n/2, ..., n/2 - 1}`` per axis mapped to
-  continuous frequencies ``xi = k * dxi`` with ``dxi = 2*pi/l_box``;
-* unitary normalization: ``coeffs = fftn(samples) * l_box**1.5 / n**3`` so the
-  discrete Parseval identity ``sum |coeffs|^2 == sum |samples|^2 * (l_box/n)^3``
+* coefficients are stored in the ``rfftn`` half-spectrum layout
+  ``[component, ix, iy, iz]`` with shape ``(3, n, n, n//2 + 1)``: signed
+  integer wavenumbers ``k in {-n/2, ..., n/2 - 1}`` on the first two axes and
+  ``kz in {0, ..., n/2}`` on the last, mapped to continuous frequencies
+  ``xi = k * dxi`` with ``dxi = 2*pi/l_box``. The modes with ``kz < 0`` are
+  not stored: a real field has ``coeff(-k) == conj(coeff(k))``;
+* every Parseval-type sum weights a stored mode by its multiplicity
+  (:attr:`Grid.multiplicity`: 1 on the self-conjugate planes ``kz = 0`` and
+  ``kz = n/2``, 2 elsewhere), so it equals the full-lattice sum;
+* unitary normalization: ``coeffs = rfftn(samples) * l_box**1.5 / n**3`` so the
+  discrete Parseval identity ``sum m |coeffs|^2 == sum |samples|^2 * (l_box/n)^3``
   holds without extra constants;
-* the Nyquist planes ``k = -n/2`` are forced to zero so that derivatives of
-  real fields stay real and Hermitian symmetry is exact.
+* the Nyquist planes ``|k| = n/2`` are forced to zero so that derivatives of
+  real fields stay real.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass, field
 
@@ -23,85 +31,75 @@ import scipy.fft as _fft
 
 from .errors import ConfigurationError, GridMismatchError, UnsupportedOrderError
 
-_WORKERS = int(os.environ.get("NSVERIFY_FFT_WORKERS", "0")) or (os.cpu_count() or 1)
+# NSVERIFY_FFT_WORKERS overrides; the default is every CPU this process may use
+_WORKERS = int(os.environ.get("NSVERIFY_FFT_WORKERS", "0")) or len(
+    os.sched_getaffinity(0)
+)
 
-
-def fft_workers() -> int:
-    """Number of FFT worker threads (``NSVERIFY_FFT_WORKERS`` overrides)."""
-    return _WORKERS
+# Fixed glibc malloc thresholds: blocks up to 32 MB come from the heap, and the
+# heap gives memory back only past 64 MB free at its top. With the dynamic
+# defaults every tendency at n=32 returned a ~0.8 MB temporary to the kernel
+# and faulted it back in (about 190 page faults a call, 100k a trajectory).
+try:
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+except (OSError, AttributeError):  # not glibc
+    pass
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Cubic periodic grid with cached frequency arrays."""
+    """Cubic periodic grid with cached frequency arrays on the half spectrum.
+
+    Read-only attributes: ``wavenumbers`` and ``xi1d``, the signed integer
+    wavenumbers and frequencies of a full axis; ``xi``, broadcastable
+    ``(xi_x, xi_y, xi_z)`` with ``xi_z`` over ``kz = 0 .. n/2``; per stored
+    mode ``xi_sq``, ``xi_mag``, ``inv_xi_sq`` (zero mode mapped to 0),
+    ``dealias_mask``, ``not_nyquist`` and ``multiplicity``, the number of
+    lattice modes each stored mode stands for (1 on the ``kz = 0`` and
+    ``kz = n/2`` planes, 2 elsewhere, where the conjugate is not stored).
+    """
 
     n: int
     l_box: float
     dxi: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dxi", 2.0 * np.pi / self.l_box)
-        k1d = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer wavenumbers
-        xi1d = k1d * self.dxi
-        object.__setattr__(self, "_k1d", k1d)
-        object.__setattr__(self, "_xi1d", xi1d)
+        n = self.n
+
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("dxi", 2.0 * np.pi / self.l_box)
+        k1d = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers
+        kz = np.arange(n // 2 + 1, dtype=float)  # stored half of the last axis
+        put("wavenumbers", k1d)
+        put("xi1d", k1d * self.dxi)
         xi = (
-            xi1d[:, None, None],
-            xi1d[None, :, None],
-            xi1d[None, None, :],
+            self.xi1d[:, None, None],
+            self.xi1d[None, :, None],
+            (kz * self.dxi)[None, None, :],
         )
-        object.__setattr__(self, "_xi", xi)
+        put("xi", xi)
         xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
-        object.__setattr__(self, "_xi_sq", xi_sq)
-        object.__setattr__(self, "_xi_mag", np.sqrt(xi_sq))
-        kmax = (self.n - 1) // 3  # products of masked fields are alias-free
-        absk = np.abs(k1d)
-        keep1d = absk <= kmax
-        mask = keep1d[:, None, None] & keep1d[None, :, None] & keep1d[None, None, :]
-        object.__setattr__(self, "_dealias_mask", mask)
-        nyq = absk == self.n // 2
-        not_nyq = ~(nyq[:, None, None] | nyq[None, :, None] | nyq[None, None, :])
-        object.__setattr__(self, "_not_nyquist", not_nyq)
-        object.__setattr__(self, "dealias_kmax", kmax)
+        put("xi_sq", xi_sq)
+        put("xi_mag", np.sqrt(xi_sq))
+        kmax = (n - 1) // 3  # products of masked fields are alias-free
+        put("dealias_kmax", kmax)
+        keep = np.abs(k1d) <= kmax
+        put("dealias_mask",
+            keep[:, None, None] & keep[None, :, None] & (kz <= kmax)[None, None, :])
+        nyq = np.abs(k1d) == n // 2
+        not_nyq = ~(nyq[:, None, None] | nyq[None, :, None]
+                    | (kz == n // 2)[None, None, :])
+        put("not_nyquist", not_nyq)
+        put("_forward_factor", not_nyq * (self.l_box**1.5 / n**3))
+        mult = np.where((kz == 0) | (kz == n // 2), 1.0, 2.0)
+        put("multiplicity", np.broadcast_to(mult, xi_sq.shape).copy())
         inv = np.zeros_like(xi_sq)
         nz = xi_sq > 0
         inv[nz] = 1.0 / xi_sq[nz]
-        object.__setattr__(self, "_inv_xi_sq", inv)
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """Signed integer wavenumbers per axis."""
-        return self._k1d
-
-    @property
-    def xi1d(self) -> np.ndarray:
-        return self._xi1d
-
-    @property
-    def xi(self) -> tuple:
-        """Broadcastable continuous frequency arrays (xi_x, xi_y, xi_z)."""
-        return self._xi
-
-    @property
-    def xi_sq(self) -> np.ndarray:
-        return self._xi_sq
-
-    @property
-    def xi_mag(self) -> np.ndarray:
-        return self._xi_mag
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        return self._dealias_mask
-
-    @property
-    def inv_xi_sq(self) -> np.ndarray:
-        """1/|xi|^2 with the zero mode mapped to 0."""
-        return self._inv_xi_sq
-
-    @property
-    def not_nyquist(self) -> np.ndarray:
-        return self._not_nyquist
+        put("inv_xi_sq", inv)
 
     @property
     def cell_volume(self) -> float:
@@ -145,17 +143,19 @@ def build_grid(n: int, l_box: float) -> Grid:
 
 @dataclass
 class SpectralVectorField:
-    """Three-component vector field stored as Fourier coefficients."""
+    """Three-component real vector field stored as Fourier coefficients."""
 
     grid: Grid
-    coeffs: np.ndarray  # (3, n, n, n) complex128
+    # (3, n, n, n//2 + 1) complex128: rfftn half spectrum, modes with kz < 0
+    # implied by conjugate symmetry; Parseval sums weight by grid.multiplicity
+    coeffs: np.ndarray
     solenoidal_flag: bool = False
 
     def copy(self) -> "SpectralVectorField":
         return SpectralVectorField(self.grid, self.coeffs.copy(), self.solenoidal_flag)
 
     def __post_init__(self):
-        expected = (3, self.grid.n, self.grid.n, self.grid.n)
+        expected = (3,) + self.grid.xi_sq.shape
         if self.coeffs.shape != expected:
             raise ConfigurationError(
                 f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
@@ -177,40 +177,20 @@ class RealVectorField:
             )
 
 
-# -- low-level transform helpers (real fields, Hermitian half-spectrum) -----
-
-
-def _mirror_half_to_full(half: np.ndarray, n: int) -> np.ndarray:
-    """Expand an rfftn half-spectrum (..., n, n, n//2+1) to the full cube.
-
-    The conjugate tail uses ``F(-k) = conj(F(k))``; the index map
-    ``i -> (-i) mod n`` keeps row 0 fixed and reverses rows 1..n-1, done here
-    with strided slices instead of fancy indexing.
-    """
-    full = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    full[..., : n // 2 + 1] = half
-    src = half[..., n // 2 - 1 : 0 : -1]
-    np.conjugate(src[..., :0:-1, :0:-1, :], out=full[..., 1:, 1:, n // 2 + 1 :])
-    np.conjugate(src[..., 0, :0:-1, :], out=full[..., 0, 1:, n // 2 + 1 :])
-    np.conjugate(src[..., :0:-1, 0, :], out=full[..., 1:, 0, n // 2 + 1 :])
-    np.conjugate(src[..., 0, 0, :], out=full[..., 0, 0, n // 2 + 1 :])
-    return full
+# -- transforms (real fields, rfftn half spectrum) ---------------------------
 
 
 def phys_to_spec(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples (..., n, n, n) to unitary full-cube coefficients."""
-    n = grid.n
+    """Real samples (..., n, n, n) to unitary half-spectrum coefficients."""
     half = _fft.rfftn(samples, axes=(-3, -2, -1), workers=_WORKERS)
-    full = _mirror_half_to_full(half, n)
-    full *= grid.l_box**1.5 / n**3
-    full *= grid.not_nyquist
-    return full
+    half *= grid._forward_factor  # l_box**1.5 / n**3, zero on Nyquist planes
+    return half
 
 
 def spec_to_phys(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Unitary full-cube coefficients of a real field back to samples."""
+    """Unitary half-spectrum coefficients of a real field back to samples."""
     n = grid.n
-    half = coeffs[..., : n // 2 + 1] * (n**3 / grid.l_box**1.5)
+    half = coeffs * (n**3 / grid.l_box**1.5)
     return _fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS)
 
 
@@ -220,8 +200,27 @@ def transform_forward(f: RealVectorField) -> SpectralVectorField:
 
 
 def transform_inverse(w: SpectralVectorField) -> RealVectorField:
-    """Inverse transform to collocation samples (real part by construction)."""
+    """Inverse transform to collocation samples (real by construction)."""
     return RealVectorField(w.grid, spec_to_phys(w.coeffs, w.grid))
+
+
+# -- full-lattice sums ---------------------------------------------------------
+
+
+def mode_sum(density: np.ndarray, grid: Grid) -> float:
+    """Full-lattice sum of a per-mode density that is even in ``xi`` (such as
+    ``weight(|xi|) * |coeff|^2``), given on the stored half spectrum."""
+    return float(np.dot(grid.multiplicity.ravel(), density.ravel()))
+
+
+def parseval_pair(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """Full-lattice ``Re sum conj(a) b`` of two real fields' half spectra."""
+    return float(np.vdot(a, grid.multiplicity * b).real)
+
+
+def mode_energy(coeffs: np.ndarray) -> np.ndarray:
+    """Per-mode ``|c_0|^2 + |c_1|^2 + |c_2|^2`` of vector coefficients."""
+    return np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2 + np.abs(coeffs[2]) ** 2
 
 
 # -- operators ---------------------------------------------------------------
@@ -280,23 +279,15 @@ def l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:
     """L2 pairing ``int a . b dx`` via the Parseval sum (real part)."""
     if a.grid != b.grid:
         raise GridMismatchError("fields live on different grids")
-    return float(np.vdot(a.coeffs, b.coeffs).real)
+    return parseval_pair(a.coeffs, b.coeffs, a.grid)
 
 
 def l2_norm_sq(a: SpectralVectorField) -> float:
-    return float(np.vdot(a.coeffs, a.coeffs).real)
+    return mode_sum(mode_energy(a.coeffs), a.grid)
 
 
 def l2_norm(a: SpectralVectorField) -> float:
     return float(np.sqrt(l2_norm_sq(a)))
-
-
-def divergence_coeffs(w: SpectralVectorField) -> np.ndarray:
-    """Coefficients of div w (scalar field), i.e. ``i xi . w_hat``."""
-    g = w.grid
-    return 1j * (
-        g.xi[0] * w.coeffs[0] + g.xi[1] * w.coeffs[1] + g.xi[2] * w.coeffs[2]
-    )
 
 
 def solenoidal_error(w: SpectralVectorField) -> float:
@@ -305,7 +296,7 @@ def solenoidal_error(w: SpectralVectorField) -> float:
     dot = np.abs(
         g.xi[0] * w.coeffs[0] + g.xi[1] * w.coeffs[1] + g.xi[2] * w.coeffs[2]
     )
-    mag = np.sqrt(np.abs(w.coeffs[0]) ** 2 + np.abs(w.coeffs[1]) ** 2 + np.abs(w.coeffs[2]) ** 2)
+    mag = np.sqrt(mode_energy(w.coeffs))
     scale = mag.max()
     if scale == 0.0:
         return 0.0
@@ -315,34 +306,17 @@ def solenoidal_error(w: SpectralVectorField) -> float:
     return float((dot[active] / mag[active]).max())
 
 
-def hermitian_error(w: SpectralVectorField) -> float:
-    """Max deviation from ``coeff(-k) == conj(coeff(k))``."""
-    c = w.coeffs
-    rev = c[:, ::-1, ::-1, ::-1]
-    rev = np.roll(rev, (1, 1, 1), axis=(1, 2, 3))
-    return float(np.abs(rev - np.conj(c)).max())
-
-
-def apply_dealias(w: SpectralVectorField) -> SpectralVectorField:
-    return SpectralVectorField(
-        w.grid, w.coeffs * w.grid.dealias_mask, w.solenoidal_flag
-    )
-
-
 def zero_field(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(
-        grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=complex), True
-    )
+    coeffs = np.zeros((3,) + grid.xi_sq.shape, dtype=complex)
+    return SpectralVectorField(grid, coeffs, True)
 
 
 def spectral_tail_fraction(w: SpectralVectorField) -> float:
     """Energy fraction in the radial band above two thirds of Nyquist."""
     g = w.grid
-    abs2 = (
-        np.abs(w.coeffs[0]) ** 2 + np.abs(w.coeffs[1]) ** 2 + np.abs(w.coeffs[2]) ** 2
-    )
-    total = abs2.sum()
+    weighted = mode_energy(w.coeffs) * g.multiplicity
+    total = weighted.sum()
     if total == 0.0:
         return 0.0
-    tail = abs2[g.xi_mag > (2.0 / 3.0) * g.xi_nyquist].sum()
+    tail = weighted[g.xi_mag > (2.0 / 3.0) * g.xi_nyquist].sum()
     return float(tail / total)

@@ -180,7 +180,7 @@ class TestApplyProfile:
 
 def single_mode_field(grid, k_index, component=2):
     """Real single-mode solenoidal field at wavenumber k_index * e1."""
-    coeffs = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     coeffs[component, k_index % grid.n, 0, 0] = 1.0
     coeffs[component, (-k_index) % grid.n, 0, 0] = 1.0
     return SpectralVectorField(grid, coeffs, True)

@@ -146,7 +146,7 @@ class TestFilteredEnergy:
             fr = frame(t, 1.0)
             s = fr.scale
             direct = float(
-                (psi.sq(s * grid32.xi_mag)
+                (grid32.multiplicity * psi.sq(s * grid32.xi_mag)
                  * (np.abs(u.coeffs) ** 2).sum(axis=0)).sum() / s
             )
             assert similarity_filtered_energy(u, fr, psi) == pytest.approx(

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsverify.errors import (
     ConfigurationError,
     GridMismatchError,
     UnsupportedOrderError,
 )
+from nsverify.dynamics import _amplitude_bound
 from nsverify.spectral import (
     RealVectorField,
     SpectralVectorField,
     build_grid,
-    hermitian_error,
     l2_inner,
     l2_norm,
     l2_norm_sq,
@@ -25,6 +27,18 @@ from nsverify.spectral import (
 )
 
 from conftest import random_band_limited
+
+
+def plane_hermitian_error(w):
+    """Max deviation from ``coeff(-kx, -ky, 0) == conj(coeff(kx, ky, 0))``.
+
+    The half spectrum stores each mode with ``kz > 0`` once, so conjugate
+    symmetry is structural there; the ``kz = 0`` plane holds both members of
+    each pair and is the one place it can fail.
+    """
+    plane = w.coeffs[..., 0]
+    rev = np.roll(plane[:, ::-1, ::-1], (1, 1), axis=(1, 2))
+    return float(np.abs(rev - np.conj(plane)).max())
 
 
 class TestBuildGrid:
@@ -91,7 +105,14 @@ class TestTransforms:
 
     def test_hermitian_symmetry(self, grid16):
         w = transform_forward(random_band_limited(grid16, 5))
-        assert hermitian_error(w) < 1e-13 * np.abs(w.coeffs).max()
+        assert plane_hermitian_error(w) < 1e-13 * np.abs(w.coeffs).max()
+
+    def test_half_spectrum_shape(self, grid16):
+        w = transform_forward(random_band_limited(grid16, 5))
+        assert w.coeffs.shape == (3, 16, 16, 9)
+        assert grid16.multiplicity.shape == (16, 16, 9)
+        assert set(np.unique(grid16.multiplicity[:, :, [0, 8]])) == {1.0}
+        assert set(np.unique(grid16.multiplicity[:, :, 1:8])) == {2.0}
 
 
 class TestDerivative:
@@ -130,8 +151,10 @@ class TestDerivative:
 
     def test_hermitian_preserved(self, grid16):
         w = transform_forward(random_band_limited(grid16, 9))
-        d = spectral_derivative(w, (1, 1, 1))
-        assert hermitian_error(d) < 1e-13 * max(np.abs(d.coeffs).max(), 1e-30)
+        # (1, 1, 1) vanishes on the kz = 0 plane; (1, 2, 0) does not
+        for beta in ((1, 1, 1), (1, 2, 0)):
+            d = spectral_derivative(w, beta)
+            assert plane_hermitian_error(d) < 1e-13 * max(np.abs(d.coeffs).max(), 1e-30)
 
 
 class TestLerayProjection:
@@ -158,9 +181,10 @@ class TestLerayProjection:
         p = leray_project(w)
         grad_norm = l2_norm(spectral_derivative(w, (1, 0, 0)))
         div_norm = math.sqrt(
-            float((np.abs(1j * (grid16.xi[0] * p.coeffs[0]
-                                + grid16.xi[1] * p.coeffs[1]
-                                + grid16.xi[2] * p.coeffs[2])) ** 2).sum())
+            float((grid16.multiplicity
+                   * np.abs(1j * (grid16.xi[0] * p.coeffs[0]
+                                  + grid16.xi[1] * p.coeffs[1]
+                                  + grid16.xi[2] * p.coeffs[2])) ** 2).sum())
         )
         assert div_norm <= 1e-10 * grad_norm
         p2 = leray_project(p)
@@ -221,3 +245,28 @@ class TestInnerProduct:
         a = transform_forward(random_band_limited(grid16, 37))
         b = transform_forward(random_band_limited(grid16, 41))
         assert l2_inner(a, b) == pytest.approx(l2_inner(b, a), rel=1e-14)
+
+
+class TestFullLatticeSums:
+    """Half-spectrum sums against the physical sum and the full-cube ``fftn``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 10, 16]),
+           box=st.sampled_from([2.0 * math.pi, 8.0 * math.pi]))
+    def test_parseval_on_band_limited_data(self, seed, n, box):
+        f = random_band_limited(build_grid(n, box), seed)
+        phys = (f.samples**2).sum() * f.grid.cell_volume
+        assert l2_norm_sq(transform_forward(f)) == pytest.approx(phys, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 10, 16]),
+           box=st.sampled_from([2.0 * math.pi, 8.0 * math.pi]))
+    def test_amplitude_bound_matches_full_cube(self, seed, n, box):
+        grid = build_grid(n, box)
+        f = random_band_limited(grid, seed)
+        full = np.fft.fftn(f.samples, axes=(1, 2, 3)) * (box**1.5 / n**3)
+        sums = np.abs(full).sum(axis=(1, 2, 3))
+        expected = np.sqrt((sums**2).sum()) / box**1.5
+        assert _amplitude_bound(transform_forward(f)) == pytest.approx(
+            expected, rel=1e-12
+        )
