@@ -32,17 +32,12 @@ from .ledger import (
     LedgerContext,
     RecordSeries,
     check_inequality,
-    compute_record,
     fit_decay_rate,
-    rate_estimate,
-    records_from_snapshots,
 )
 from .ode_compare import (
     ComparisonParams,
     h_minus,
-    integrate_h,
     run_trapping_draws,
-    trapping_check,
 )
 from .similarity import (
     SimilarityFrame,

@@ -13,9 +13,14 @@ Derived profiles:
                       ``r = 1/2 + a`` (``a = alpha``), continuous, with a kink
                       in its radial derivative at the cap radius.
 
-Every profile exposes analytic radial derivatives of ``psi`` and ``psi^2``
-plus the dilation kernel ``r * d(psi^2)/dr`` and its derivative; these back
-the dilation-flux quadratures used by the energy checks.
+All four come from one table: each kind writes ``psi^2`` as ``c(r) * B(phi)``
+with ``B`` a quadratic in ``phi`` and ``c`` either 1 or chi's cap power
+``min(r, 1/2 + a)**(1+4a)``. The chain rule through ``phi, phi', phi''`` gives
+``psi^2`` and its first two radial derivatives, and every other quantity is
+read from those: ``psi = sqrt(psi^2)``, its slope, the dilation kernel
+``r * d(psi^2)/dr`` and that kernel's slope, which back the dilation-flux
+quadratures of the energy checks. :func:`weight_tables` evaluates the table
+for every kind at once; the ledger calls it on the lattice shell radii.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from .spectral import SpectralVectorField, mode_energy, mode_sum
 
 DEFAULT_ALPHA = 0.1
 ALPHA_MAX = 0.125
-
-_KINDS = ("phi", "one_minus_phi", "tilde", "chi")
 
 
 def _check_alpha(alpha: float) -> float:
@@ -98,155 +101,110 @@ phi_eval = _radial(lambda r: _phi_pieces(r)[0])
 phi_eval.__doc__ = "The smooth radial step: 1 below radius 1, 0 above radius 2."
 
 
+# -- the profile table --------------------------------------------------------
+
+# psi^2 = c(r) * B(phi) for every kind. Each entry gives B, dB/dphi and
+# d2B/dphi2 as functions of phi, and whether c is chi's cap power (else c = 1).
+_TABLE = {
+    "phi": (lambda p: (p * p, 2.0 * p, 2.0), False),
+    "one_minus_phi": (lambda p: ((1.0 - p) ** 2, 2.0 * (p - 1.0), 2.0), False),
+    "tilde": (lambda p: (1.0 - p * p, -2.0 * p, -2.0), False),
+    "chi": (lambda p: (p * p, 2.0 * p, 2.0), True),
+}
+
+
+def _cap_power(r, alpha):
+    """``r**(1+4a)`` up to the cap radius ``1/2 + a``, constant past it, with
+    its first two radial derivatives (one-sided at the cap)."""
+    cap, e2 = 0.5 + alpha, 1.0 + 4.0 * alpha
+    below = r <= cap
+    c = np.where(below, _pow_or_zero(r, e2), cap**e2)
+    c1 = np.where(below, e2 * _pow_or_zero(r, e2 - 1.0), 0.0)
+    c2 = np.where(below, e2 * (e2 - 1.0) * _pow_or_zero(r, e2 - 2.0), 0.0)
+    return c, c1, c2
+
+
+def _sq_pieces(kind, r, alpha, phi_pieces=None):
+    """``psi^2`` and its first two radial derivatives, by the chain rule from
+    ``phi, phi', phi''`` and (for chi) the cap power."""
+    phi, d1, d2 = _phi_pieces(r) if phi_pieces is None else phi_pieces
+    b_of_phi, capped = _TABLE[kind]
+    b, b1, b2 = b_of_phi(phi)
+    db = b1 * d1
+    ddb = b2 * d1**2 + b1 * d2
+    if not capped:
+        return b, db, ddb
+    c, c1, c2 = _cap_power(r, alpha)
+    return c * b, c1 * b + c * db, c2 * b + 2.0 * c1 * db + c * ddb
+
+
 def chi_eval(r, alpha: float):
     """Fractional low-pass weight ``r**(1/2+2*alpha)`` capped at ``1/2+alpha``.
 
     Continuous everywhere, zero at the origin and zero for ``r >= 2`` where
     the step vanishes.
     """
-    alpha = _check_alpha(alpha)
-    cap = 0.5 + alpha
-    expo = 0.5 + 2.0 * alpha
-
-    def kernel(rr):
-        phi = _phi_pieces(rr)[0]
-        return np.where(rr <= cap, _pow_or_zero(rr, expo), cap**expo) * phi
-
-    return _radial(kernel)(r)
+    return CutoffProfile("chi", alpha).eval(r)
 
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Radial multiplier symbol with analytic radial derivatives."""
+    """Radial multiplier symbol with analytic radial derivatives.
+
+    Every method is a column of the profile table: ``psi = sqrt(psi^2)``, and
+    the derivatives follow from ``psi^2, (psi^2)', (psi^2)''``.
+    """
 
     kind: str
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _TABLE:
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "chi":
             if self.alpha is None:
                 raise DomainError("chi profile requires alpha")
             _check_alpha(self.alpha)
 
-    def _cap(self):
-        return 0.5 + self.alpha
+    def _column(self, r, column):
+        """``column(r, psi^2, (psi^2)', (psi^2)'')`` at radius ``r``."""
 
-    def _e2(self):
-        return 1.0 + 4.0 * self.alpha
-
-    # -- psi ------------------------------------------------------------------
-
-    def eval(self, r):
         def kernel(rr):
-            phi = _phi_pieces(rr)[0]
-            if self.kind == "phi":
-                return phi
-            if self.kind == "one_minus_phi":
-                return 1.0 - phi
-            if self.kind == "tilde":
-                return np.sqrt(np.clip(1.0 - phi**2, 0.0, None))
-            cap, expo = self._cap(), 0.5 + 2.0 * self.alpha
-            return np.where(rr <= cap, _pow_or_zero(rr, expo), cap**expo) * phi
+            return column(rr, *_sq_pieces(self.kind, rr, self.alpha))
 
         return _radial(kernel)(r)
+
+    def eval(self, r):
+        return self._column(r, lambda rr, p, p1, p2: np.sqrt(p))
 
     __call__ = eval
 
     def radial_slope(self, r):
-        """d(psi)/dr. For chi the origin value is reported as 0 (the true
-        slope diverges like ``r**(2*alpha - 1/2)`` but every flux kernel built
-        from it stays finite); for tilde the slope is 0 wherever ``phi = 1``.
+        """d(psi)/dr, reported as 0 where ``psi = 0``: at chi's origin (the
+        true slope diverges like ``r**(2*alpha - 1/2)`` but every flux kernel
+        built from it stays finite) and on tilde's plateau.
         """
 
-        def kernel(rr):
-            phi, d1, _ = _phi_pieces(rr)
-            if self.kind == "phi":
-                return d1
-            if self.kind == "one_minus_phi":
-                return -d1
-            if self.kind == "tilde":
-                tl = np.sqrt(np.clip(1.0 - phi**2, 0.0, None))
-                out = np.zeros_like(tl)
-                pos = tl > 1e-150
-                out[pos] = -(phi[pos] * d1[pos]) / tl[pos]
-                return out
-            cap, expo = self._cap(), 0.5 + 2.0 * self.alpha
-            below = expo * _pow_or_zero(rr, expo - 1.0)
-            return np.where(rr <= cap, below * phi, cap**expo * d1)
+        def slope(rr, p, p1, p2):
+            psi = np.sqrt(p)
+            return np.divide(p1, 2.0 * psi, out=np.zeros_like(p), where=psi > 0)
 
-        return _radial(kernel)(r)
-
-    # -- psi^2 ----------------------------------------------------------------
+        return self._column(r, slope)
 
     def sq(self, r):
-        def kernel(rr):
-            phi = _phi_pieces(rr)[0]
-            if self.kind == "phi":
-                return phi**2
-            if self.kind == "one_minus_phi":
-                return (1.0 - phi) ** 2
-            if self.kind == "tilde":
-                return 1.0 - phi**2
-            cap, e2 = self._cap(), self._e2()
-            return np.where(rr <= cap, _pow_or_zero(rr, e2), cap**e2) * phi**2
-
-        return _radial(kernel)(r)
+        return self._column(r, lambda rr, p, p1, p2: p)
 
     def sq_slope(self, r):
         """d(psi^2)/dr; analytic on each branch, one-sided at chi's cap."""
-
-        def kernel(rr):
-            phi, d1, _ = _phi_pieces(rr)
-            if self.kind == "phi":
-                return 2.0 * phi * d1
-            if self.kind == "one_minus_phi":
-                return -2.0 * (1.0 - phi) * d1
-            if self.kind == "tilde":
-                return -2.0 * phi * d1
-            cap, e2 = self._cap(), self._e2()
-            below = e2 * _pow_or_zero(rr, e2 - 1.0)
-            return np.where(rr <= cap, below, cap**e2 * 2.0 * phi * d1)
-
-        return _radial(kernel)(r)
-
-    # -- dilation kernel r * d(psi^2)/dr and its radial derivative ------------
+        return self._column(r, lambda rr, p, p1, p2: p1)
 
     def flux_kernel(self, r):
-        def kernel(rr):
-            phi, d1, _ = _phi_pieces(rr)
-            if self.kind == "phi":
-                return 2.0 * rr * phi * d1
-            if self.kind == "one_minus_phi":
-                return -2.0 * rr * (1.0 - phi) * d1
-            if self.kind == "tilde":
-                return -2.0 * rr * phi * d1
-            cap, e2 = self._cap(), self._e2()
-            below = e2 * _pow_or_zero(rr, e2)
-            return np.where(rr <= cap, below, cap**e2 * 2.0 * rr * phi * d1)
-
-        return _radial(kernel)(r)
+        """The dilation kernel ``r * d(psi^2)/dr``."""
+        return self._column(r, lambda rr, p, p1, p2: rr * p1)
 
     def flux_kernel_slope(self, r):
         """d/dr of ``r * d(psi^2)/dr``, used by the flux time-quadrature."""
-
-        def kernel(rr):
-            phi, d1, d2 = _phi_pieces(rr)
-            if self.kind == "phi":
-                return 2.0 * phi * d1 + 2.0 * rr * (d1**2 + phi * d2)
-            if self.kind == "one_minus_phi":
-                return -2.0 * (1.0 - phi) * d1 + 2.0 * rr * (
-                    d1**2 - (1.0 - phi) * d2
-                )
-            if self.kind == "tilde":
-                return -2.0 * phi * d1 - 2.0 * rr * (d1**2 + phi * d2)
-            cap, e2 = self._cap(), self._e2()
-            below = e2 * e2 * _pow_or_zero(rr, e2 - 1.0)
-            above = cap**e2 * (2.0 * phi * d1 + 2.0 * rr * (d1**2 + phi * d2))
-            return np.where(rr <= cap, below, above)
-
-        return _radial(kernel)(r)
+        return self._column(r, lambda rr, p, p1, p2: p1 + rr * p2)
 
 
 def make_profile(kind: str, alpha: float | None = None) -> CutoffProfile:
@@ -256,38 +214,19 @@ def make_profile(kind: str, alpha: float | None = None) -> CutoffProfile:
 
 
 def weight_tables(r: np.ndarray, alpha: float) -> dict:
-    """All radial weights the energy ledger needs, from one step evaluation.
+    """The profile table at radii ``r``, from one step evaluation.
 
-    Same formulas as the :class:`CutoffProfile` methods (tested to agree);
-    batched here because the ledger evaluates them on full frequency cubes at
-    every sample.
+    Maps every kind to ``(psi^2, r d(psi^2)/dr, d/dr of that kernel)``, the
+    columns of :meth:`CutoffProfile.sq`, :meth:`~CutoffProfile.flux_kernel`
+    and :meth:`~CutoffProfile.flux_kernel_slope`.
     """
     alpha = _check_alpha(alpha)
-    phi, d1, d2 = _phi_pieces(r)
-    cap = 0.5 + alpha
-    e2 = 1.0 + 4.0 * alpha
-    below = r <= cap
-    phi2 = phi**2
-    kern_phi = 2.0 * r * phi * d1
-    kern_phi_slope = 2.0 * phi * d1 + 2.0 * r * (d1**2 + phi * d2)
-    chi2 = np.where(below, _pow_or_zero(r, e2), cap**e2) * phi2
-    kern_chi = np.where(below, e2 * _pow_or_zero(r, e2), cap**e2 * kern_phi)
-    kern_chi_slope = np.where(
-        below, e2 * e2 * _pow_or_zero(r, e2 - 1.0), cap**e2 * kern_phi_slope
-    )
-    one_m_phi = 1.0 - phi
-    return {
-        "phi": phi,
-        "phi2": phi2,
-        "chi2": chi2,
-        "one_minus_phi_sq": one_m_phi**2,
-        "one_minus_phi2": 1.0 - phi2,
-        "kern_phi": kern_phi,
-        "kern_phi_slope": kern_phi_slope,
-        "kern_chi": kern_chi,
-        "kern_chi_slope": kern_chi_slope,
-        "kern_one_minus_phi": -2.0 * r * one_m_phi * d1,
-    }
+    pieces = _phi_pieces(r)
+    out = {}
+    for kind in _TABLE:
+        p, p1, p2 = _sq_pieces(kind, r, alpha, pieces)
+        out[kind] = (p, r * p1, p1 + r * p2)
+    return out
 
 
 # -- operators ---------------------------------------------------------------
@@ -325,17 +264,8 @@ def decompose(w: SpectralVectorField, alpha: float = DEFAULT_ALPHA) -> Decomposi
     ``phi^2 + (1 - phi^2) = 1``.
     """
     alpha = _check_alpha(alpha)
-    r = np.atleast_1d(w.grid.xi_mag)
-    phi = _phi_pieces(r)[0]
-    low = SpectralVectorField(w.grid, w.coeffs * phi, w.solenoidal_flag)
-    high = SpectralVectorField(w.grid, w.coeffs * (1.0 - phi), w.solenoidal_flag)
-    tilde_mult = np.sqrt(np.clip(1.0 - phi**2, 0.0, None))
-    tilde = SpectralVectorField(w.grid, w.coeffs * tilde_mult, w.solenoidal_flag)
-    chi = make_profile("chi", alpha)
-    chi_low = SpectralVectorField(
-        w.grid, w.coeffs * chi.eval(w.grid.xi_mag), w.solenoidal_flag
-    )
-    return Decomposition(low, high, tilde, chi_low, alpha)
+    parts = (apply_profile(w, make_profile(kind, alpha)) for kind in _TABLE)
+    return Decomposition(*parts, alpha)
 
 
 def dilation_flux(
@@ -377,33 +307,36 @@ def bernstein_constant(alpha: float, m: float) -> float:
     )
 
 
+def _balance_shell_integrand(r, alpha: float):
+    """``r/4 * d(phi^2 - chi^2)/dr - (r^2 - 1/4 - alpha) * chi^2``, the shell
+    weight of the weighted low+band energy balance."""
+    alpha = _check_alpha(alpha)
+
+    def kernel(rr):
+        w = weight_tables(rr, alpha)
+        return 0.25 * (w["phi"][1] - w["chi"][1]) - (rr**2 - 0.25 - alpha) * w["chi"][0]
+
+    return _radial(kernel)(r)
+
+
 def low_block_shell_integrand(r, alpha: float):
     """Pointwise weight of the weighted low-block balance on ``r <= 1``.
 
-    ``-r/4 * d(chi^2)/dr - (r^2 - 1/4 - alpha) * chi^2``; nonpositive for all
-    valid alpha, which is what makes the weighted low block dissipative.
+    ``-r/4 * d(chi^2)/dr - (r^2 - 1/4 - alpha) * chi^2`` (phi is flat there);
+    nonpositive for all valid alpha, which is what makes the weighted low block
+    dissipative.
     """
-    alpha = _check_alpha(alpha)
-    chi = make_profile("chi", alpha)
-    out = -0.25 * np.asarray(chi.flux_kernel(r)) - (
-        np.asarray(r, dtype=float) ** 2 - 0.25 - alpha
-    ) * np.asarray(chi.sq(r))
-    return float(out) if np.ndim(out) == 0 else out
+    return _balance_shell_integrand(r, alpha)
 
 
 def transition_shell_integrand(r, alpha: float):
     """Pointwise weight of the transition-band balance on ``1 <= r <= 2``.
 
     ``(1 - cap^(1+4a))/4 * r d(phi^2)/dr - (r^2 - 1/4 - alpha) cap^(1+4a) phi^2``
-    with ``cap = 1/2 + alpha``; both summands are nonpositive there.
+    with ``cap = 1/2 + alpha`` (chi^2 is ``cap^(1+4a) phi^2`` there); both
+    summands are nonpositive.
     """
-    alpha = _check_alpha(alpha)
-    phi = make_profile("phi")
-    cap_pow = (0.5 + alpha) ** (1.0 + 4.0 * alpha)
-    out = 0.25 * (1.0 - cap_pow) * np.asarray(phi.flux_kernel(r)) - (
-        np.asarray(r, dtype=float) ** 2 - 0.25 - alpha
-    ) * cap_pow * np.asarray(phi.sq(r))
-    return float(out) if np.ndim(out) == 0 else out
+    return _balance_shell_integrand(r, alpha)
 
 
 def export_profile_table(psi: CutoffProfile, path, r_max: float = 3.0, num: int = 3001):

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
+    EnergyIncreaseError,
     RescaleError,
     ResolutionError,
     ResolutionWarning,
@@ -323,7 +324,7 @@ def simulate(
             t = t_target
         energy = l2_norm_sq(u)
         if energy > prev_energy * (1.0 + 1e-12):
-            raise RuntimeError(
+            raise EnergyIncreaseError(
                 f"energy increased between samples ({prev_energy} -> {energy})"
             )
         prev_energy = energy

@@ -33,6 +33,10 @@ class ResolutionError(RuntimeError):
     """Spectral content cannot be represented adequately on the grid."""
 
 
+class EnergyIncreaseError(ResolutionError):
+    """Kinetic energy rose between samples: the discrete run is not resolved."""
+
+
 class ResolutionWarning(UserWarning):
     """Spectral tail grew past the guard threshold; results suspect."""
 

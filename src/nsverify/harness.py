@@ -34,7 +34,7 @@ from .dynamics import (
     simulate,
     weak_residual,
 )
-from .errors import ConfigurationError, ResolutionError
+from .errors import ConfigurationError, FitError, ResolutionError
 from .fields import FieldSpec, generate
 from .ledger import LedgerContext, RecordsBuilder, RecordSeries
 from .ode_compare import ComparisonParams, h_minus, run_trapping_draws
@@ -286,7 +286,7 @@ def run_scenario(
             fitted["curvature_energy"] = lg.fit_decay_rate(
                 list(zip(taus, series.column("E2"))), window
             )
-        except Exception:
+        except FitError:
             pass
     ratio = series.column("sup_norm_w")
     fitted["sup_ratio_final_over_initial"] = float(ratio[-1] / ratio[0])
@@ -332,6 +332,9 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed: float = 0.0
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # criteria may compute numpy bools
 
     def summary_line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -420,16 +423,16 @@ def criterion_decomposition(
         fld = generate(spec, grid)
         abs2 = mode_energy(fld.coeffs)
         total = mode_sum(abs2, grid)
-        low = mode_sum(w["phi2"] * abs2, grid)
-        tilde = mode_sum(w["one_minus_phi2"] * abs2, grid)
+        low = mode_sum(w["phi"][0] * abs2, grid)
+        tilde = mode_sum(w["tilde"][0] * abs2, grid)
         split_worst = max(split_worst, abs(total - low - tilde) / total)
         for beta in betas:
             weight = np.ones_like(grid.xi_sq)
             for axis, b in enumerate(beta):
                 if b:
                     weight = weight * grid.xi[axis] ** (2 * b)
-            high_norm = math.sqrt(mode_sum(w["one_minus_phi_sq"] * weight * abs2, grid))
-            band_norm = math.sqrt(mode_sum(w["one_minus_phi2"] * weight * abs2, grid))
+            high_norm = math.sqrt(mode_sum(w["one_minus_phi"][0] * weight * abs2, grid))
+            band_norm = math.sqrt(mode_sum(w["tilde"][0] * weight * abs2, grid))
             domination_worst = max(domination_worst, high_norm - band_norm)
     passed = split_worst <= 1e-10 and domination_worst <= 1e-12
     detail = (

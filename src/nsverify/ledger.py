@@ -1,10 +1,15 @@
 """Energy functionals in rescaled variables and the identity checks.
 
 Every functional of the rescaled field ``w`` is evaluated from the physical
-spectrum through the exact frame identities (see :mod:`nsverify.similarity`):
-quadratic functionals are weighted Parseval sums with weights ``m(s |xi|)``
-and frame prefactors ``s**p``, cubic functionals are dealiased collocation
-integrals carrying the matching chain-rule powers of ``s``.
+spectrum through the exact frame identities (see :mod:`nsverify.similarity`).
+Each quadratic functional is ``s**p * sum m(s |xi|) |xi|^(2j) |u_hat|^2`` (or
+the same against the transfer density ``Re<G_hat, u_hat>``), and its weight
+``m`` is constant on a lattice shell ``|xi| = const``. So each sample bincounts
+the energy and transfer densities once per shell (the shell-averaged spectrum)
+and every quadratic column is a dot product over shells, with the radial
+weights read from :func:`nsverify.cutoffs.weight_tables` at the shell radii.
+Cubic functionals are dealiased collocation integrals carrying the matching
+chain-rule powers of ``s``.
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -18,9 +23,9 @@ two independent evaluations:
 
 The corrected trapezoid matters: the fractional low-pass weight has a kink in
 its radial derivative, so pointwise filters would pick up an O(dtau * shell
-energy) error whenever a lattice shell crosses the cap radius, while the
-derivative-corrected integral only sees the one-sided-derivative defect at
-O(dtau^2) per crossing, far below the identity tolerance.
+energy) error whenever a lattice shell crosses the cap radius. The cells
+where a shell crosses are repaired from the same shell energies: that
+shell's share is integrated on each side of the crossing separately.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields as dc_fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +48,6 @@ __all__ = [
     "LedgerContext",
     "RecordsBuilder",
     "RecordSeries",
-    "compute_record",
-    "records_from_snapshots",
-    "rate_estimate",
     "fit_decay_rate",
     "check_inequality",
     "CHECK_NAMES",
@@ -56,28 +58,41 @@ __all__ = [
 REL_TOL = 1e-5
 ABS_TOL = 1e-10
 
-# quadratic accumulator table: name -> (frame power p, |xi|^(2j) weight j, weight key)
-_QUAD_TERMS = {
-    "E0": (-1, 0, None),
-    "E1": (1, 1, None),
-    "E2": (3, 2, None),
-    "E3": (5, 3, None),
-    "E0_low": (-1, 0, "phi2"),
-    "E1_low": (1, 1, "phi2"),
-    "flux_phi": (-1, 0, "kern_phi"),
-    "E0_low_chi": (-1, 0, "chi2"),
-    "E1_low_chi": (1, 1, "chi2"),
-    "flux_chi": (-1, 0, "kern_chi"),
+# shell-sum columns: name -> (density, frame power p, |xi|^(2j) power j,
+# weight). Each is ``s**p`` times the sum over lattice shells of
+# ``m(s|xi|) |xi|^(2j)`` times the shell total of the density: "e" the energy
+# |u_hat|^2, "t" the transfer Re<G_hat, u_hat>. The weight m is 1 (None) or
+# (profile kind, 0 for psi^2 | 1 for its flux kernel r d(psi^2)/dr).
+_SHELL_TERMS = {
+    "E0": ("e", -1, 0, None),
+    "E1": ("e", 1, 1, None),
+    "E2": ("e", 3, 2, None),
+    "E3": ("e", 5, 3, None),
+    "E0_low": ("e", -1, 0, ("phi", 0)),
+    "E0_tilde": ("e", -1, 0, ("tilde", 0)),
+    "E0_high": ("e", -1, 0, ("one_minus_phi", 0)),
+    "E0_low_chi": ("e", -1, 0, ("chi", 0)),
+    "E1_low": ("e", 1, 1, ("phi", 0)),
+    "E1_low_chi": ("e", 1, 1, ("chi", 0)),
+    "E1_tilde": ("e", 1, 1, ("tilde", 0)),
+    "E1_high": ("e", 1, 1, ("one_minus_phi", 0)),
+    "E2_high": ("e", 3, 2, ("one_minus_phi", 0)),
+    "T_lap": ("t", 5, 2, None),
+    "T_low": ("t", 1, 0, ("phi", 0)),
+    "T_chi": ("t", 1, 0, ("chi", 0)),
+    "T_grad_high": ("t", 3, 1, ("one_minus_phi", 0)),
+    "flux_phi": ("e", -1, 0, ("phi", 1)),
+    "flux_chi": ("e", -1, 0, ("chi", 1)),
+    "flux_one_minus_phi": ("e", -1, 0, ("one_minus_phi", 1)),
+    "flux_one_minus_phi_grad": ("e", 1, 1, ("one_minus_phi", 1)),
 }
-# radial derivative kernels r*m'(r) for the weighted terms
-_QUAD_RSLOPE = {
-    "E0_low": "kern_phi",
-    "E1_low": "kern_phi",
-    "flux_phi": "r_kern_phi_slope",
-    "E0_low_chi": "kern_chi",
-    "E1_low_chi": "kern_chi",
-    "flux_chi": "r_kern_chi_slope",
-}
+# energy columns integrated in tau into the cum_* columns; the chi-weighted
+# ones also get the cap-crossing repair
+_CUMULATED = (
+    "E0", "E1", "E2", "E3", "E0_low", "E1_low", "flux_phi",
+    "E0_low_chi", "E1_low_chi", "flux_chi",
+)
+_CHI_CUMULATED = ("E0_low_chi", "E1_low_chi", "flux_chi")
 
 
 @dataclass
@@ -157,14 +172,20 @@ class LedgerContext:
         self.grid = grid
         self.alpha = float(alpha)
         self.delta = delta
-        # full-lattice Parseval weights on the stored half spectrum:
-        # multiplicity * |xi|^(2j), j = 0..4
-        mult = grid.multiplicity
-        self.mult_xi_pow = [mult * grid.xi_sq**j for j in range(5)]
         # lattice shells: distinct |xi| values and the mode -> shell index map
-        radii, index = np.unique(np.round(grid.xi_mag, 12), return_inverse=True)
-        self.shell_radii = radii
+        _, first, index = np.unique(
+            np.round(grid.xi_mag, 12), return_index=True, return_inverse=True
+        )
+        self.shell_radii = grid.xi_mag.ravel()[first]
         self.shell_index = index.ravel()
+
+    def shell_totals(self, density: np.ndarray) -> np.ndarray:
+        """Full-lattice sum of a per-mode density over each lattice shell."""
+        return np.bincount(
+            self.shell_index,
+            weights=(self.grid.multiplicity * density).ravel(),
+            minlength=len(self.shell_radii),
+        )
 
 
 class RecordsBuilder:
@@ -173,15 +194,15 @@ class RecordsBuilder:
     def __init__(self, ctx: LedgerContext):
         self.ctx = ctx
         self.records: list[EnergyRecord] = []
-        self._quad_f = {name: [] for name in _QUAD_TERMS}
-        self._quad_fdot = {name: [] for name in _QUAD_TERMS}
+        self._quad_f = {name: [] for name in _CUMULATED}
+        self._quad_fdot = {name: [] for name in _CUMULATED}
         self._shell_e: list[np.ndarray] = []
         self._shell_edot: list[np.ndarray] = []
 
     def feed(self, snap: Snapshot) -> EnergyRecord:
         rec, fvals, fdots, shells = _evaluate_sample(snap, self.ctx)
         self.records.append(rec)
-        for name in _QUAD_TERMS:
+        for name in _CUMULATED:
             self._quad_f[name].append(fvals[name])
             self._quad_fdot[name].append(fdots[name])
         self._shell_e.append(shells[0])
@@ -197,7 +218,7 @@ class RecordsBuilder:
             self.ctx.shell_radii,
             self.ctx.alpha,
         )
-        for name in _QUAD_TERMS:
+        for name in _CUMULATED:
             f = np.asarray(self._quad_f[name])
             fd = np.asarray(self._quad_fdot[name])
             cum = _corrected_trapezoid(taus, f, fd)
@@ -242,72 +263,80 @@ _GAUSS3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
+def _weight(tables: dict, r, weight):
+    """``m(r)`` and ``r m'(r)`` of a shell-term weight, from the profile table."""
+    if weight is None:
+        return 1.0, 0.0
+    sq, kern, kern_slope = tables[weight[0]]
+    return (sq, kern) if weight[1] == 0 else (kern, r * kern_slope)
+
+
+def _tau_rate(p, m, rm, energy, energy_rate):
+    """``d/dtau [s**p m(s rho) E] / s**p`` for ``s = exp(-tau/2)``, given the
+    weight ``m``, its ``r m'`` and the shell energy ``E`` with its rate."""
+    return m * energy_rate - 0.5 * (p * m + rm) * energy
+
+
 def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
     """Cell-quadrature repairs for the chi-weighted integrals.
 
     The fractional low-pass weight changes branch when a lattice shell
     crosses the cap radius ``1/2 + alpha`` (at ``tau* = 2 ln(r/cap)``); its
     dilation kernel even jumps in value there. Inside the affected cell each
-    crossing shell's contribution ``A exp(lam tau) E_shell(tau)`` is integrated
-    branch-exactly (Gauss, with the shell energy Hermite-interpolated from the
-    sampled values and derivatives), replacing that shell's share of the
-    endpoint-based cell rule.
+    crossing shell's contribution ``s**p m(s r) r**(2j) E_shell(tau)`` is
+    integrated branch-exactly (Gauss on each side of ``tau*``, with the shell
+    energy Hermite-interpolated from the sampled values and derivatives),
+    replacing that shell's share of the endpoint-based cell rule.
     """
     cap = 0.5 + alpha
-    e2 = 1.0 + 4.0 * alpha
-    names = ("E0_low_chi", "E1_low_chi", "flux_chi")
-    out = {name: np.zeros_like(taus) for name in names}
+    out = {name: np.zeros_like(taus) for name in _CHI_CUMULATED}
     positive = radii > cap
     tstars = np.full_like(radii, -np.inf)
     tstars[positive] = 2.0 * np.log(radii[positive] / cap)
-    inside = (tstars > taus[0]) & (tstars < taus[-1])
-    if not np.any(inside):
+    shells = np.nonzero((tstars > taus[0]) & (tstars < taus[-1]))[0]
+    if shells.size == 0:
         return out
-    shells = np.nonzero(inside)[0]
-    cells = np.searchsorted(taus, tstars[shells]) - 1
-    cells = np.clip(cells, 0, len(taus) - 2)
+    cells = np.clip(np.searchsorted(taus, tstars[shells]) - 1, 0, len(taus) - 2)
+    a, b, tstar = taus[cells], taus[cells + 1], tstars[shells]
+    h = b - a
+    # per crossing shell: the two cell ends, then three Gauss nodes on
+    # [a, tau*] and three on [tau*, b]
+    lo = np.stack([a, tstar], axis=1)[:, :, None]
+    hi = np.stack([tstar, b], axis=1)[:, :, None]
+    half = 0.5 * (hi - lo)
+    gauss = (0.5 * (lo + hi) + half * _GAUSS3_NODES).reshape(-1, 6)
+    gauss_w = (half * _GAUSS3_WEIGHTS).reshape(-1, 6)
+    nodes = np.concatenate([a[:, None], b[:, None], gauss], axis=1)
 
-    def hermite(a, h, ea, eda, eb, edb, tau):
-        z = (tau - a) / h
-        h00 = 2 * z**3 - 3 * z**2 + 1
-        h10 = z**3 - 2 * z**2 + z
-        h01 = -2 * z**3 + 3 * z**2
-        h11 = z**3 - z**2
-        return ea * h00 + h * eda * h10 + eb * h01 + h * edb * h11
+    ea, eda = shell_e[cells, shells], shell_edot[cells, shells]
+    eb, edb = shell_e[cells + 1, shells], shell_edot[cells + 1, shells]
+    z = (nodes - a[:, None]) / h[:, None]
+    energy = (
+        ea[:, None] * (2 * z**3 - 3 * z**2 + 1)
+        + (h * eda)[:, None] * (z**3 - 2 * z**2 + z)
+        + eb[:, None] * (-2 * z**3 + 3 * z**2)
+        + (h * edb)[:, None] * (z**3 - z**2)
+    )
+    energy_rate = np.zeros_like(energy)  # the cell rule needs it at the ends only
+    energy_rate[:, 0], energy_rate[:, 1] = eda, edb
 
-    for shell, cell in zip(shells, cells):
-        r = radii[shell]
-        tstar = tstars[shell]
-        a, b = taus[cell], taus[cell + 1]
-        h = b - a
-        ea, eda = shell_e[cell, shell], shell_edot[cell, shell]
-        eb, edb = shell_e[cell + 1, shell], shell_edot[cell + 1, shell]
-        # (A_above, lam_above, A_below, lam_below) per accumulated term
-        branch = {
-            "E0_low_chi": (cap**e2, 0.5, r**e2, -2.0 * alpha),
-            "E1_low_chi": (cap**e2 * r**2, -0.5, r ** (2 + e2), -(1.0 + 2.0 * alpha)),
-            "flux_chi": (0.0, 0.0, e2 * r**e2, -2.0 * alpha),
-        }
-
-        def seg_integral(amp, lam, lo, hi):
-            if amp == 0.0 or hi <= lo:
-                return 0.0
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            nodes = mid + half * _GAUSS3_NODES
-            vals = amp * np.exp(lam * nodes) * hermite(a, h, ea, eda, eb, edb, nodes)
-            return float(half * (_GAUSS3_WEIGHTS * vals).sum())
-
-        for name, (amp_ab, lam_ab, amp_bl, lam_bl) in branch.items():
-            w_a = amp_ab * math.exp(lam_ab * a) * ea
-            wd_a = amp_ab * math.exp(lam_ab * a) * (lam_ab * ea + eda)
-            w_b = amp_bl * math.exp(lam_bl * b) * eb
-            wd_b = amp_bl * math.exp(lam_bl * b) * (lam_bl * eb + edb)
-            ct_shell = h / 2.0 * (w_a + w_b) - h**2 / 12.0 * (wd_b - wd_a)
-            exact = seg_integral(amp_ab, lam_ab, a, tstar) + seg_integral(
-                amp_bl, lam_bl, tstar, b
-            )
-            out[name][cell + 1 :] += exact - ct_shell
+    rho = radii[shells][:, None]
+    s = np.exp(-0.5 * nodes)
+    r = s * rho
+    tables = weight_tables(r, alpha)
+    for name in _CHI_CUMULATED:
+        _, p, j, weight = _SHELL_TERMS[name]
+        m, rm = _weight(tables, r, weight)
+        scale = s**p * rho ** (2 * j)
+        g = scale * m * energy
+        gdot = scale * _tau_rate(p, m, rm, energy, energy_rate)
+        cell_rule = h / 2.0 * (g[:, 0] + g[:, 1]) - h**2 / 12.0 * (
+            gdot[:, 1] - gdot[:, 0]
+        )
+        exact = (gauss_w * g[:, 2:]).sum(axis=1)
+        repair = np.zeros_like(taus)
+        np.add.at(repair, cells + 1, exact - cell_rule)
+        out[name] = np.cumsum(repair)
     return out
 
 
@@ -345,7 +374,6 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     cell = g.cell_volume
     half = c.shape[1:]
 
-    abs2 = mode_energy(c)
     u = spec_to_phys(c, g)
     grad_spec = np.empty((3, 3) + half, dtype=complex)
     for j in range(3):
@@ -361,185 +389,60 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     G_hat *= g.dealias_mask
     rgu = (G_hat * np.conj(c)).real.sum(axis=0)
 
-    r = s * g.xi_mag
-    w = weight_tables(r, ctx.alpha)
-    w["r_kern_phi_slope"] = r * w["kern_phi_slope"]
-    w["r_kern_chi_slope"] = r * w["kern_chi_slope"]
-    # per-mode densities times multiplicity * |xi|^(2j): dotted with a radial
-    # weight they give full-lattice Parseval sums
-    flat = {
-        (j, "abs2"): (abs2 * ctx.mult_xi_pow[j]).ravel() for j in range(5)
-    }
-    flat.update(
-        {(j, "rgu"): (rgu * ctx.mult_xi_pow[j]).ravel() for j in range(4)}
-    )
+    # shell energies, transfers and the energies' exact tau-derivative
+    # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - rgu, the pressure part
+    # dropping against the radial weights)
+    rho = ctx.shell_radii
+    totals = {"e": ctx.shell_totals(mode_energy(c)), "t": ctx.shell_totals(rgu)}
+    shell_e = totals["e"]
+    shell_edot = 2.0 * s**2 * (-(rho**2) * shell_e - totals["t"])
+    r = s * rho
+    tables = weight_tables(r, ctx.alpha)
+    values = {}
+    fdots = {}
+    for name, (density, p, j, weight) in _SHELL_TERMS.items():
+        m, rm = _weight(tables, r, weight)
+        scale = s**p * rho ** (2 * j)
+        values[name] = float(np.dot(scale * m, totals[density]))
+        if name in _CUMULATED:
+            rate = _tau_rate(p, m, rm, shell_e, shell_edot)
+            fdots[name] = float(np.dot(scale, rate))
 
-    def wsum(arr, weight=None, power=0):
-        base = flat[(power, "rgu" if arr is rgu else "abs2")]
-        if weight is None:
-            return float(base.sum())
-        return float(np.dot(weight.ravel(), base))
+    def per_mode(shell_weight):
+        return shell_weight[ctx.shell_index].reshape(half)
 
-    E0 = wsum(abs2) / s
-    E1 = s * wsum(abs2, power=1)
-    E2 = s**3 * wsum(abs2, power=2)
-    E3 = s**5 * wsum(abs2, power=3)
-    E0_low = wsum(abs2, w["phi2"]) / s
-    E0_tilde = wsum(abs2, w["one_minus_phi2"]) / s
-    E0_high = wsum(abs2, w["one_minus_phi_sq"]) / s
-    E0_low_chi = wsum(abs2, w["chi2"]) / s
-    E1_low = s * wsum(abs2, w["phi2"], 1)
-    E1_low_chi = s * wsum(abs2, w["chi2"], 1)
-    E1_tilde = s * wsum(abs2, w["one_minus_phi2"], 1)
-    E1_high = s * wsum(abs2, w["one_minus_phi_sq"], 1)
-    E2_high = s**3 * wsum(abs2, w["one_minus_phi_sq"], 2)
-
-    T_grad = s**3 * cell * _strain_cubic(grads)
-    T_lap = s**5 * wsum(rgu, power=2)
-    T_low = s * wsum(rgu, w["phi2"])
-    T_chi = s * wsum(rgu, w["chi2"])
-    T_grad_high = s**3 * wsum(rgu, w["one_minus_phi_sq"], 1)
-
-    u_low = spec_to_phys(w["phi"] * c, g)
+    phi = per_mode(np.sqrt(tables["phi"][0]))
+    u_low = spec_to_phys(phi * c, g)
     lowgrads = spec_to_phys(
-        (w["phi"] * grad_spec).reshape((9,) + half), g
+        (phi * grad_spec).reshape((9,) + half), g
     ).reshape(grads.shape)
-    adjoint = spec_to_phys(w["one_minus_phi_sq"] * g.xi_sq * c, g)
+    adjoint = spec_to_phys(per_mode(tables["one_minus_phi"][0]) * g.xi_sq * c, g)
     u_high = u - u_low
     highgrads = grads - lowgrads
 
     def split(a, gb):
         return s**3 * cell * _advected_pairing(a, gb, adjoint)
 
-    T_split_ll = split(u_low, lowgrads)
-    T_split_lh = split(u_low, highgrads)
-    T_split_hl = split(u_high, lowgrads)
-    T_split_hh = split(u_high, highgrads)
-
-    flux_phi = wsum(abs2, w["kern_phi"]) / s
-    flux_chi = wsum(abs2, w["kern_chi"]) / s
-    flux_one_minus_phi = wsum(abs2, w["kern_one_minus_phi"]) / s
-    flux_one_minus_phi_grad = s * wsum(abs2, w["kern_one_minus_phi"], 1)
-
     umag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
     lowmag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
-    sup_norm_w = s * float(umag.max())
-    sup_w_low = s * float(np.sqrt(lowmag2.max()))
-    sup_grad_w_low = s**2 * float(np.sqrt((lowgrads**2).sum(axis=(0, 1)).max()))
-    l4_w_low = float((s * cell * (lowmag2**2).sum()) ** 0.25)
-
     rec = EnergyRecord(
         tau=snap.frame.tau,
-        E0=E0,
-        E1=E1,
-        E2=E2,
-        E3=E3,
-        E0_low=E0_low,
-        E0_tilde=E0_tilde,
-        E0_high=E0_high,
-        E0_low_chi=E0_low_chi,
-        E1_low=E1_low,
-        E1_low_chi=E1_low_chi,
-        E1_tilde=E1_tilde,
-        E1_high=E1_high,
-        E2_high=E2_high,
-        T_grad=T_grad,
-        T_lap=T_lap,
-        T_low=T_low,
-        T_chi=T_chi,
-        T_grad_high=T_grad_high,
-        T_split_ll=T_split_ll,
-        T_split_lh=T_split_lh,
-        T_split_hl=T_split_hl,
-        T_split_hh=T_split_hh,
-        flux_phi=flux_phi,
-        flux_chi=flux_chi,
-        flux_one_minus_phi=flux_one_minus_phi,
-        flux_one_minus_phi_grad=flux_one_minus_phi_grad,
-        sup_norm_w=sup_norm_w,
-        sup_w_low=sup_w_low,
-        sup_grad_w_low=sup_grad_w_low,
-        l4_w_low=l4_w_low,
+        T_grad=s**3 * cell * _strain_cubic(grads),
+        T_split_ll=split(u_low, lowgrads),
+        T_split_lh=split(u_low, highgrads),
+        T_split_hl=split(u_high, lowgrads),
+        T_split_hh=split(u_high, highgrads),
+        sup_norm_w=s * float(umag.max()),
+        sup_w_low=s * float(np.sqrt(lowmag2.max())),
+        sup_grad_w_low=s**2 * float(np.sqrt((lowgrads**2).sum(axis=(0, 1)).max())),
+        l4_w_low=float((s * cell * (lowmag2**2).sum()) ** 0.25),
         tail_fraction=snap.tail_fraction,
+        **values,
     )
-
-    # accumulator inputs: value and exact tau-derivative of each quadratic term
-    # (per-mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - rgu, pressure part dropping
-    # against the radial weights)
-    fvals = {}
-    fdots = {}
-    for name, (p, j, key) in _QUAD_TERMS.items():
-        m = None if key is None else w[key]
-        base = wsum(abs2, m, j)
-        fvals[name] = s**p * base
-        if key is None:
-            drift = p * base
-        else:
-            drift = p * base + wsum(abs2, w[_QUAD_RSLOPE[name]], j)
-        dyn = -wsum(abs2, m, j + 1) - wsum(rgu, m, j)
-        fdots[name] = -0.5 * s**p * drift + 2.0 * s ** (p + 2) * dyn
-    nshell = len(ctx.shell_radii)
-    shell_e = np.bincount(ctx.shell_index, weights=flat[(0, "abs2")], minlength=nshell)
-    rdu = -flat[(1, "abs2")] - flat[(0, "rgu")]
-    shell_edot = np.bincount(
-        ctx.shell_index, weights=2.0 * s**2 * rdu, minlength=nshell
-    )
-    return rec, fvals, fdots, (shell_e, shell_edot)
+    return rec, values, fdots, (shell_e, shell_edot)
 
 
-def compute_record(snap: Snapshot, ctx: LedgerContext) -> EnergyRecord:
-    """Evaluate one snapshot in isolation (cumulative columns left NaN)."""
-    return _evaluate_sample(snap, ctx)[0]
-
-
-def records_from_snapshots(
-    snapshots: Iterable[Snapshot], ctx: LedgerContext
-) -> RecordSeries:
-    builder = RecordsBuilder(ctx)
-    for snap in snapshots:
-        builder.feed(snap)
-    return builder.finish()
-
-
-# -- rates and fits ------------------------------------------------------------
-
-
-def rate_estimate(series: Sequence[tuple]) -> list:
-    """Second-order d/dtau estimates for a sampled scalar series.
-
-    Input is ``[(tau, value), ...]`` with strictly increasing tau; interior
-    points use the three-point nonuniform stencil, the endpoints one-sided
-    second-order differences.
-    """
-    pts = list(series)
-    if len(pts) < 3:
-        raise DomainError("rate estimate needs at least three samples")
-    taus = np.array([p[0] for p in pts], dtype=float)
-    vals = np.array([p[1] for p in pts], dtype=float)
-    if np.any(np.diff(taus) <= 0):
-        raise DomainError("tau samples must be strictly increasing")
-    out = np.empty_like(vals)
-    for i in range(1, len(pts) - 1):
-        hm = taus[i] - taus[i - 1]
-        hp = taus[i + 1] - taus[i]
-        out[i] = (
-            hm**2 * vals[i + 1]
-            + (hp**2 - hm**2) * vals[i]
-            - hp**2 * vals[i - 1]
-        ) / (hm * hp * (hm + hp))
-    h0, h1 = taus[1] - taus[0], taus[2] - taus[1]
-    out[0] = (
-        -(2 * h0 + h1) / (h0 * (h0 + h1)) * vals[0]
-        + (h0 + h1) / (h0 * h1) * vals[1]
-        - h0 / (h1 * (h0 + h1)) * vals[2]
-    )
-    hm1, hm2 = taus[-1] - taus[-2], taus[-2] - taus[-3]
-    out[-1] = (
-        (2 * hm1 + hm2) / (hm1 * (hm1 + hm2)) * vals[-1]
-        - (hm1 + hm2) / (hm1 * hm2) * vals[-2]
-        + hm1 / (hm2 * (hm1 + hm2)) * vals[-3]
-    )
-    return list(zip(taus.tolist(), out.tolist()))
+# -- fits ----------------------------------------------------------------------
 
 
 def fit_decay_rate(series: Sequence[tuple], tau_window: tuple) -> float:

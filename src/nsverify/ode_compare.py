@@ -23,10 +23,7 @@ from .errors import NoRootError
 
 __all__ = [
     "ComparisonParams",
-    "TrappingOutcome",
     "h_minus",
-    "integrate_h",
-    "trapping_check",
     "run_trapping_draws",
 ]
 
@@ -57,58 +54,6 @@ def h_minus(p: ComparisonParams) -> float:
             f"no real root: B^2 = {p.B**2:.6g} < 4*C*delta = {4*p.forcing:.6g}"
         )
     return 0.5 * (p.B - math.sqrt(disc))
-
-
-def _rhs(h, p: ComparisonParams):
-    return p.forcing - p.B * h + h**5
-
-
-def integrate_h(p: ComparisonParams, horizon: float, dt: float = 0.01):
-    """Classical RK4 for the extremal dynamics; returns (taus, values)."""
-    if not dt > 0:
-        raise NoRootError(f"step size must be positive, got {dt}")
-    nsteps = max(1, math.ceil(horizon / dt))
-    dt = horizon / nsteps
-    taus = np.linspace(0.0, horizon, nsteps + 1)
-    hs = np.empty(nsteps + 1)
-    hs[0] = p.h0
-    h = p.h0
-    for i in range(nsteps):
-        k1 = _rhs(h, p)
-        k2 = _rhs(h + 0.5 * dt * k1, p)
-        k3 = _rhs(h + 0.5 * dt * k2, p)
-        k4 = _rhs(h + dt * k3, p)
-        h = h + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        hs[i + 1] = h
-    return taus, hs
-
-
-@dataclass(frozen=True)
-class TrappingOutcome:
-    trapped: bool
-    vacuous: bool
-    barrier: float
-    max_h: float
-
-    def __bool__(self):
-        return self.trapped and not self.vacuous
-
-
-def trapping_check(
-    p: ComparisonParams, horizon: float, dt: float = 0.01
-) -> TrappingOutcome:
-    """True when the integrated trajectory stays in ``[0, h_minus + 1e-9]``.
-
-    Precondition failures (barrier outside (0, 1) or ``h0 >= h_minus``) are
-    flagged vacuous rather than counted as counterexamples.
-    """
-    barrier = h_minus(p)
-    if not (0.0 < barrier < 1.0) or not p.h0 < barrier:
-        return TrappingOutcome(False, True, barrier, math.nan)
-    _, hs = integrate_h(p, horizon, dt)
-    max_h = float(hs.max())
-    trapped = bool(hs.min() >= -1e-12 and max_h <= barrier + 1e-9)
-    return TrappingOutcome(trapped, False, barrier, max_h)
 
 
 def run_trapping_draws(

@@ -1,0 +1,55 @@
+import numpy as np
+import pytest
+
+from nsverify.cli import main
+from nsverify.cutoffs import make_profile
+
+from conftest import SMALL_SCENARIO
+
+
+def run_cli(tmp_path, text, *flags):
+    config = tmp_path / "small.cfg"
+    config.write_text(text)
+    return main(["run", str(config), "--out-dir", str(tmp_path / "out"), *flags])
+
+
+def test_passing_run_exits_0(tmp_path):
+    assert run_cli(tmp_path, SMALL_SCENARIO) == 0
+    assert (tmp_path / "out" / "report_small.json").is_file()
+
+
+def test_check_failure_exits_1(tmp_path):
+    assert run_cli(tmp_path, SMALL_SCENARIO, "--tolerance-scale", "1e-3") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SMALL_SCENARIO + "colour = blue\n",
+        SMALL_SCENARIO + "n = 32\n",
+        SMALL_SCENARIO.replace("schema_version = 1\n", ""),
+    ],
+    ids=["unknown-key", "duplicate-key", "missing-schema-version"],
+)
+def test_invalid_config_exits_2(tmp_path, text):
+    assert run_cli(tmp_path, text) == 2
+
+
+def test_unresolvable_cutoff_exits_3(tmp_path):
+    # 2/3 of the Nyquist radius is 8/3 at n=16, l_box=4*pi
+    text = SMALL_SCENARIO.replace("xi_cutoff = 2.0", "xi_cutoff = 2.7")
+    assert run_cli(tmp_path, text) == 3
+
+
+def test_profiles_match_eval(tmp_path):
+    assert main(["profiles", "--alpha", "0.1", "--out-dir", str(tmp_path)]) == 0
+    files = {
+        "phi.csv": make_profile("phi"),
+        "one_minus_phi.csv": make_profile("one_minus_phi"),
+        "tilde.csv": make_profile("tilde"),
+        "chi_alpha0.1.csv": make_profile("chi", 0.1),
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name, psi in files.items():
+        table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 1], psi.eval(table[:, 0]))

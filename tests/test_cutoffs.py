@@ -135,19 +135,11 @@ class TestSlopes:
         r = np.linspace(0.0, 3.0, 4001)
         alpha = 0.07
         w = weight_tables(r, alpha)
-        phi = make_profile("phi")
-        chi = make_profile("chi", alpha)
-        onem = make_profile("one_minus_phi")
-        assert np.allclose(w["phi2"], phi.sq(r), rtol=1e-13, atol=1e-300)
-        assert np.allclose(w["chi2"], chi.sq(r), rtol=1e-13, atol=1e-300)
-        assert np.allclose(
-            w["one_minus_phi_sq"], onem.sq(r), rtol=1e-13, atol=1e-300
-        )
-        assert np.allclose(w["kern_phi"], phi.flux_kernel(r), rtol=1e-13, atol=0)
-        assert np.allclose(w["kern_chi"], chi.flux_kernel(r), rtol=1e-13, atol=0)
-        assert np.allclose(
-            w["kern_one_minus_phi"], onem.flux_kernel(r), rtol=1e-13, atol=0
-        )
+        for kind in ALL_KINDS:
+            psi = make_profile(kind, alpha)
+            columns = (psi.sq(r), psi.flux_kernel(r), psi.flux_kernel_slope(r))
+            for got, expected in zip(w[kind], columns):
+                assert np.array_equal(got, expected)
 
 
 class TestApplyProfile:
