@@ -15,13 +15,22 @@ The public tendency uses the convective product. The inner loop of
 product ``P[F[u x curl u]]``, which costs six fewer transforms; on the
 dealiased grid the two agree to rounding because their difference is an exact
 gradient.
+
+At every sample :func:`simulate` evaluates this projected tendency ``a`` once
+and uses it twice. The snapshot carries its energy transfer per lattice shell,
+``Snapshot.shell_transfer`` = shell sums of ``-Re<a, u_hat>``, which equals
+``Re<F[(u . grad) u], u_hat>`` to rounding (``u_hat`` is solenoidal and
+dealiased), so the ledger needs no quadratic product of its own. And ``a`` is
+handed to the next step as its first RK4 stage, which would evaluate the same
+tendency at the same state. The one extra tendency of a trajectory is the one
+at its final sample.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,6 +53,7 @@ from .spectral import (
     leray_project,
     parseval_pair,
     phys_to_spec,
+    shell_sum,
     spec_to_phys,
     spectral_tail_fraction,
 )
@@ -80,6 +90,9 @@ class Snapshot:
     tail_fraction: float
     nonlinear_orthogonality: float  # worst |<P[(u.grad)u], u>| ratio so far
     energy: float
+    # Re<F[(u.grad)u], u_hat> summed over each lattice shell (grid.shell_radii);
+    # computed whether or not the trajectory's dynamics is nonlinear
+    shell_transfer: np.ndarray
 
 
 @dataclass
@@ -212,9 +225,14 @@ def _ifrk4(
     dt: float,
     cfg: TrajectoryConfig,
     factors=None,
+    first: np.ndarray | None = None,
 ) -> tuple[SpectralVectorField, float]:
     """One integrating-factor RK4 step; returns the new field and the
-    energy-orthogonality ratio of the first-stage projected quadratic term."""
+    energy-orthogonality ratio of the first-stage projected quadratic term.
+
+    ``first``, if given, is the projected nonlinear tendency at ``u_hat``
+    (the first stage); it is consumed (scaled in place).
+    """
     g = u_hat.grid
     half, full = factors if factors is not None else _viscous_factors(g, dt)
     c = u_hat.coeffs
@@ -224,7 +242,7 @@ def _ifrk4(
     def nonlin(coeffs):
         return _nonlinear_tendency(SpectralVectorField(g, coeffs, True))
 
-    a = nonlin(c)
+    a = nonlin(c) if first is None else first
     pairing = abs(parseval_pair(a, c, g))
     denom = math.sqrt(parseval_pair(a, a, g) * parseval_pair(c, c, g))
     orth = pairing / denom if denom > 0 else 0.0
@@ -269,7 +287,7 @@ def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
 
 def _prepare_initial(u0: SpectralVectorField, cfg: TrajectoryConfig) -> SpectralVectorField:
     g = u0.grid
-    if g.n != cfg.n or abs(g.l_box - cfg.l_box) > 1e-12 * cfg.l_box:
+    if g != Grid(cfg.n, cfg.l_box):
         raise ConfigurationError("initial field grid does not match the config")
     u = SpectralVectorField(g, u0.coeffs * g.dealias_mask, True)
     norm = l2_norm(u)
@@ -302,9 +320,12 @@ def simulate(
     are truncated so every sample time is hit exactly (no interpolation).
     Emitted fields are fresh copies safe to hold across iterations; energy
     monotonicity and the spectral-tail guard are enforced sample by sample.
+    The projected nonlinear tendency at each sample gives the snapshot's
+    ``shell_transfer`` and is the first stage of the next step.
     """
     ugrid = u0.grid
     u = _prepare_initial(u0, cfg)
+    first = None  # projected nonlinear tendency at the last sample
     t = 0.0
     worst_orth = 0.0
     prev_energy = math.inf
@@ -319,7 +340,8 @@ def simulate(
             dt = span / nsteps
             factors = _viscous_factors(ugrid, dt)
             for _ in range(nsteps):
-                u, orth = _ifrk4(u, dt, cfg, factors)
+                u, orth = _ifrk4(u, dt, cfg, factors, first)
+                first = None
                 worst_orth = max(worst_orth, orth)
             t = t_target
         energy = l2_norm_sq(u)
@@ -338,12 +360,15 @@ def simulate(
                 raise ResolutionError(msg)
             if cfg.resolution_policy == "warn":
                 warnings.warn(msg, ResolutionWarning)
+        first = _nonlinear_tendency(u)
+        transfer = -(first * np.conj(u.coeffs)).real.sum(axis=0)
         snap = Snapshot(
             frame=frame(t, cfg.t_horizon),
             u_hat=SpectralVectorField(ugrid, u.coeffs.copy(), True),
             tail_fraction=tail,
             nonlinear_orthogonality=worst_orth,
             energy=energy,
+            shell_transfer=shell_sum(transfer, ugrid),
         )
         if on_snapshot is not None:
             on_snapshot(snap)

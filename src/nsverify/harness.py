@@ -49,7 +49,6 @@ from .spectral import (
     mode_energy,
     mode_sum,
     phys_to_spec,
-    solenoidal_error,
     spec_to_phys,
     transform_forward,
     transform_inverse,
@@ -123,6 +122,13 @@ class ScenarioConfig:
         unknown = set(self.checks) - set(lg.CHECK_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown checks: {sorted(unknown)}")
+        fitted = [name for name in lg.FITTED_CHECKS if name in self.checks]
+        late = int(np.count_nonzero(self.sample_taus() >= lg.FIT_START))
+        if fitted and late < 2:
+            raise ConfigurationError(
+                f"{', '.join(fitted)} need two samples at tau >= {lg.FIT_START}; "
+                f"tau_max = {self.tau_max} gives {late}"
+            )
         if not self.tolerance_scale > 0:
             raise ConfigurationError("tolerance_scale must be positive")
 

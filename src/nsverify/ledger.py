@@ -3,13 +3,22 @@
 Every functional of the rescaled field ``w`` is evaluated from the physical
 spectrum through the exact frame identities (see :mod:`nsverify.similarity`).
 Each quadratic functional is ``s**p * sum m(s |xi|) |xi|^(2j) |u_hat|^2`` (or
-the same against the transfer density ``Re<G_hat, u_hat>``), and its weight
-``m`` is constant on a lattice shell ``|xi| = const``. So each sample bincounts
-the energy and transfer densities once per shell (the shell-averaged spectrum)
-and every quadratic column is a dot product over shells, with the radial
-weights read from :func:`nsverify.cutoffs.weight_tables` at the shell radii.
+the same against the transfer density ``Re<F[(u.grad)u], u_hat>``), and its
+weight ``m`` is constant on a lattice shell ``|xi| = const``. So each sample
+sums the energy density once per shell (the shell-averaged spectrum), takes
+the transfer per shell from the snapshot (``Snapshot.shell_transfer``, a by-
+product of the integrator's first RK4 stage), and every quadratic column is a
+dot product over shells, with the radial weights read from
+:func:`nsverify.cutoffs.weight_tables` at the shell radii.
+
 Cubic functionals are dealiased collocation integrals carrying the matching
-chain-rule powers of ``s``.
+chain-rule powers of ``s``. The ledger transforms ``u``, its gradients, and
+the high-pass side only: ``u_high`` (weight ``1 - phi(s|xi|)``), its gradients
+and the adjoint ``(1 - phi)^2 |xi|^2 u_hat``; the low-pass side is the
+difference. Once ``1 - phi(s r)`` is exactly 0 on every shell that carries
+energy (late tau, when the low block takes in the whole dealiased band), the
+high-pass side is exactly zero: its transforms are skipped and the four
+nonlinear splits are exactly 0.
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -40,7 +49,7 @@ import numpy as np
 from .cutoffs import weight_tables
 from .dynamics import Snapshot
 from .errors import DomainError, FitError
-from .spectral import Grid, mode_energy, phys_to_spec, spec_to_phys
+from .spectral import Grid, mode_energy, shell_sum, spec_to_phys
 
 __all__ = [
     "EnergyRecord",
@@ -61,8 +70,8 @@ ABS_TOL = 1e-10
 # shell-sum columns: name -> (density, frame power p, |xi|^(2j) power j,
 # weight). Each is ``s**p`` times the sum over lattice shells of
 # ``m(s|xi|) |xi|^(2j)`` times the shell total of the density: "e" the energy
-# |u_hat|^2, "t" the transfer Re<G_hat, u_hat>. The weight m is 1 (None) or
-# (profile kind, 0 for psi^2 | 1 for its flux kernel r d(psi^2)/dr).
+# |u_hat|^2, "t" the transfer Re<F[(u.grad)u], u_hat>. The weight m is 1
+# (None) or (profile kind, 0 for psi^2 | 1 for its flux kernel r d(psi^2)/dr).
 _SHELL_TERMS = {
     "E0": ("e", -1, 0, None),
     "E1": ("e", 1, 1, None),
@@ -166,26 +175,12 @@ class InequalityReport:
 
 
 class LedgerContext:
-    """Grid-bound precomputations shared by every record evaluation."""
+    """The grid and run parameters shared by every record evaluation."""
 
     def __init__(self, grid: Grid, alpha: float, delta: float | None = None):
         self.grid = grid
         self.alpha = float(alpha)
         self.delta = delta
-        # lattice shells: distinct |xi| values and the mode -> shell index map
-        _, first, index = np.unique(
-            np.round(grid.xi_mag, 12), return_index=True, return_inverse=True
-        )
-        self.shell_radii = grid.xi_mag.ravel()[first]
-        self.shell_index = index.ravel()
-
-    def shell_totals(self, density: np.ndarray) -> np.ndarray:
-        """Full-lattice sum of a per-mode density over each lattice shell."""
-        return np.bincount(
-            self.shell_index,
-            weights=(self.grid.multiplicity * density).ravel(),
-            minlength=len(self.shell_radii),
-        )
 
 
 class RecordsBuilder:
@@ -215,7 +210,7 @@ class RecordsBuilder:
             taus,
             np.asarray(self._shell_e),
             np.asarray(self._shell_edot),
-            self.ctx.shell_radii,
+            self.ctx.grid.shell_radii,
             self.ctx.alpha,
         )
         for name in _CUMULATED:
@@ -367,33 +362,27 @@ def _advected_pairing(a: np.ndarray, gb: np.ndarray, adjoint: np.ndarray) -> flo
     return total
 
 
+_SPLITS = ("T_split_ll", "T_split_lh", "T_split_hl", "T_split_hh")
+
+
 def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     g = ctx.grid
     s = snap.frame.scale
     c = snap.u_hat.coeffs
     cell = g.cell_volume
-    half = c.shape[1:]
 
     u = spec_to_phys(c, g)
-    grad_spec = np.empty((3, 3) + half, dtype=complex)
+    grad_spec = np.empty((3, 3) + c.shape[1:], dtype=complex)
     for j in range(3):
         for k in range(3):
             np.multiply(1j * g.xi[j], c[k], out=grad_spec[j, k])
-    grads = spec_to_phys(grad_spec.reshape((9,) + half), g).reshape(
-        (3, 3) + u.shape[1:]
-    )
-    G = u[0] * grads[0]
-    G += u[1] * grads[1]
-    G += u[2] * grads[2]
-    G_hat = phys_to_spec(G, g)
-    G_hat *= g.dealias_mask
-    rgu = (G_hat * np.conj(c)).real.sum(axis=0)
+    grads = spec_to_phys(grad_spec, g)
 
     # shell energies, transfers and the energies' exact tau-derivative
-    # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - rgu, the pressure part
-    # dropping against the radial weights)
-    rho = ctx.shell_radii
-    totals = {"e": ctx.shell_totals(mode_energy(c)), "t": ctx.shell_totals(rgu)}
+    # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
+    # part dropping against the radial weights)
+    rho = g.shell_radii
+    totals = {"e": shell_sum(mode_energy(c), g), "t": snap.shell_transfer}
     shell_e = totals["e"]
     shell_edot = 2.0 * s**2 * (-(rho**2) * shell_e - totals["t"])
     r = s * rho
@@ -408,35 +397,38 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
             rate = _tau_rate(p, m, rm, shell_e, shell_edot)
             fdots[name] = float(np.dot(scale, rate))
 
-    def per_mode(shell_weight):
-        return shell_weight[ctx.shell_index].reshape(half)
-
-    phi = per_mode(np.sqrt(tables["phi"][0]))
-    u_low = spec_to_phys(phi * c, g)
-    lowgrads = spec_to_phys(
-        (phi * grad_spec).reshape((9,) + half), g
-    ).reshape(grads.shape)
-    adjoint = spec_to_phys(per_mode(tables["one_minus_phi"][0]) * g.xi_sq * c, g)
-    u_high = u - u_low
-    highgrads = grads - lowgrads
-
-    def split(a, gb):
-        return s**3 * cell * _advected_pairing(a, gb, adjoint)
+    high_sq = tables["one_minus_phi"][0]  # (1 - phi(s r))^2 per shell
+    if high_sq[shell_e > 0].any():
+        high_sq = high_sq[g.shell_index].reshape(c.shape[1:])  # per mode
+        high = np.sqrt(high_sq)
+        u_high = spec_to_phys(high * c, g)
+        highgrads = spec_to_phys(high * grad_spec, g)
+        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
+        u_low = u - u_high
+        lowgrads = grads - highgrads
+        pairs = (
+            (u_low, lowgrads), (u_low, highgrads),
+            (u_high, lowgrads), (u_high, highgrads),
+        )
+        splits = {
+            name: s**3 * cell * _advected_pairing(a, gb, adjoint)
+            for name, (a, gb) in zip(_SPLITS, pairs)
+        }
+    else:  # the high-pass side is exactly zero
+        u_low, lowgrads = u, grads
+        splits = dict.fromkeys(_SPLITS, 0.0)
 
     umag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
     lowmag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
     rec = EnergyRecord(
         tau=snap.frame.tau,
         T_grad=s**3 * cell * _strain_cubic(grads),
-        T_split_ll=split(u_low, lowgrads),
-        T_split_lh=split(u_low, highgrads),
-        T_split_hl=split(u_high, lowgrads),
-        T_split_hh=split(u_high, highgrads),
         sup_norm_w=s * float(umag.max()),
         sup_w_low=s * float(np.sqrt(lowmag2.max())),
         sup_grad_w_low=s**2 * float(np.sqrt((lowgrads**2).sum(axis=(0, 1)).max())),
         l4_w_low=float((s * cell * (lowmag2**2).sum()) ** 0.25),
         tail_fraction=snap.tail_fraction,
+        **splits,
         **values,
     )
     return rec, values, fdots, (shell_e, shell_edot)
@@ -476,6 +468,11 @@ CHECK_NAMES = (
     "lemma4.3",
     "eq3.13-3.14",
 )
+
+# the fits and the relaxation bound run over tau >= FIT_START, where each of
+# these checks needs at least two samples
+FIT_START = 1.0
+FITTED_CHECKS = ("prop3.2-decay", "lemma4.2", "lemma4.3")
 
 CHECK_DESCRIPTIONS = {
     "lemma2.1": "L2 energy balance of the rescaled field (torus equality form)",
@@ -541,9 +538,9 @@ def check_inequality(
     name: str,
     series: RecordSeries,
     tolerance_scale: float = 1.0,
-    decay_window: tuple = (1.0, 4.0),
+    decay_window: tuple = (FIT_START, 4.0),
     lemma43_margin: float = 0.2,
-    tail_start: float = 1.0,
+    tail_start: float = FIT_START,
 ) -> list:
     """Evaluate one named balance/inequality over the record series.
 
@@ -616,7 +613,7 @@ def check_inequality(
         X = series.column("E0_low_chi") + series.column("E0_tilde")
         alpha = series.ctx.alpha
         lo, hi = decay_window
-        hi = min(hi, taus[-1])
+        hi = min(hi, float(taus[-1]))
         fitted = fit_decay_rate(list(zip(taus, X)), (lo, hi))
         resid = alpha - fitted
         tol = max(1e-9, REL_TOL * ts * alpha)
@@ -678,7 +675,7 @@ def check_inequality(
 
     if name == "lemma4.3":
         lo, hi = decay_window
-        hi = min(hi, taus[-1])
+        hi = min(hi, float(taus[-1]))
         fitted = fit_decay_rate(list(zip(taus, series.column("E2"))), (lo, hi))
         floor = 1.5 - lemma43_margin
         resid = floor - fitted

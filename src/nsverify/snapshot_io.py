@@ -27,7 +27,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import Grid, RealVectorField, build_grid
+from .spectral import RealVectorField, build_grid
 
 MAGIC = b"NSVF"
 VERSION = 1

@@ -17,7 +17,15 @@ Conventions used everywhere in the package:
   discrete Parseval identity ``sum m |coeffs|^2 == sum |samples|^2 * (l_box/n)^3``
   holds without extra constants;
 * the Nyquist planes ``|k| = n/2`` are forced to zero so that derivatives of
-  real fields stay real.
+  real fields stay real;
+* a quadratic functional whose weight depends on ``|xi|`` only is a sum over
+  lattice shells ``|xi| = const`` (:func:`shell_sum`, :attr:`Grid.shell_radii`).
+
+The inverse transform runs one component at a time: a batch of nine n=32
+components is about 2.5 MB, larger than a typical 2 MB L2 cache, while one
+component's transform stays in cache, which halves its time per component.
+Transforming a component alone gives bitwise the same samples as the batched
+call. The forward transform stays batched; per component it is no faster.
 """
 
 from __future__ import annotations
@@ -57,7 +65,9 @@ class Grid:
     mode ``xi_sq``, ``xi_mag``, ``inv_xi_sq`` (zero mode mapped to 0),
     ``dealias_mask``, ``not_nyquist`` and ``multiplicity``, the number of
     lattice modes each stored mode stands for (1 on the ``kz = 0`` and
-    ``kz = n/2`` planes, 2 elsewhere, where the conjugate is not stored).
+    ``kz = n/2`` planes, 2 elsewhere, where the conjugate is not stored);
+    the lattice shells ``shell_radii``, the distinct ``|xi|`` values, and
+    ``shell_index``, the shell of each stored mode (flattened).
     """
 
     n: int
@@ -100,6 +110,17 @@ class Grid:
         nz = xi_sq > 0
         inv[nz] = 1.0 / xi_sq[nz]
         put("inv_xi_sq", inv)
+        # a lattice shell is one value of the integer |k|^2
+        k_int = k1d.astype(int)
+        k_sq = (
+            (k_int**2)[:, None, None]
+            + (k_int**2)[None, :, None]
+            + (np.arange(n // 2 + 1) ** 2)[None, None, :]
+        )
+        present = np.zeros(k_sq.max() + 1, dtype=bool)
+        present[k_sq.ravel()] = True
+        put("shell_radii", np.sqrt(np.flatnonzero(present)) * self.dxi)
+        put("shell_index", (np.cumsum(present) - 1)[k_sq.ravel()])
 
     @property
     def cell_volume(self) -> float:
@@ -188,10 +209,16 @@ def phys_to_spec(samples: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def spec_to_phys(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Unitary half-spectrum coefficients of a real field back to samples."""
+    """Unitary half-spectrum coefficients (..., n, n, n//2 + 1) of real fields
+    back to samples (..., n, n, n), one component at a time."""
     n = grid.n
-    half = coeffs * (n**3 / grid.l_box**1.5)
-    return _fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), workers=_WORKERS)
+    scale = n**3 / grid.l_box**1.5
+    out = np.empty(coeffs.shape[:-3] + (n, n, n))
+    for idx in np.ndindex(coeffs.shape[:-3]):
+        out[idx] = _fft.irfftn(
+            coeffs[idx] * scale, s=(n, n, n), workers=_WORKERS, overwrite_x=True
+        )
+    return out
 
 
 def transform_forward(f: RealVectorField) -> SpectralVectorField:
@@ -216,6 +243,16 @@ def mode_sum(density: np.ndarray, grid: Grid) -> float:
 def parseval_pair(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     """Full-lattice ``Re sum conj(a) b`` of two real fields' half spectra."""
     return float(np.vdot(a, grid.multiplicity * b).real)
+
+
+def shell_sum(density: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full-lattice sum of a per-mode density over each lattice shell, in the
+    order of ``grid.shell_radii``."""
+    return np.bincount(
+        grid.shell_index,
+        weights=(grid.multiplicity * density).ravel(),
+        minlength=grid.shell_radii.size,
+    )
 
 
 def mode_energy(coeffs: np.ndarray) -> np.ndarray:

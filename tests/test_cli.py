@@ -35,6 +35,12 @@ def test_invalid_config_exits_2(tmp_path, text):
     assert run_cli(tmp_path, text) == 2
 
 
+def test_window_too_short_for_the_fits_exits_2(tmp_path):
+    # tau in [0, 0.2] holds no sample at tau >= 1, where the fits start
+    text = SMALL_SCENARIO.replace("checks = lemma2.1", "checks = all")
+    assert run_cli(tmp_path, text) == 2
+
+
 def test_unresolvable_cutoff_exits_3(tmp_path):
     # 2/3 of the Nyquist radius is 8/3 at n=16, l_box=4*pi
     text = SMALL_SCENARIO.replace("xi_cutoff = 2.0", "xi_cutoff = 2.7")

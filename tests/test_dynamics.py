@@ -6,6 +6,7 @@ import pytest
 from nsverify.dynamics import (
     SimState,
     TrajectoryConfig,
+    _cfl_cap,
     _nonlinear_tendency,
     convective_term,
     initial_from_snapshot,
@@ -29,12 +30,12 @@ from nsverify.errors import (
 from nsverify.fields import FieldSpec, generate
 from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import (
-    SpectralVectorField,
     build_grid,
     l2_norm,
     l2_norm_sq,
     leray_project,
     parseval_pair,
+    shell_sum,
     spec_to_phys,
     transform_inverse,
     zero_field,
@@ -244,6 +245,41 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             simulate_collect(u0, base_config(grid16))
 
+    def test_handed_over_first_stage_equals_fresh_steps(self, grid32):
+        # the first step after a sample reuses the tendency evaluated there;
+        # with several steps per interval the others evaluate their own
+        u0 = random_solenoidal(grid32, 9, target=0.05)
+        cfg = base_config(grid32, dt_max=0.004)
+        snaps = simulate_collect(u0, cfg)
+        u_hat, most = snaps[0].u_hat, 0
+        for prev, snap in zip(snaps, snaps[1:]):
+            span = snap.frame.t - prev.frame.t
+            nsteps = math.ceil(span / _cfl_cap(u_hat, cfg))
+            most = max(most, nsteps)
+            state = SimState(prev.frame.t, u_hat)
+            for _ in range(nsteps):
+                state = step(state, span / nsteps, cfg)
+            u_hat = state.u_hat
+            assert np.array_equal(u_hat.coeffs, snap.u_hat.coeffs)
+        assert most > 1
+
+    def test_box_length_must_match_exactly(self, grid32):
+        u0 = random_solenoidal(grid32, 8)
+        cfg = base_config(grid32, l_box=grid32.l_box * (1.0 + 1e-13))
+        with pytest.raises(ConfigurationError):
+            simulate_collect(u0, cfg)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_shell_transfer_is_the_convective_transfer(self, grid32, nonlinear):
+        _, snaps = small_run(grid32, seed=3, tau_max=0.3, nonlinear=nonlinear)
+        for snap in snaps:
+            c = snap.u_hat.coeffs
+            density = (convective_term(snap.u_hat).coeffs * np.conj(c)).real
+            expected = shell_sum(density.sum(axis=0), grid32)
+            scale = np.abs(expected).max()
+            assert scale > 0
+            assert np.abs(snap.shell_transfer - expected).max() <= 1e-13 * scale
+
     def test_config_validation(self, grid16):
         with pytest.raises(ConfigurationError):
             base_config(grid16, sample_taus=[0.2, 0.1])
@@ -420,6 +456,7 @@ class TestWeakForm:
             tail_fraction=snaps[k].tail_fraction,
             nonlinear_orthogonality=snaps[k].nonlinear_orthogonality,
             energy=snaps[k].energy,
+            shell_transfer=snaps[k].shell_transfer,
         )
         assert abs(weak_residual(corrupted, tf)) > 10.0 * clean
 

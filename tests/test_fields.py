@@ -8,7 +8,6 @@ from nsverify.fields import FieldSpec, generate, oracle_energy
 from nsverify.spectral import (
     build_grid,
     l2_norm,
-    l2_norm_sq,
     solenoidal_error,
     spec_to_phys,
 )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsverify.errors import FitError
 from nsverify.ledger import RECORD_FIELDS, check_inequality
 
 # Record values of ``small_series`` (n=32, l_box=8*pi, seed 0, delta 0.05,
@@ -94,6 +95,30 @@ GOLDEN = {
     ),
 }
 
+# Values of ``long_series`` (as ``small_series``, tau in [0, 5]) at tau = 3, 4
+# and 5 for the columns of the cubic high/low split and the transfer. From
+# tau = 2.88 on, 1 - phi(s |xi|) is 0 on every shell that carries energy.
+LONG_GOLDEN_TAUS = (3.0, 4.0, 5.0)
+LONG_GOLDEN = {
+    "T_split_ll": (0.0, 0.0, 0.0),
+    "T_split_lh": (0.0, 0.0, 0.0),
+    "T_split_hl": (0.0, 0.0, 0.0),
+    "T_split_hh": (0.0, 0.0, 0.0),
+    "sup_w_low": (
+        4.649629027315994e-05, 2.7255273711597227e-05, 1.6326714646557703e-05
+    ),
+    "sup_grad_w_low": (
+        7.82715786260899e-06, 2.7618745626924194e-06, 1.0006591830877186e-06
+    ),
+    "l4_w_low": (0.0006131958734478574, 0.0005232456025033934, 0.00045618123765428026),
+    "T_low": (
+        -5.6545549686242126e-27, -1.6155871338926322e-27, -4.0389678347315804e-28
+    ),
+    "T_chi": (2.341044768351929e-13, 5.5772926121272624e-14, 1.5379392925000926e-14),
+    "T_grad_high": (0.0, 0.0, 0.0),
+}
+SPLITS = ("T_split_ll", "T_split_lh", "T_split_hl", "T_split_hh")
+
 EQUALITY_CHECKS = (
     "lemma2.1", "lemma2.2-grad", "lemma2.2-lap", "eq3.7-identity", "eq3.21-chi"
 )
@@ -103,14 +128,44 @@ def test_golden_covers_every_column():
     assert set(GOLDEN) == set(RECORD_FIELDS) - {"tau"}
 
 
+def assert_golden(series, name, taus, values):
+    column = series.column(name)
+    scale = np.abs(column).max()
+    for tau, expected in zip(taus, values):
+        i = int(np.argmin(np.abs(series.taus - tau)))
+        assert abs(series.taus[i] - tau) < 1e-12
+        assert abs(column[i] - expected) <= 1e-10 * scale
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_record_values(small_series, name):
-    column = small_series.column(name)
-    scale = np.abs(column).max()
-    for tau, expected in zip(GOLDEN_TAUS, GOLDEN[name]):
-        i = int(np.argmin(np.abs(small_series.taus - tau)))
-        assert abs(small_series.taus[i] - tau) < 1e-12
-        assert abs(column[i] - expected) <= 1e-10 * scale
+    assert_golden(small_series, name, GOLDEN_TAUS, GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(LONG_GOLDEN))
+def test_long_golden_record_values(long_series, name):
+    assert_golden(long_series, name, LONG_GOLDEN_TAUS, LONG_GOLDEN[name])
+
+
+def test_splits_vanish_with_the_high_pass_weight(long_series):
+    # E0_high sums (1 - phi)^2 times nonnegative shell energies, so it is
+    # exactly 0 where the high-pass weight vanishes on every energy shell
+    vanished = long_series.column("E0_high") == 0.0
+    assert vanished.sum() > 100
+    assert vanished[-1] and not vanished[0]
+    for name in SPLITS:
+        assert np.all(long_series.column(name)[vanished] == 0.0)
+    # before that the high-pass side is small but not zero, so these splits
+    # are not either (T_split_hh, of higher order in it, underflows to 0)
+    for name in ("T_split_ll", "T_split_lh", "T_split_hl"):
+        assert np.all(long_series.column(name)[~vanished] != 0.0)
+
+
+def test_fit_window_message_shows_plain_floats(small_series):
+    with pytest.raises(FitError) as err:
+        check_inequality("prop3.2-decay", small_series)
+    assert "np.float64" not in str(err.value)
+    assert "(1.0, 1.0" in str(err.value)
 
 
 @pytest.mark.parametrize("name", EQUALITY_CHECKS)

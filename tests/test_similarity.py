@@ -13,7 +13,7 @@ from nsverify.similarity import (
     similarity_norm,
     t_of_tau,
 )
-from nsverify.spectral import SpectralVectorField, l2_norm_sq, spectral_derivative
+from nsverify.spectral import l2_norm_sq, spectral_derivative
 
 from conftest import random_solenoidal
 from test_cutoffs import single_mode_field

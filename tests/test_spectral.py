@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,14 @@ from nsverify.errors import (
 from nsverify.dynamics import _amplitude_bound
 from nsverify.spectral import (
     RealVectorField,
-    SpectralVectorField,
     build_grid,
     l2_inner,
     l2_norm,
     l2_norm_sq,
     leray_project,
+    shell_sum,
     solenoidal_error,
+    spec_to_phys,
     spectral_derivative,
     transform_forward,
     transform_inverse,
@@ -106,6 +108,18 @@ class TestTransforms:
     def test_hermitian_symmetry(self, grid16):
         w = transform_forward(random_band_limited(grid16, 5))
         assert plane_hermitian_error(w) < 1e-13 * np.abs(w.coeffs).max()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("batch", [1, 3, 9])
+    def test_inverse_per_component_equals_batched(self, n, batch):
+        grid = build_grid(n, 2.0 * math.pi)
+        rng = np.random.default_rng(batch)
+        shape = (batch,) + grid.xi_sq.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        batched = scipy.fft.irfftn(
+            coeffs * (n**3 / grid.l_box**1.5), s=(n, n, n), axes=(-3, -2, -1)
+        )
+        assert np.array_equal(spec_to_phys(coeffs, grid), batched)
 
     def test_half_spectrum_shape(self, grid16):
         w = transform_forward(random_band_limited(grid16, 5))
@@ -270,3 +284,21 @@ class TestFullLatticeSums:
         assert _amplitude_bound(transform_forward(f)) == pytest.approx(
             expected, rel=1e-12
         )
+
+
+class TestShells:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_each_mode_sits_on_its_shell(self, n):
+        grid = build_grid(n, 8.0 * math.pi)
+        radii = grid.shell_radii[grid.shell_index].reshape(grid.xi_mag.shape)
+        assert np.abs(radii - grid.xi_mag).max() <= 1e-13 * grid.xi_mag.max()
+        assert np.all(np.diff(grid.shell_radii) > 0)
+
+    def test_shell_sum_is_the_full_lattice_sum_per_shell(self, grid16):
+        # counting modes: shells |k|^2 = 0, 1, 2, 3 hold 1, 6, 12, 8 modes
+        counts = shell_sum(np.ones(grid16.xi_sq.shape), grid16)
+        assert counts.sum() == grid16.n**3
+        assert list(counts[:4]) == [1.0, 6.0, 12.0, 8.0]
+        w = transform_forward(random_band_limited(grid16, 2))
+        energy = shell_sum((np.abs(w.coeffs) ** 2).sum(axis=0), grid16)
+        assert energy.sum() == pytest.approx(l2_norm_sq(w), rel=1e-13)
