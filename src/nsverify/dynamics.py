@@ -16,14 +16,26 @@ product ``P[F[u x curl u]]``, which costs six fewer transforms; on the
 dealiased grid the two agree to rounding because their difference is an exact
 gradient.
 
-At every sample :func:`simulate` evaluates this projected tendency ``a`` once
-and uses it twice. The snapshot carries its energy transfer per lattice shell,
+:func:`simulate` steps on the integrator's schedule, not the sampler's.
+Samples uniform in ``tau`` crowd together in ``t``, so from each step end it
+takes one step to the furthest later sample within ``min(dt_max, CFL cap)``;
+a span whose next sample lies beyond the cap is split into equal steps. A
+sample strictly inside a step is the step's dense output: the classical RK4
+continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of
+``v``, built from the step's own four stages, so the linear part is exact
+there too and the local error is O(h^4).
+
+At every sample :func:`simulate` evaluates the projected tendency ``a`` of the
+state it emits. The snapshot carries its energy transfer per lattice shell,
 ``Snapshot.shell_transfer`` = shell sums of ``-Re<a, u_hat>``, which equals
 ``Re<F[(u . grad) u], u_hat>`` to rounding (``u_hat`` is solenoidal and
-dealiased), so the ledger needs no quadratic product of its own. And ``a`` is
-handed to the next step as its first RK4 stage, which would evaluate the same
-tendency at the same state. The one extra tendency of a trajectory is the one
-at its final sample.
+dealiased), so the ledger needs no quadratic product of its own. This is the
+Navier-Stokes tendency at the emitted state, not the interpolant's
+derivative, so the ledger's balances test the equation at every sample. At a
+sample on a step end ``a`` is also the next step's first RK4 stage. A
+trajectory whose step starts are all samples evaluates ``3 * steps +
+samples`` tendencies; each step start that is not a sample (inside a split
+span, or ``t = 0`` when it is not sampled) adds one.
 """
 
 from __future__ import annotations
@@ -226,18 +238,20 @@ def _ifrk4(
     cfg: TrajectoryConfig,
     factors=None,
     first: np.ndarray | None = None,
-) -> tuple[SpectralVectorField, float]:
-    """One integrating-factor RK4 step; returns the new field and the
-    energy-orthogonality ratio of the first-stage projected quadratic term.
+) -> tuple[SpectralVectorField, float, tuple | None]:
+    """One integrating-factor RK4 step.
 
-    ``first``, if given, is the projected nonlinear tendency at ``u_hat``
-    (the first stage); it is consumed (scaled in place).
+    Returns the new field, the energy-orthogonality ratio of the first-stage
+    projected quadratic term, and the four stage tendencies ``(a, b, c, d)``
+    for :func:`_dense_output` (``None`` for linear dynamics). ``first``, if
+    given, is the projected nonlinear tendency at ``u_hat`` and becomes stage
+    ``a``; it is left unchanged.
     """
     g = u_hat.grid
     half, full = factors if factors is not None else _viscous_factors(g, dt)
     c = u_hat.coeffs
     if not cfg.nonlinear:
-        return SpectralVectorField(g, c * full, True), 0.0
+        return SpectralVectorField(g, c * full, True), 0.0, None
 
     def nonlin(coeffs):
         return _nonlinear_tendency(SpectralVectorField(g, coeffs, True))
@@ -263,12 +277,46 @@ def _ifrk4(
     acc = b + cc
     acc *= 2.0
     acc *= half
-    a *= full
-    acc += a
+    acc += full * a
     acc += d
     acc *= dt / 6.0
     acc += fc
-    return SpectralVectorField(g, acc, True), orth
+    return SpectralVectorField(g, acc, True), orth, (a, b, cc, d)
+
+
+def _dense_output(
+    c0: np.ndarray, stages: tuple | None, h: float, theta: float, grid: Grid
+) -> np.ndarray:
+    """State at ``t0 + theta*h`` inside the IF-RK4 step of size ``h`` that
+    starts from ``c0`` and has the given ``stages``.
+
+    With ``E(s) = exp(-|xi|^2 s)`` this is the RK4 continuous extension of
+    the integrating-factor variable mapped back to ``u``:
+
+        E(theta h)(c0 + h b1 a) + E((theta - 1/2) h) h b2 (b + c)
+            + E((theta - 1) h) h b4 d
+
+    with ``b1 = theta - 3 theta^2/2 + 2 theta^3/3``, ``b2 = theta^2 -
+    2 theta^3/3`` and ``b4 = -theta^2/2 + 2 theta^3/3``; at ``theta = 1`` it
+    is the step's end state. The exponents are taken on the 2/3 band, where
+    the trajectory lives, so the growth factors stay finite on large grids.
+    """
+    xs = grid.xi_sq * grid.dealias_mask
+    decay = np.exp(xs * (-theta * h))
+    if stages is None:
+        return decay * c0
+    a, b, c, d = stages
+    t2 = theta * theta
+    t3 = t2 * theta
+    b1 = theta - 1.5 * t2 + t3 * (2.0 / 3.0)
+    b2 = t2 - t3 * (2.0 / 3.0)
+    b4 = -0.5 * t2 + t3 * (2.0 / 3.0)
+    out = a * (h * b1)
+    out += c0
+    out *= decay
+    out += np.exp(xs * ((0.5 - theta) * h)) * ((b + c) * (h * b2))
+    out += np.exp(xs * ((1.0 - theta) * h)) * (d * (h * b4))
+    return out
 
 
 def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
@@ -281,7 +329,7 @@ def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
     cap = _cfl_cap(state.u_hat, cfg)
     if dt > cap * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} violates the CFL cap {cap:.3e}")
-    new, _ = _ifrk4(state.u_hat, dt, cfg)
+    new, _, _ = _ifrk4(state.u_hat, dt, cfg)
     return SimState(state.t + dt, new)
 
 
@@ -316,55 +364,50 @@ def simulate(
 ) -> Iterator[Snapshot]:
     """Integrate from ``t = 0`` and yield a snapshot at every sample tau.
 
-    The initial data is rescaled to ``||u0|| = delta`` on entry. Step sizes
-    are truncated so every sample time is hit exactly (no interpolation).
+    The initial data is rescaled to ``||u0|| = delta`` on entry. From each
+    step end (a sample, or ``t = 0``) one IF-RK4 step goes to the furthest
+    later sample within ``min(dt_max, CFL cap at the step start)``; if even
+    the next sample lies beyond the cap, that span is split into equal steps.
+    A sample strictly inside a step is the step's RK4 dense output
+    (:func:`_dense_output`); a sample on a step end is the step's own result.
     Emitted fields are fresh copies safe to hold across iterations; energy
     monotonicity and the spectral-tail guard are enforced sample by sample.
-    The projected nonlinear tendency at each sample gives the snapshot's
-    ``shell_transfer`` and is the first stage of the next step.
+    Each sample evaluates the projected nonlinear tendency of the state it
+    emits for its ``shell_transfer``; on a step end that tendency is the
+    first stage of the next step.
     """
     ugrid = u0.grid
     u = _prepare_initial(u0, cfg)
-    first = None  # projected nonlinear tendency at the last sample
+    times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
+    first = None  # projected nonlinear tendency at u, when u is a sample
     t = 0.0
     worst_orth = 0.0
     prev_energy = math.inf
-    for tau in cfg.sample_taus:
-        t_target = t_of_tau(tau, cfg.t_horizon)
-        if t_target < t - 1e-13:
-            raise ConfigurationError("sample time precedes current state")
-        span = t_target - t
-        if span > 1e-15:
-            cap = _cfl_cap(u, cfg)
-            nsteps = max(1, math.ceil(span / cap))
-            dt = span / nsteps
-            factors = _viscous_factors(ugrid, dt)
-            for _ in range(nsteps):
-                u, orth = _ifrk4(u, dt, cfg, factors, first)
-                first = None
-                worst_orth = max(worst_orth, orth)
-            t = t_target
-        energy = l2_norm_sq(u)
+
+    def sample(i: int, t_i: float, coeffs: np.ndarray) -> tuple[Snapshot, np.ndarray]:
+        nonlocal prev_energy
+        field = SpectralVectorField(ugrid, coeffs, True)
+        energy = l2_norm_sq(field)
         if energy > prev_energy * (1.0 + 1e-12):
             raise EnergyIncreaseError(
                 f"energy increased between samples ({prev_energy} -> {energy})"
             )
         prev_energy = energy
-        tail = spectral_tail_fraction(u)
+        tail = spectral_tail_fraction(field)
         if tail > cfg.resolution_threshold:
             msg = (
                 f"spectral tail fraction {tail:.3e} above "
-                f"{cfg.resolution_threshold:.1e} at tau = {tau:.4f}"
+                f"{cfg.resolution_threshold:.1e} at tau = {cfg.sample_taus[i]:.4f}"
             )
             if cfg.resolution_policy == "error":
                 raise ResolutionError(msg)
             if cfg.resolution_policy == "warn":
                 warnings.warn(msg, ResolutionWarning)
-        first = _nonlinear_tendency(u)
-        transfer = -(first * np.conj(u.coeffs)).real.sum(axis=0)
+        tendency = _nonlinear_tendency(field)
+        transfer = -(tendency * np.conj(coeffs)).real.sum(axis=0)
         snap = Snapshot(
-            frame=frame(t, cfg.t_horizon),
-            u_hat=SpectralVectorField(ugrid, u.coeffs.copy(), True),
+            frame=frame(t_i, cfg.t_horizon),
+            u_hat=field,
             tail_fraction=tail,
             nonlinear_orthogonality=worst_orth,
             energy=energy,
@@ -372,7 +415,42 @@ def simulate(
         )
         if on_snapshot is not None:
             on_snapshot(snap)
+        return snap, tendency
+
+    i = 0
+    while i < len(times):
+        span = times[i] - t
+        if span < -1e-13:
+            raise ConfigurationError("sample time precedes current state")
+        if span > 1e-15:
+            cap = _cfl_cap(u, cfg)
+            if span > cap:
+                nsteps = math.ceil(span / cap)
+                dt = span / nsteps
+                factors = _viscous_factors(ugrid, dt)
+                for _ in range(nsteps):
+                    u, orth, _ = _ifrk4(u, dt, cfg, factors, first)
+                    first = None
+                    worst_orth = max(worst_orth, orth)
+            else:
+                j = i
+                while j + 1 < len(times) and times[j + 1] - t <= cap:
+                    j += 1
+                h = times[j] - t
+                end, orth, stages = _ifrk4(u, h, cfg, first=first)
+                first = None
+                worst_orth = max(worst_orth, orth)
+                for k in range(i, j):
+                    theta = (times[k] - t) / h
+                    inside = _dense_output(u.coeffs, stages, h, theta, ugrid)
+                    snap, _ = sample(k, times[k], inside)
+                    yield snap
+                stages = None  # free the four stage arrays before the next step
+                u, i = end, j
+            t = times[i]
+        snap, first = sample(i, t, u.coeffs.copy())
         yield snap
+        i += 1
 
 
 def simulate_collect(u0, cfg) -> list[Snapshot]:

@@ -262,6 +262,8 @@ def run_scenario(
         series = run_pipeline(cfg)
     except ResolutionError as exc:
         return ScenarioResult(3, scenario_name, message=f"resolution guard: {exc}")
+    except (ConfigurationError, OSError) as exc:  # e.g. a bad initial_file
+        return ScenarioResult(2, scenario_name, message=f"config error: {exc}")
 
     reports_by_name = {}
     failures = []
@@ -317,15 +319,24 @@ def run_scenario(
 
 
 def format_summary_table(scenario: str, summaries: list) -> str:
+    """One row per check: the residual, tolerance and their ratio at the
+    check's worst sample, with that sample's tau."""
     lines = [f"scenario: {scenario}"]
-    header = f"{'check':<16} {'samples':>7} {'max_residual':>14} {'tolerance':>12} {'pass':>5}"
+    header = (
+        f"{'check':<16} {'samples':>7} {'residual':>11} {'tolerance':>10} "
+        f"{'ratio':>10} {'at tau':>7} {'pass':>5}"
+    )
     lines.append(header)
     lines.append("-" * len(header))
     for s in summaries:
-        lines.append(
-            f"{s['name']:<16} {s['samples']:>7d} {s['max_residual']:>14.3e} "
-            f"{s['tolerance']:>12.3e} {str(s['pass']):>5}"
-        )
+        if s["worst_ratio"] is None:
+            worst = f"{'-':>11} {'-':>10} {'-':>10} {'-':>7}"
+        else:
+            worst = (
+                f"{s['max_residual']:>11.3e} {s['tolerance']:>10.3e} "
+                f"{s['worst_ratio']:>10.3e} {s['worst_tau']:>7.3f}"
+            )
+        lines.append(f"{s['name']:<16} {s['samples']:>7d} {worst} {str(s['pass']):>5}")
     return "\n".join(lines) + "\n"
 
 

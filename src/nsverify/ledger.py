@@ -719,10 +719,20 @@ def check_inequality(
 
 
 def summarize_reports(reports_by_name: dict) -> list:
-    """Aggregate per-sample reports into one JSON-ready entry per check."""
+    """Aggregate per-sample reports into one JSON-ready entry per check.
+
+    ``worst_ratio`` is the largest residual/tolerance over the reports with a
+    finite residual and a positive tolerance, and ``worst_tau`` is where it
+    sits. ``max_residual`` and ``tolerance`` are that same report's pair, so
+    the margin they show is one sample's. A check without such a report (one
+    that could not be evaluated) gives None for all four.
+    """
     out = []
     for name, reports in reports_by_name.items():
-        finite = [r.residual for r in reports if math.isfinite(r.residual)]
+        rated = [
+            r for r in reports if math.isfinite(r.residual) and r.tolerance > 0
+        ]
+        worst = max(rated, key=lambda r: r.residual / r.tolerance, default=None)
         consts = [
             r.empirical_constant
             for r in reports
@@ -733,8 +743,10 @@ def summarize_reports(reports_by_name: dict) -> list:
                 "name": name,
                 "description": CHECK_DESCRIPTIONS.get(name, ""),
                 "samples": len(reports),
-                "max_residual": max(finite) if finite else 0.0,
-                "tolerance": max(r.tolerance for r in reports),
+                "max_residual": worst.residual if worst else None,
+                "tolerance": worst.tolerance if worst else None,
+                "worst_ratio": worst.residual / worst.tolerance if worst else None,
+                "worst_tau": float(worst.tau) if worst else None,
                 "empirical_constant": consts[-1] if consts else None,
                 "pass": all(r.passed for r in reports),
             }

@@ -3,8 +3,10 @@ import pytest
 
 from nsverify.cli import main
 from nsverify.cutoffs import make_profile
+from nsverify.snapshot_io import write_snapshot
+from nsverify.spectral import transform_inverse
 
-from conftest import SMALL_SCENARIO
+from conftest import SMALL_SCENARIO, random_solenoidal
 
 
 def run_cli(tmp_path, text, *flags):
@@ -39,6 +41,22 @@ def test_window_too_short_for_the_fits_exits_2(tmp_path):
     # tau in [0, 0.2] holds no sample at tau >= 1, where the fits start
     text = SMALL_SCENARIO.replace("checks = lemma2.1", "checks = all")
     assert run_cli(tmp_path, text) == 2
+
+
+def test_missing_initial_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.nsvf"
+    assert run_cli(tmp_path, SMALL_SCENARIO + f"initial_file = {missing}\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_initial_file_on_another_grid_exits_2(tmp_path, capsys, grid32):
+    path = tmp_path / "init.nsvf"
+    write_snapshot(path, transform_inverse(random_solenoidal(grid32, 0)), t=0.0)
+    assert run_cli(tmp_path, SMALL_SCENARIO + f"initial_file = {path}\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "does not match the scenario grid" in err
 
 
 def test_unresolvable_cutoff_exits_3(tmp_path):
