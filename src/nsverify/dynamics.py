@@ -25,17 +25,10 @@ continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of
 ``v``, built from the step's own four stages, so the linear part is exact
 there too and the local error is O(h^4).
 
-At every sample :func:`simulate` evaluates the projected tendency ``a`` of the
-state it emits. The snapshot carries its energy transfer per lattice shell,
-``Snapshot.shell_transfer`` = shell sums of ``-Re<a, u_hat>``, which equals
-``Re<F[(u . grad) u], u_hat>`` to rounding (``u_hat`` is solenoidal and
-dealiased), so the ledger needs no quadratic product of its own. This is the
-Navier-Stokes tendency at the emitted state, not the interpolant's
-derivative, so the ledger's balances test the equation at every sample. At a
-sample on a step end ``a`` is also the next step's first RK4 stage. A
-trajectory whose step starts are all samples evaluates ``3 * steps +
-samples`` tendencies; each step start that is not a sample (inside a split
-span, or ``t = 0`` when it is not sampled) adds one.
+The integrator computes nothing for the ledger: a nonlinear trajectory costs
+exactly four tendency evaluations per step, and a snapshot carries the field
+and the run's diagnostics only. The ledger forms the energy transfer from its
+own physical-space fields (:mod:`nsverify.ledger`).
 """
 
 from __future__ import annotations
@@ -60,12 +53,12 @@ from .similarity import SimilarityFrame, frame, t_of_tau
 from .spectral import (
     Grid,
     SpectralVectorField,
+    cross,
     l2_norm,
     l2_norm_sq,
     leray_project,
     parseval_pair,
     phys_to_spec,
-    shell_sum,
     spec_to_phys,
     spectral_tail_fraction,
 )
@@ -102,9 +95,6 @@ class Snapshot:
     tail_fraction: float
     nonlinear_orthogonality: float  # worst |<P[(u.grad)u], u>| ratio so far
     energy: float
-    # Re<F[(u.grad)u], u_hat> summed over each lattice shell (grid.shell_radii);
-    # computed whether or not the trajectory's dynamics is nonlinear
-    shell_transfer: np.ndarray
 
 
 @dataclass
@@ -173,12 +163,7 @@ def _rotational_tendency(u_hat: SpectralVectorField) -> np.ndarray:
     vort[1] = 1j * (g.xi[2] * c[0] - g.xi[0] * c[2])
     vort[2] = 1j * (g.xi[0] * c[1] - g.xi[1] * c[0])
     u = spec_to_phys(c, g)
-    om = spec_to_phys(vort, g)
-    cross = np.empty_like(u)
-    cross[0] = u[1] * om[2] - u[2] * om[1]
-    cross[1] = u[2] * om[0] - u[0] * om[2]
-    cross[2] = u[0] * om[1] - u[1] * om[0]
-    coeffs = phys_to_spec(cross, g)
+    coeffs = phys_to_spec(cross(u, spec_to_phys(vort, g)), g)
     coeffs *= g.dealias_mask
     return leray_project(SpectralVectorField(g, coeffs, False)).coeffs
 
@@ -237,15 +222,12 @@ def _ifrk4(
     dt: float,
     cfg: TrajectoryConfig,
     factors=None,
-    first: np.ndarray | None = None,
 ) -> tuple[SpectralVectorField, float, tuple | None]:
-    """One integrating-factor RK4 step.
+    """One integrating-factor RK4 step; it evaluates all four stages itself.
 
     Returns the new field, the energy-orthogonality ratio of the first-stage
     projected quadratic term, and the four stage tendencies ``(a, b, c, d)``
-    for :func:`_dense_output` (``None`` for linear dynamics). ``first``, if
-    given, is the projected nonlinear tendency at ``u_hat`` and becomes stage
-    ``a``; it is left unchanged.
+    for :func:`_dense_output` (``None`` for linear dynamics).
     """
     g = u_hat.grid
     half, full = factors if factors is not None else _viscous_factors(g, dt)
@@ -256,7 +238,7 @@ def _ifrk4(
     def nonlin(coeffs):
         return _nonlinear_tendency(SpectralVectorField(g, coeffs, True))
 
-    a = nonlin(c) if first is None else first
+    a = nonlin(c)
     pairing = abs(parseval_pair(a, c, g))
     denom = math.sqrt(parseval_pair(a, a, g) * parseval_pair(c, c, g))
     orth = pairing / denom if denom > 0 else 0.0
@@ -372,19 +354,17 @@ def simulate(
     (:func:`_dense_output`); a sample on a step end is the step's own result.
     Emitted fields are fresh copies safe to hold across iterations; energy
     monotonicity and the spectral-tail guard are enforced sample by sample.
-    Each sample evaluates the projected nonlinear tendency of the state it
-    emits for its ``shell_transfer``; on a step end that tendency is the
-    first stage of the next step.
+    Emitting a sample evaluates no tendency, so a nonlinear trajectory costs
+    exactly ``4 * steps`` tendency evaluations.
     """
     ugrid = u0.grid
     u = _prepare_initial(u0, cfg)
     times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
-    first = None  # projected nonlinear tendency at u, when u is a sample
     t = 0.0
     worst_orth = 0.0
     prev_energy = math.inf
 
-    def sample(i: int, t_i: float, coeffs: np.ndarray) -> tuple[Snapshot, np.ndarray]:
+    def sample(i: int, t_i: float, coeffs: np.ndarray) -> Snapshot:
         nonlocal prev_energy
         field = SpectralVectorField(ugrid, coeffs, True)
         energy = l2_norm_sq(field)
@@ -403,19 +383,16 @@ def simulate(
                 raise ResolutionError(msg)
             if cfg.resolution_policy == "warn":
                 warnings.warn(msg, ResolutionWarning)
-        tendency = _nonlinear_tendency(field)
-        transfer = -(tendency * np.conj(coeffs)).real.sum(axis=0)
         snap = Snapshot(
             frame=frame(t_i, cfg.t_horizon),
             u_hat=field,
             tail_fraction=tail,
             nonlinear_orthogonality=worst_orth,
             energy=energy,
-            shell_transfer=shell_sum(transfer, ugrid),
         )
         if on_snapshot is not None:
             on_snapshot(snap)
-        return snap, tendency
+        return snap
 
     i = 0
     while i < len(times):
@@ -429,27 +406,23 @@ def simulate(
                 dt = span / nsteps
                 factors = _viscous_factors(ugrid, dt)
                 for _ in range(nsteps):
-                    u, orth, _ = _ifrk4(u, dt, cfg, factors, first)
-                    first = None
+                    u, orth, _ = _ifrk4(u, dt, cfg, factors)
                     worst_orth = max(worst_orth, orth)
             else:
                 j = i
                 while j + 1 < len(times) and times[j + 1] - t <= cap:
                     j += 1
                 h = times[j] - t
-                end, orth, stages = _ifrk4(u, h, cfg, first=first)
-                first = None
+                end, orth, stages = _ifrk4(u, h, cfg)
                 worst_orth = max(worst_orth, orth)
                 for k in range(i, j):
                     theta = (times[k] - t) / h
                     inside = _dense_output(u.coeffs, stages, h, theta, ugrid)
-                    snap, _ = sample(k, times[k], inside)
-                    yield snap
+                    yield sample(k, times[k], inside)
                 stages = None  # free the four stage arrays before the next step
                 u, i = end, j
             t = times[i]
-        snap, first = sample(i, t, u.coeffs.copy())
-        yield snap
+        yield sample(i, t, u.coeffs.copy())
         i += 1
 
 

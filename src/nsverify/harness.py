@@ -285,7 +285,7 @@ def run_scenario(
     fitted = {}
     taus = series.taus
     if taus[-1] > 1.5:
-        window = (1.0, min(4.0, taus[-1]))
+        window = (lg.FIT_START, min(4.0, taus[-1]))
         X = series.column("E0_low_chi") + series.column("E0_tilde")
         try:
             fitted["weighted_low_band_energy"] = lg.fit_decay_rate(
@@ -421,11 +421,9 @@ def criterion_spectral_infrastructure(
 
 
 @_timed
-def criterion_decomposition(
-    count: int = 100, n: int = 32, seed: int = 7
-) -> CriterionResult:
+def criterion_decomposition(count: int = 100, seed: int = 7) -> CriterionResult:
     """Energy split exactness and the high-block derivative domination."""
-    grid = build_grid(n, 8.0 * math.pi)
+    grid = build_grid(32, 8.0 * math.pi)
     betas = [
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
         (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
@@ -461,14 +459,14 @@ def criterion_decomposition(
 
 @_timed
 def criterion_sign_claims(
-    alphas=(0.02, 0.06, 0.1), count: int = 20, n: int = 32, seed: int = 11
+    alphas=(0.02, 0.06, 0.1), count: int = 20, seed: int = 11
 ) -> CriterionResult:
     """Dilation-flux signs plus pointwise shell nonpositivity of the weighted
     balance integrands, on random solenoidal fields."""
-    grid = build_grid(n, 8.0 * math.pi)
+    grid = build_grid(32, 8.0 * math.pi)
     phi = make_profile("phi")
     onemphi = make_profile("one_minus_phi")
-    radii = np.unique(grid.xi_mag)
+    radii = grid.shell_radii
     worst = {"flux_phi": -math.inf, "flux_chi": -math.inf,
              "flux_one_minus_phi": math.inf, "shell": -math.inf}
     for alpha in alphas:

@@ -5,17 +5,19 @@ spectrum through the exact frame identities (see :mod:`nsverify.similarity`).
 Each quadratic functional is ``s**p * sum m(s |xi|) |xi|^(2j) |u_hat|^2`` (or
 the same against the transfer density ``Re<F[(u.grad)u], u_hat>``), and its
 weight ``m`` is constant on a lattice shell ``|xi| = const``. So each sample
-sums the energy density once per shell (the shell-averaged spectrum), takes
-the transfer per shell from the snapshot (``Snapshot.shell_transfer``, a by-
-product of the integrator's first RK4 stage), and every quadratic column is a
-dot product over shells, with the radial weights read from
-:func:`nsverify.cutoffs.weight_tables` at the shell radii.
+sums both densities once per shell, and every quadratic column is a dot
+product over shells, with the radial weights read from
+:func:`nsverify.cutoffs.weight_tables` at the shell radii. The transfer comes
+from the rotational form ``(u.grad)u = grad |u|^2/2 - u x omega`` (Canuto,
+Hussaini, Quarteroni & Zang, Spectral Methods): the gradient pairs to zero
+against the solenoidal ``u_hat``, so the density is ``-Re<F[u x omega],
+u_hat>``, formed from the ``u`` and ``grad u`` the cubic terms use.
 
 Cubic functionals are dealiased collocation integrals carrying the matching
-chain-rule powers of ``s``. The ledger transforms ``u``, its gradients, and
-the high-pass side only: ``u_high`` (weight ``1 - phi(s|xi|)``), its gradients
-and the adjoint ``(1 - phi)^2 |xi|^2 u_hat``; the low-pass side is the
-difference. Once ``1 - phi(s r)`` is exactly 0 on every shell that carries
+chain-rule powers of ``s``. The ledger inverse-transforms ``u``, its
+gradients, and the high-pass side only: ``u_high`` (weight ``1 - phi(s|xi|)``),
+its gradients and the adjoint ``(1 - phi)^2 |xi|^2 u_hat``; the low-pass side
+is the difference. Once ``1 - phi(s r)`` is exactly 0 on every shell that carries
 energy (late tau, when the low block takes in the whole dealiased band), the
 high-pass side is exactly zero: its transforms are skipped and the four
 nonlinear splits are exactly 0.
@@ -49,7 +51,9 @@ import numpy as np
 from .cutoffs import weight_tables
 from .dynamics import Snapshot
 from .errors import DomainError, FitError
-from .spectral import Grid, mode_energy, shell_sum, spec_to_phys
+from .spectral import (
+    Grid, cross, mode_energy, phys_to_spec, shell_sum, spec_to_phys,
+)
 
 __all__ = [
     "EnergyRecord",
@@ -362,6 +366,18 @@ def _advected_pairing(a: np.ndarray, gb: np.ndarray, adjoint: np.ndarray) -> flo
     return total
 
 
+def _shell_transfer(u, grads, c, grid: Grid) -> np.ndarray:
+    """Per-shell ``-Re<F[u x omega], u_hat>`` from ``grads[j, k] = d_j u_k``.
+    ``u_hat`` is solenoidal and lies inside the 2/3 band, where the product's
+    aliases do not reach, so no projection or mask is needed."""
+    vort = np.empty_like(u)
+    vort[0] = grads[1, 2] - grads[2, 1]
+    vort[1] = grads[2, 0] - grads[0, 2]
+    vort[2] = grads[0, 1] - grads[1, 0]
+    lamb = phys_to_spec(cross(u, vort), grid)
+    return shell_sum(-(lamb * np.conj(c)).real.sum(axis=0), grid)
+
+
 _SPLITS = ("T_split_ll", "T_split_lh", "T_split_hl", "T_split_hh")
 
 
@@ -382,8 +398,8 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
     # part dropping against the radial weights)
     rho = g.shell_radii
-    totals = {"e": shell_sum(mode_energy(c), g), "t": snap.shell_transfer}
-    shell_e = totals["e"]
+    shell_e = shell_sum(mode_energy(c), g)
+    totals = {"e": shell_e, "t": _shell_transfer(u, grads, c, g)}
     shell_edot = 2.0 * s**2 * (-(rho**2) * shell_e - totals["t"])
     r = s * rho
     tables = weight_tables(r, ctx.alpha)

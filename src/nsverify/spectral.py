@@ -260,6 +260,15 @@ def mode_energy(coeffs: np.ndarray) -> np.ndarray:
     return np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2 + np.abs(coeffs[2]) ** 2
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise cross product ``a x b`` of two vector fields' samples."""
+    out = np.empty_like(a)
+    out[0] = a[1] * b[2] - a[2] * b[1]
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
+    return out
+
+
 # -- operators ---------------------------------------------------------------
 
 

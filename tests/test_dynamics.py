@@ -37,7 +37,6 @@ from nsverify.spectral import (
     l2_norm_sq,
     leray_project,
     parseval_pair,
-    shell_sum,
     spec_to_phys,
     transform_inverse,
     zero_field,
@@ -274,8 +273,8 @@ class TestSimulate:
             simulate_collect(u0, base_config(grid16))
 
     def test_handed_over_first_stage_equals_fresh_steps(self, grid32):
-        # the first step after a sample reuses the tendency evaluated there;
-        # with several steps per interval the others evaluate their own
+        # a span split into several steps equals the same number of chained
+        # step() calls from the sample that starts it
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.004)
         snaps = simulate_collect(u0, cfg)
@@ -306,9 +305,8 @@ class TestSimulate:
             assert np.array_equal(state.u_hat.coeffs, snaps[end].u_hat.coeffs)
 
     def test_tendency_count(self, grid32, monkeypatch):
-        # every step evaluates three stages; its first stage is the tendency
-        # of the sample it starts from, and only a step start that is not a
-        # sample (inside a split span) evaluates one of its own
+        # every step evaluates its four stages, and emitting a sample
+        # evaluates none
         calls = []
 
         def counted(*args, **kwargs):
@@ -324,8 +322,7 @@ class TestSimulate:
         assert any(end - start > 1 for start, end, _ in spans)
         assert any(nsteps > 1 for _, _, nsteps in spans)
         steps = sum(nsteps for _, _, nsteps in spans)
-        unsampled_starts = sum(nsteps - 1 for _, _, nsteps in spans)
-        assert len(calls) == 3 * steps + len(snaps) + unsampled_starts
+        assert len(calls) == 4 * steps
 
     def test_interpolated_linear_decay_is_exact(self, grid32):
         u0 = random_solenoidal(grid32, 9, target=0.05)
@@ -370,17 +367,6 @@ class TestSimulate:
         cfg = base_config(grid32, l_box=grid32.l_box * (1.0 + 1e-13))
         with pytest.raises(ConfigurationError):
             simulate_collect(u0, cfg)
-
-    @pytest.mark.parametrize("nonlinear", [True, False])
-    def test_shell_transfer_is_the_convective_transfer(self, grid32, nonlinear):
-        _, snaps = small_run(grid32, seed=3, tau_max=0.3, nonlinear=nonlinear)
-        for snap in snaps:
-            c = snap.u_hat.coeffs
-            density = (convective_term(snap.u_hat).coeffs * np.conj(c)).real
-            expected = shell_sum(density.sum(axis=0), grid32)
-            scale = np.abs(expected).max()
-            assert scale > 0
-            assert np.abs(snap.shell_transfer - expected).max() <= 1e-13 * scale
 
     def test_config_validation(self, grid16):
         with pytest.raises(ConfigurationError):
@@ -558,7 +544,6 @@ class TestWeakForm:
             tail_fraction=snaps[k].tail_fraction,
             nonlinear_orthogonality=snaps[k].nonlinear_orthogonality,
             energy=snaps[k].energy,
-            shell_transfer=snaps[k].shell_transfer,
         )
         assert abs(weak_residual(corrupted, tf)) > 10.0 * clean
 

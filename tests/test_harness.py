@@ -6,7 +6,11 @@ import numpy as np
 from nsverify import dynamics, harness
 from nsverify.harness import (
     CriterionResult,
+    criterion_decomposition,
+    criterion_ode_trapping,
+    criterion_sign_claims,
     criterion_spectral_infrastructure,
+    criterion_taylor_green,
     parse_scenario_text,
     run_scenario,
     run_suite,
@@ -19,6 +23,42 @@ def test_spectral_infrastructure_criterion_passes():
     result = criterion_spectral_infrastructure(count=4, n=16)
     assert result.passed, result.detail
     assert "nyquist=" in result.detail
+
+
+def detail_values(detail):
+    """The ``name=value`` numbers of a criterion's detail string."""
+    return {k: float(v) for k, v in (part.split("=") for part in detail.split(", "))}
+
+
+def test_decomposition_criterion_passes():
+    result = criterion_decomposition(count=2)
+    assert result.passed, result.detail
+    values = detail_values(result.detail)
+    assert values["energy-split"] <= 1e-10
+    assert values["worst high-vs-band excess"] < 0.0
+
+
+def test_sign_claims_criterion_passes():
+    result = criterion_sign_claims(count=2)
+    assert result.passed, result.detail
+    values = detail_values(result.detail)
+    assert values["max flux_phi"] < 0.0 and values["max flux_chi"] < 0.0
+    assert values["min flux_1mphi"] > 0.0
+    assert values["max shell integrand"] <= 0.0
+
+
+def test_taylor_green_criterion_passes():
+    result = criterion_taylor_green(n=16)
+    assert result.passed, result.detail
+    error = float(result.detail.removeprefix("max relative error "))
+    assert error <= 1e-13
+
+
+def test_ode_trapping_criterion_passes():
+    result = criterion_ode_trapping(n_draws=20)
+    assert result.passed, result.detail
+    assert result.detail.startswith("20/20 trapped, ")
+    assert result.detail.endswith("worked values ok: True")
 
 
 def test_suite_verdict_accepts_numpy_bool(monkeypatch, tmp_path):

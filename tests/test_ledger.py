@@ -3,15 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nsverify.dynamics import convective_term
 from nsverify.errors import FitError
 from nsverify.harness import format_summary_table
 from nsverify.ledger import (
     RECORD_FIELDS,
     InequalityReport,
     RecordSeries,
+    _shell_transfer,
     check_inequality,
     summarize_reports,
 )
+from nsverify.spectral import shell_sum, spec_to_phys
+
+from conftest import small_run
 
 # Record values of ``small_series`` (n=32, l_box=8*pi, seed 0, delta 0.05,
 # alpha 0.1, tau in [0, 1] at 0.02) at tau = 0.2, 0.6 and 1.0, for every
@@ -170,6 +175,23 @@ def test_splits_vanish_with_the_high_pass_weight(long_series):
     # are not either (T_split_hh, of higher order in it, underflows to 0)
     for name in ("T_split_ll", "T_split_lh", "T_split_hl"):
         assert np.all(long_series.column(name)[~vanished] != 0.0)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_shell_transfer_is_the_convective_transfer(grid32, nonlinear):
+    # the rotational form from u and grad u equals the shell sums of
+    # Re<F[(u.grad)u], u_hat> from the convective product
+    _, snaps = small_run(grid32, seed=3, tau_max=0.3, nonlinear=nonlinear)
+    xi = grid32.xi
+    for snap in snaps:
+        c = snap.u_hat.coeffs
+        grads = np.stack([spec_to_phys(1j * xi[j] * c, grid32) for j in range(3)])
+        got = _shell_transfer(spec_to_phys(c, grid32), grads, c, grid32)
+        density = (convective_term(snap.u_hat).coeffs * np.conj(c)).real
+        expected = shell_sum(density.sum(axis=0), grid32)
+        scale = np.abs(expected).max()
+        assert scale > 0
+        assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
 def test_fit_window_message_shows_plain_floats(small_series):
