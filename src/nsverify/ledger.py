@@ -3,24 +3,35 @@
 Every functional of the rescaled field ``w`` is evaluated from the physical
 spectrum through the exact frame identities (see :mod:`nsverify.similarity`).
 Each quadratic functional is ``s**p * sum m(s |xi|) |xi|^(2j) |u_hat|^2`` (or
-the same against the transfer density ``Re<F[(u.grad)u], u_hat>``), and its
-weight ``m`` is constant on a lattice shell ``|xi| = const``. So each sample
-sums both densities once per shell, and every quadratic column is a dot
+the same against the transfer density ``t = Re<F[(u.grad)u], u_hat>``), and
+its weight ``m`` is constant on a lattice shell ``|xi| = const``. So each
+sample sums both densities once per shell, and every such column is a dot
 product over shells, with the radial weights read from
 :func:`nsverify.cutoffs.weight_tables` at the shell radii. The transfer comes
 from the rotational form ``(u.grad)u = grad |u|^2/2 - u x omega`` (Canuto,
 Hussaini, Quarteroni & Zang, Spectral Methods): the gradient pairs to zero
 against the solenoidal ``u_hat``, so the density is ``-Re<F[u x omega],
-u_hat>``, formed from the ``u`` and ``grad u`` the cubic terms use.
+u_hat>``, formed from ``u`` and ``grad u`` in physical space. The cubic
+terms that pair the whole field with itself are shell sums of it too:
+``T_lap``, ``T_low``, ``T_chi``, ``T_grad_high``, and ``T_grad`` by the
+enstrophy-balance identity ``int (u.grad)u . lap u = -int d_j u_k d_j u_l
+d_l u_k`` for solenoidal ``u`` (same reference), which makes the strain
+contraction ``s**3 * sum rho^2 t(rho)``.
 
-Cubic functionals are dealiased collocation integrals carrying the matching
-chain-rule powers of ``s``. The ledger inverse-transforms ``u``, its
-gradients, and the high-pass side only: ``u_high`` (weight ``1 - phi(s|xi|)``),
-its gradients and the adjoint ``(1 - phi)^2 |xi|^2 u_hat``; the low-pass side
-is the difference. Once ``1 - phi(s r)`` is exactly 0 on every shell that carries
-energy (late tau, when the low block takes in the whole dealiased band), the
-high-pass side is exactly zero: its transforms are skipped and the four
-nonlinear splits are exactly 0.
+What stays a dealiased collocation integral is what splits the field in
+physical space: the four nonlinear splits ``sum_x a_j d_j b_k adjoint_k``
+with ``a, b`` the low- or high-pass part, and the sup and L4 norms of the low
+block. The ledger inverse-transforms ``u`` and its gradient tensor, and on the
+high-pass side ``u_high`` (weight ``1 - phi(s|xi|)``), its gradient tensor
+and the adjoint ``(1 - phi)^2 |xi|^2 u_hat``; the low-pass side is the
+difference. A gradient tensor takes eight transforms: the trace closes it,
+``d_2 u_2 = -(d_0 u_0 + d_1 u_1)``. The splits pair ``u_low`` and ``u_high``
+with two contracted fields, ``W_high_j = sum_k d_j u_high,k adjoint_k`` and
+``W_low`` alike from ``u_low``. So a sample transforms 25 components back and
+3 forward (``u x omega``). Once ``1 - phi(s r)`` is exactly 0 on every shell
+that carries energy (late tau, when the low block takes in the whole
+dealiased band), the high-pass side is exactly zero: its 14 transforms are
+skipped and the four splits are exactly 0.
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -90,6 +101,7 @@ _SHELL_TERMS = {
     "E1_tilde": ("e", 1, 1, ("tilde", 0)),
     "E1_high": ("e", 1, 1, ("one_minus_phi", 0)),
     "E2_high": ("e", 3, 2, ("one_minus_phi", 0)),
+    "T_grad": ("t", 3, 1, None),
     "T_lap": ("t", 5, 2, None),
     "T_low": ("t", 1, 0, ("phi", 0)),
     "T_chi": ("t", 1, 0, ("chi", 0)),
@@ -339,31 +351,16 @@ def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
     return out
 
 
-def _strain_cubic(grads: np.ndarray) -> float:
-    """``sum_x sum_jkl d_j u_k d_j u_l d_l u_k`` from ``grads[j, k] = d_j u_k``:
-    ``M_kl = sum_j d_j u_k d_j u_l`` is symmetric, so each off-diagonal pair
-    is contracted once against ``d_l u_k + d_k u_l``."""
-    total = 0.0
-    for k in range(3):
-        for l in range(k, 3):
-            m_kl = grads[0, k] * grads[0, l]
-            m_kl += grads[1, k] * grads[1, l]
-            m_kl += grads[2, k] * grads[2, l]
-            other = grads[l, k] if k == l else grads[l, k] + grads[k, l]
-            total += float(np.vdot(m_kl, other))
-    return total
-
-
-def _advected_pairing(a: np.ndarray, gb: np.ndarray, adjoint: np.ndarray) -> float:
-    """``sum_x sum_jk a_j gb[j, k] adjoint_k`` as ``v_k = sum_j a_j gb[j, k]``
-    paired with ``adjoint``."""
-    total = 0.0
-    for k in range(3):
-        v_k = a[0] * gb[0, k]
-        v_k += a[1] * gb[1, k]
-        v_k += a[2] * gb[2, k]
-        total += float(np.vdot(v_k, adjoint[k]))
-    return total
+def _gradient_tensor(grad_spec: np.ndarray, grid: Grid) -> np.ndarray:
+    """``grads[j, k] = d_j u_k`` of a solenoidal field from the spectra of its
+    first eight components in row-major order (all but ``d_2 u_2``), eight
+    transforms; the trace closes the tensor: ``d_2 u_2 = -(d_0 u_0 + d_1 u_1)``."""
+    n = grid.n
+    grads = np.empty((3, 3, n, n, n))
+    spec_to_phys(grad_spec, grid, out=grads.reshape(9, n, n, n)[:8])
+    np.add(grads[0, 0], grads[1, 1], out=grads[2, 2])
+    np.negative(grads[2, 2], out=grads[2, 2])
+    return grads
 
 
 def _shell_transfer(u, grads, c, grid: Grid) -> np.ndarray:
@@ -371,9 +368,8 @@ def _shell_transfer(u, grads, c, grid: Grid) -> np.ndarray:
     ``u_hat`` is solenoidal and lies inside the 2/3 band, where the product's
     aliases do not reach, so no projection or mask is needed."""
     vort = np.empty_like(u)
-    vort[0] = grads[1, 2] - grads[2, 1]
-    vort[1] = grads[2, 0] - grads[0, 2]
-    vort[2] = grads[0, 1] - grads[1, 0]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(grads[j, k], grads[k, j], out=vort[i])
     lamb = phys_to_spec(cross(u, vort), grid)
     return shell_sum(-(lamb * np.conj(c)).real.sum(axis=0), grid)
 
@@ -388,11 +384,12 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     cell = g.cell_volume
 
     u = spec_to_phys(c, g)
-    grad_spec = np.empty((3, 3) + c.shape[1:], dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            np.multiply(1j * g.xi[j], c[k], out=grad_spec[j, k])
-    grads = spec_to_phys(grad_spec, g)
+    # d_j u_k row-major, all but d_2 u_2
+    grad_spec = np.empty((8,) + c.shape[1:], dtype=complex)
+    for i in range(8):
+        j, k = divmod(i, 3)
+        np.multiply(1j * g.xi[j], c[k], out=grad_spec[i])
+    grads = _gradient_tensor(grad_spec, g)
 
     # shell energies, transfers and the energies' exact tau-derivative
     # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
@@ -415,33 +412,36 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
 
     high_sq = tables["one_minus_phi"][0]  # (1 - phi(s r))^2 per shell
     if high_sq[shell_e > 0].any():
+        # each split sum_x a_j d_j b_k adjoint_k pairs a = u_low | u_high
+        # with W_j = sum_k d_j b_k adjoint_k for b = u_high and b = u_low
         high_sq = high_sq[g.shell_index].reshape(c.shape[1:])  # per mode
         high = np.sqrt(high_sq)
         u_high = spec_to_phys(high * c, g)
-        highgrads = spec_to_phys(high * grad_spec, g)
         adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
-        u_low = u - u_high
-        lowgrads = grads - highgrads
-        pairs = (
-            (u_low, lowgrads), (u_low, highgrads),
-            (u_high, lowgrads), (u_high, highgrads),
-        )
-        splits = {
-            name: s**3 * cell * _advected_pairing(a, gb, adjoint)
-            for name, (a, gb) in zip(_SPLITS, pairs)
-        }
+        grad_spec *= high
+        highgrads = _gradient_tensor(grad_spec, g)
+        w_high = np.einsum("jk...,k...->j...", highgrads, adjoint)
+        # the low-pass side, in the spent high-pass buffers
+        lowgrads = np.subtract(grads, highgrads, out=highgrads)
+        w_low = np.einsum("jk...,k...->j...", lowgrads, adjoint)
+        u_low = np.subtract(u, u_high, out=adjoint)
+        splits = dict(zip(_SPLITS, (
+            s**3 * cell * float(np.vdot(a, w))
+            for a, w in ((u_low, w_low), (u_low, w_high),
+                         (u_high, w_low), (u_high, w_high))
+        )))
     else:  # the high-pass side is exactly zero
         u_low, lowgrads = u, grads
         splits = dict.fromkeys(_SPLITS, 0.0)
 
-    umag = np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+    umag2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
     lowmag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
+    lowgrad2 = np.einsum("jk...,jk...->...", lowgrads, lowgrads)
     rec = EnergyRecord(
         tau=snap.frame.tau,
-        T_grad=s**3 * cell * _strain_cubic(grads),
-        sup_norm_w=s * float(umag.max()),
-        sup_w_low=s * float(np.sqrt(lowmag2.max())),
-        sup_grad_w_low=s**2 * float(np.sqrt((lowgrads**2).sum(axis=(0, 1)).max())),
+        sup_norm_w=s * math.sqrt(umag2.max()),
+        sup_w_low=s * math.sqrt(lowmag2.max()),
+        sup_grad_w_low=s**2 * math.sqrt(lowgrad2.max()),
         l4_w_low=float((s * cell * (lowmag2**2).sum()) ** 0.25),
         tail_fraction=snap.tail_fraction,
         **splits,

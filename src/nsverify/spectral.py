@@ -63,7 +63,9 @@ class Grid:
     wavenumbers and frequencies of a full axis; ``xi``, broadcastable
     ``(xi_x, xi_y, xi_z)`` with ``xi_z`` over ``kz = 0 .. n/2``; per stored
     mode ``xi_sq``, ``xi_mag``, ``inv_xi_sq`` (zero mode mapped to 0),
-    ``dealias_mask``, ``not_nyquist`` and ``multiplicity``, the number of
+    ``dealias_mask``, ``dealiased_xi_sq`` (``xi_sq`` on the 2/3 band, 0
+    outside), ``tail_mask`` (``|xi|`` above two thirds of Nyquist),
+    ``not_nyquist`` and ``multiplicity``, the number of
     lattice modes each stored mode stands for (1 on the ``kz = 0`` and
     ``kz = n/2`` planes, 2 elsewhere, where the conjugate is not stored);
     the lattice shells ``shell_radii``, the distinct ``|xi|`` values, and
@@ -103,6 +105,8 @@ class Grid:
         not_nyq = ~(nyq[:, None, None] | nyq[None, :, None]
                     | (kz == n // 2)[None, None, :])
         put("not_nyquist", not_nyq)
+        put("dealiased_xi_sq", xi_sq * self.dealias_mask)
+        put("tail_mask", self.xi_mag > (2.0 / 3.0) * self.xi_nyquist)
         put("_forward_factor", not_nyq * (self.l_box**1.5 / n**3))
         mult = np.where((kz == 0) | (kz == n // 2), 1.0, 2.0)
         put("multiplicity", np.broadcast_to(mult, xi_sq.shape).copy())
@@ -208,15 +212,26 @@ def phys_to_spec(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return half
 
 
-def spec_to_phys(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def spec_to_phys(
+    coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unitary half-spectrum coefficients (..., n, n, n//2 + 1) of real fields
-    back to samples (..., n, n, n), one component at a time."""
+    back to samples (..., n, n, n), one component at a time.
+
+    With ``out`` the samples are written into that array (any float64 view
+    of shape ``coeffs.shape[:-3] + (n, n, n)``, such as the first eight
+    slots of a flattened gradient tensor) and it is returned; the samples
+    are bitwise the same either way.
+    """
     n = grid.n
+    if out is None:
+        out = np.empty(coeffs.shape[:-3] + (n, n, n))
     scale = n**3 / grid.l_box**1.5
-    out = np.empty(coeffs.shape[:-3] + (n, n, n))
+    scaled = np.empty(coeffs.shape[-3:], dtype=complex)  # irfftn may overwrite it
     for idx in np.ndindex(coeffs.shape[:-3]):
+        np.multiply(coeffs[idx], scale, out=scaled)
         out[idx] = _fft.irfftn(
-            coeffs[idx] * scale, s=(n, n, n), workers=_WORKERS, overwrite_x=True
+            scaled, s=(n, n, n), workers=_WORKERS, overwrite_x=True
         )
     return out
 
@@ -263,9 +278,11 @@ def mode_energy(coeffs: np.ndarray) -> np.ndarray:
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise cross product ``a x b`` of two vector fields' samples."""
     out = np.empty_like(a)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
+    term = np.empty_like(a[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=term)
+        out[i] -= term
     return out
 
 
@@ -364,5 +381,5 @@ def spectral_tail_fraction(w: SpectralVectorField) -> float:
     total = weighted.sum()
     if total == 0.0:
         return 0.0
-    tail = weighted[g.xi_mag > (2.0 / 3.0) * g.xi_nyquist].sum()
+    tail = weighted[g.tail_mask].sum()
     return float(tail / total)

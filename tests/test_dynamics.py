@@ -253,6 +253,19 @@ class TestSimulate:
         _, snaps = small_run(grid32, seed=6, tau_max=0.3)
         assert snaps[-1].nonlinear_orthogonality <= 1e-10
 
+    def test_nonlinear_orthogonality_of_taylor_green(self, grid16):
+        # the planar vortex's projected product is zero up to rounding; the
+        # ratio is taken against the unprojected product, which stays of
+        # size |u|^2, so it reads rounding and not rounding over rounding
+        u0 = planar_vortex(grid16)
+        cfg = TrajectoryConfig(
+            n=16, l_box=grid16.l_box, t_horizon=2.0, dt_max=0.01, cfl=0.4,
+            sample_taus=-np.log(2.0 - np.linspace(0.0, 0.2, 5)),
+            delta=l2_norm(u0), alpha=0.1,
+        )
+        snaps = simulate_collect(u0, cfg)
+        assert snaps[-1].nonlinear_orthogonality <= 1e-12
+
     def test_resolution_guard_error(self, grid32):
         u0 = random_solenoidal(grid32, 7, target=0.05)
         cfg = base_config(grid32, resolution_threshold=1e-30)

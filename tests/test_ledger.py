@@ -1,19 +1,26 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nsverify import ledger
+from nsverify.cutoffs import weight_tables
 from nsverify.dynamics import convective_term
 from nsverify.errors import FitError
 from nsverify.harness import format_summary_table
 from nsverify.ledger import (
     RECORD_FIELDS,
     InequalityReport,
+    LedgerContext,
+    RecordsBuilder,
     RecordSeries,
+    _gradient_tensor,
     _shell_transfer,
     check_inequality,
     summarize_reports,
 )
+from nsverify.similarity import frame, t_of_tau
 from nsverify.spectral import shell_sum, spec_to_phys
 
 from conftest import small_run
@@ -192,6 +199,128 @@ def test_shell_transfer_is_the_convective_transfer(grid32, nonlinear):
         scale = np.abs(expected).max()
         assert scale > 0
         assert np.abs(got - expected).max() <= 1e-13 * scale
+
+
+@pytest.fixture(scope="module")
+def early_run(grid32):
+    """``small_run(grid32, seed=3, tau_max=0.3)``: 16 samples, every one with
+    a nonzero high-pass side, and their snapshots."""
+    return small_run(grid32, seed=3, tau_max=0.3)
+
+
+def gradient_spectra(c, grid):
+    """``1j xi_j c_k`` for all nine ``(j, k)``, row-major."""
+    return np.stack([1j * grid.xi[j] * c[k]
+                     for j, k in itertools.product(range(3), repeat=2)])
+
+
+def strain_cubic(grads):
+    """``sum_x sum_jkl d_j u_k d_j u_l d_l u_k`` from ``grads[j, k] = d_j u_k``,
+    and the sum of its terms' magnitudes."""
+    terms = [grads[j, k] * grads[j, l] * grads[l, k]
+             for j, k, l in itertools.product(range(3), repeat=3)]
+    return (sum(float(t.sum()) for t in terms),
+            sum(float(np.abs(t).sum()) for t in terms))
+
+
+def advected_pairing(a, gb, adjoint):
+    """``sum_x sum_jk a_j gb[j, k] adjoint_k``, one product at a time."""
+    return sum(float((a[j] * gb[j, k] * adjoint[k]).sum())
+               for j, k in itertools.product(range(3), repeat=2))
+
+
+def test_t_grad_is_the_strain_contraction(grid32, early_run):
+    # s^3 sum_shells rho^2 t(rho) equals the collocation integral
+    # int d_j u_k d_j u_l d_l u_k, because int (u.grad)u . lap u equals
+    # minus that integral for a solenoidal u. The integral cancels: its
+    # terms' magnitudes add up to 3e4 times the column max here, so the two
+    # agree to the rounding of those terms (measured 6.5e-18 of them)
+    series, snaps = early_run
+    for snap, value in zip(snaps, series.column("T_grad")):
+        c = snap.u_hat.coeffs
+        grads = spec_to_phys(gradient_spectra(c, grid32), grid32).reshape(
+            (3, 3) + (grid32.n,) * 3)
+        factor = snap.frame.scale**3 * grid32.cell_volume
+        expected, magnitude = strain_cubic(grads)
+        assert abs(value - factor * expected) <= 1e-16 * factor * magnitude
+
+
+def test_trace_closes_the_gradient_tensor(grid32, early_run):
+    # the first eight slots are their own transforms; d_2 u_2 is -(d_0 u_0 +
+    # d_1 u_1), which equals its transform up to rounding for solenoidal u
+    _, snaps = early_run
+    for snap in snaps[::5]:
+        spectra = gradient_spectra(snap.u_hat.coeffs, grid32)
+        full = spec_to_phys(spectra, grid32)
+        closed = _gradient_tensor(spectra[:8], grid32).reshape(full.shape)
+        assert np.array_equal(closed[:8], full[:8])
+        assert np.abs(closed[8] - full[8]).max() <= 1e-14 * np.abs(full).max()
+
+
+def test_splits_are_the_direct_pairings(grid32, early_run):
+    # the four splits from the contracted fields W equal the pairings
+    # sum_x a_j d_j b_k adjoint_k with a, b = u_low | u_high formed directly
+    series, snaps = early_run
+    g = grid32
+    shape = (3, 3) + (g.n,) * 3
+    direct = {name: [] for name in SPLITS}
+    for snap in snaps:
+        s = snap.frame.scale
+        c = snap.u_hat.coeffs
+        high_sq = weight_tables(s * g.shell_radii, series.ctx.alpha)[
+            "one_minus_phi"][0][g.shell_index].reshape(c.shape[1:])
+        high = np.sqrt(high_sq)
+        u = spec_to_phys(c, g)
+        grads = spec_to_phys(gradient_spectra(c, g), g).reshape(shape)
+        u_high = spec_to_phys(high * c, g)
+        highgrads = spec_to_phys(high * gradient_spectra(c, g), g).reshape(shape)
+        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
+        u_low, lowgrads = u - u_high, grads - highgrads
+        pairs = ((u_low, lowgrads), (u_low, highgrads),
+                 (u_high, lowgrads), (u_high, highgrads))
+        for name, (a, gb) in zip(SPLITS, pairs):
+            direct[name].append(
+                s**3 * g.cell_volume * advected_pairing(a, gb, adjoint))
+    for name in SPLITS:
+        expected = np.array(direct[name])
+        assert np.all(expected != 0.0)
+        scale = np.abs(expected).max()
+        assert np.abs(series.column(name) - expected).max() <= 1e-13 * scale
+
+
+def ledger_components(snap, grid, monkeypatch):
+    """Inverse and forward components the ledger transforms for one sample,
+    counted at its own bindings of the transforms."""
+    counts = {"inverse": 0, "forward": 0}
+
+    def counted(kind, fn):
+        def wrapper(arr, *args, **kwargs):
+            counts[kind] += int(np.prod(arr.shape[:-3]))
+            return fn(arr, *args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger, "spec_to_phys", counted("inverse", ledger.spec_to_phys))
+        patch.setattr(ledger, "phys_to_spec", counted("forward", ledger.phys_to_spec))
+        rec = RecordsBuilder(LedgerContext(grid, 0.1, 0.05)).feed(snap)
+    return rec, counts
+
+
+def test_ledger_transform_count(grid32, monkeypatch):
+    # a high-pass sample transforms u (3), grad u (8), u_high (3),
+    # grad u_high (8) and the adjoint (3) back, and u x omega (3) forward; a
+    # low-pass one only u and grad u back
+    _, snaps = small_run(grid32, tau_max=0.0)
+    high = snaps[0]  # small_series and long_series at tau = 0
+    # the same field at tau = 5, where s |xi| is inside the low block on
+    # every shell the field occupies
+    low = replace(high, frame=frame(t_of_tau(5.0, 1.0), 1.0))
+    rec, counts = ledger_components(high, grid32, monkeypatch)
+    assert rec.E0_high > 0.0
+    assert counts == {"inverse": 25, "forward": 3}
+    rec, counts = ledger_components(low, grid32, monkeypatch)
+    assert rec.E0_high == 0.0
+    assert counts == {"inverse": 11, "forward": 3}
 
 
 def test_fit_window_message_shows_plain_floats(small_series):

@@ -121,6 +121,18 @@ class TestTransforms:
         )
         assert np.array_equal(spec_to_phys(coeffs, grid), batched)
 
+    def test_inverse_into_given_array(self, grid16):
+        # out= fills the first eight slots of a gradient tensor in place,
+        # bitwise the samples it returns without out=, and leaves the ninth
+        rng = np.random.default_rng(8)
+        shape = (8,) + grid16.xi_sq.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tensor = np.full((3, 3, 16, 16, 16), np.nan)
+        slots = tensor.reshape(9, 16, 16, 16)[:8]
+        assert spec_to_phys(coeffs, grid16, out=slots) is slots
+        assert np.array_equal(slots, spec_to_phys(coeffs, grid16))
+        assert np.isnan(tensor[2, 2]).all()
+
     def test_half_spectrum_shape(self, grid16):
         w = transform_forward(random_band_limited(grid16, 5))
         assert w.coeffs.shape == (3, 16, 16, 9)
