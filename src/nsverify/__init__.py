@@ -32,7 +32,7 @@ from .ledger import (
     LedgerContext,
     RecordSeries,
     check_inequality,
-    fit_decay_rate,
+    decay_rate,
 )
 from .ode_compare import (
     ComparisonParams,

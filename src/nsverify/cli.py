@@ -7,6 +7,9 @@ Subcommands:
                       scaling, weakform, all)
 * ``profiles``        export the cutoff tables as CSV
 
+Exit codes of ``run``, ``suite`` and ``profiles``: 0 pass, 1 check failure,
+2 invalid configuration or argument, 3 resolution guard.
+
 ``NSVERIFY_FFT_WORKERS`` sets the FFT thread count; by default it is the
 number of CPUs the process may run on (its affinity mask).
 """
@@ -18,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .cutoffs import export_profile_table, make_profile
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .harness import (
     SUITES,
     format_summary_table,
@@ -82,11 +85,15 @@ def main(argv=None) -> int:
         return code
 
     if args.command == "profiles":
+        try:
+            chi = make_profile("chi", args.alpha)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         out = args.out_dir
         out.mkdir(parents=True, exist_ok=True)
         for kind in ("phi", "one_minus_phi", "tilde"):
             export_profile_table(make_profile(kind), out / f"{kind}.csv")
-        chi = make_profile("chi", args.alpha)
         export_profile_table(chi, out / f"chi_alpha{args.alpha:g}.csv")
         print(f"profile tables written to {out}")
         return 0

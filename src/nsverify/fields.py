@@ -51,6 +51,8 @@ class FieldSpec:
             raise ConfigurationError(f"unknown field family {self.family!r}")
         if not self.l2_norm_target > 0:
             raise ConfigurationError("l2_norm_target must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _unit_wavenumber_index(grid: Grid) -> int:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,8 +57,6 @@ from .spectral import (
 
 SCHEMA_VERSION = 1
 
-DEFAULT_CHECKS = tuple(lg.CHECK_NAMES)
-
 
 @dataclass
 class ScenarioConfig:
@@ -77,7 +76,7 @@ class ScenarioConfig:
     spectrum_slope: float = 1.0
     xi_cutoff: float = 2.4
     nonlinear: bool = True
-    checks: tuple = DEFAULT_CHECKS
+    checks: tuple = lg.CHECK_NAMES
     resolution_policy: str = "error"
     tolerance_scale: float = 1.0
     initial_file: str = ""
@@ -117,9 +116,13 @@ class ScenarioConfig:
                 f"unsupported schema_version {self.schema_version}"
             )
         build_grid(self.n, self.l_box)
+        if not (math.isfinite(self.dtau) and self.dtau > 0):
+            raise ConfigurationError(
+                f"dtau must be positive and finite, got {self.dtau}"
+            )
         self.trajectory_config()
         self.field_spec()
-        unknown = set(self.checks) - set(lg.CHECK_NAMES)
+        unknown = set(self.checks) - set(lg.CHECKS)
         if unknown:
             raise ConfigurationError(f"unknown checks: {sorted(unknown)}")
         fitted = [name for name in lg.FITTED_CHECKS if name in self.checks]
@@ -133,39 +136,25 @@ class ScenarioConfig:
             raise ConfigurationError("tolerance_scale must be positive")
 
     def cache_key(self) -> tuple:
-        return (
-            self.n, self.l_box, self.t_horizon, self.dt_max, self.cfl,
-            self.tau_min, self.tau_max, self.dtau, self.alpha, self.delta,
-            self.family, self.seed, self.spectrum_slope, self.xi_cutoff,
-            self.nonlinear,
-        )
+        """Every field but the two that only the checks read."""
+        return tuple(getattr(self, f.name) for f in dc_fields(self)
+                     if f.name not in ("checks", "tolerance_scale"))
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
+
+def _parse_checks(text: str) -> tuple:
+    if text.strip() == "all":
+        return lg.CHECK_NAMES
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+# one parser per field, read off its annotation: int, float and str parse
+# themselves; a bool and the check list have their own
 _SCHEMA_PARSERS = {
-    "schema_version": int,
-    "n": int,
-    "l_box": float,
-    "t_horizon": float,
-    "dt_max": float,
-    "cfl": float,
-    "tau_min": float,
-    "tau_max": float,
-    "dtau": float,
-    "alpha": float,
-    "delta": float,
-    "family": str,
-    "seed": int,
-    "spectrum_slope": float,
-    "xi_cutoff": float,
-    "nonlinear": lambda s: _BOOL[s.lower()],
-    "checks": lambda s: DEFAULT_CHECKS
-    if s.strip() == "all"
-    else tuple(x.strip() for x in s.split(",") if x.strip()),
-    "resolution_policy": str,
-    "tolerance_scale": float,
-    "initial_file": str,
+    name: {bool: lambda s: _BOOL[s.lower()], tuple: _parse_checks}.get(kind, kind)
+    for name, kind in get_type_hints(ScenarioConfig).items()
 }
 
 
@@ -275,25 +264,19 @@ def run_scenario(
         except Exception as exc:
             failures.append(f"{name}: {exc}")
             reports = [
-                lg.InequalityReport(name, math.nan, math.nan, math.nan,
-                                    math.inf, 0.0, False)
+                lg.InequalityReport(name, math.nan, math.nan, math.nan, math.inf, 0.0)
             ]
         reports_by_name[name] = reports
         if not all(r.passed for r in reports):
             failures.append(name)
 
     fitted = {}
-    taus = series.taus
-    if taus[-1] > 1.5:
-        window = (lg.FIT_START, min(4.0, taus[-1]))
-        X = series.column("E0_low_chi") + series.column("E0_tilde")
-        try:
-            fitted["weighted_low_band_energy"] = lg.fit_decay_rate(
-                list(zip(taus, X)), window
+    if series.taus[-1] > 1.5:
+        try:  # the fits of prop3.2-decay and lemma4.3
+            fitted["weighted_low_band_energy"] = lg.decay_rate(
+                series, lg.weighted_low_band_energy(series)
             )
-            fitted["curvature_energy"] = lg.fit_decay_rate(
-                list(zip(taus, series.column("E2"))), window
-            )
+            fitted["curvature_energy"] = lg.decay_rate(series, series.column("E2"))
         except FitError:
             pass
     ratio = series.column("sup_norm_w")
@@ -535,19 +518,16 @@ def criterion_taylor_green(n: int = 32) -> CriterionResult:
     )
 
 
-_IDENTITY_CHECKS = (
-    "lemma2.1", "lemma2.2-grad", "lemma2.2-lap", "eq3.7-identity", "eq3.21-chi"
-)
-
-
 @_timed
 def criterion_identity_suite(seeds=(0, 1, 2), tau_limit: float = 3.0) -> CriterionResult:
-    """Every differential identity holds at every interior sample."""
+    """Every equality balance holds at every interior sample."""
+    balances = [name for name, check in lg.CHECKS.items()
+                if isinstance(check.evaluate, lg.Balance)]
     worst = 0.0
     all_pass = True
     for seed in seeds:
         series = cached_series(default_run_config(seed))
-        for name in _IDENTITY_CHECKS:
+        for name in balances:
             for rep in lg.check_inequality(name, series):
                 if rep.tau > tau_limit:
                     continue
@@ -572,11 +552,11 @@ def criterion_decay_suite(seeds=(0, 1, 2)) -> CriterionResult:
         min_x_rate = min(min_x_rate, rep_x.empirical_constant)
         min_e2_rate = min(min_e2_rate, rep_e2.empirical_constant)
     alpha = 0.1
-    passed = min_x_rate >= alpha and min_e2_rate >= 1.3
+    passed = min_x_rate >= alpha and min_e2_rate >= lg.LEMMA43_FLOOR
     return CriterionResult(
         "decay-suite", passed,
         f"min fitted rates: weighted-energy {min_x_rate:.3f} (floor {alpha}), "
-        f"curvature {min_e2_rate:.3f} (floor 1.3)",
+        f"curvature {min_e2_rate:.3f} (floor {lg.LEMMA43_FLOOR})",
     )
 
 

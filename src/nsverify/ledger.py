@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields as dc_fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,8 +72,9 @@ __all__ = [
     "LedgerContext",
     "RecordsBuilder",
     "RecordSeries",
-    "fit_decay_rate",
+    "decay_rate",
     "check_inequality",
+    "CHECKS",
     "CHECK_NAMES",
     "summarize_reports",
     "write_records_csv",
@@ -181,13 +182,11 @@ class InequalityReport:
     rhs_bound: float
     residual: float
     tolerance: float
-    passed: bool
     empirical_constant: float | None = None
 
-    def __post_init__(self):
-        expected = self.residual <= self.tolerance
-        if self.passed != expected:
-            self.passed = expected
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
 
 class LedgerContext:
@@ -450,288 +449,248 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     return rec, values, fdots, (shell_e, shell_edot)
 
 
-# -- fits ----------------------------------------------------------------------
+# -- checks ----------------------------------------------------------------------
 
-
-def fit_decay_rate(series: Sequence[tuple], tau_window: tuple) -> float:
-    """Least-squares slope of ``-ln(value)`` against tau inside the window."""
-    lo, hi = tau_window
-    taus = np.array([p[0] for p in series], dtype=float)
-    vals = np.array([p[1] for p in series], dtype=float)
-    mask = (taus >= lo) & (taus <= hi)
-    if mask.sum() < 2:
-        raise FitError(f"window {tau_window} holds fewer than two samples")
-    if np.any(vals[mask] <= 0):
-        raise FitError("decay fit requires positive values in the window")
-    x = taus[mask]
-    y = -np.log(vals[mask])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
-
-
-# -- inequality checks ----------------------------------------------------------
-
-CHECK_NAMES = (
-    "lemma2.1",
-    "lemma2.2-grad",
-    "lemma2.2-lap",
-    "eq3.7-identity",
-    "eq3.21-chi",
-    "eq3.10",
-    "prop3.2-decay",
-    "eq4.4",
-    "lemma4.2",
-    "lemma4.3",
-    "eq3.13-3.14",
-)
-
-# the fits and the relaxation bound run over tau >= FIT_START, where each of
-# these checks needs at least two samples
+# the fits and the relaxation bound run over tau >= FIT_START, where each
+# fitted check needs at least two samples; the decay fits end at DECAY_END
 FIT_START = 1.0
-FITTED_CHECKS = ("prop3.2-decay", "lemma4.2", "lemma4.3")
-
-CHECK_DESCRIPTIONS = {
-    "lemma2.1": "L2 energy balance of the rescaled field (torus equality form)",
-    "lemma2.2-grad": "gradient-energy balance with the cubic strain term",
-    "lemma2.2-lap": "curvature-energy balance with the advected-Laplacian term",
-    "eq3.7-identity": "low-block energy balance with the dilation flux",
-    "eq3.21-chi": "fractional low-block energy balance with its dilation flux",
-    "eq3.10": "weighted low+band energy differential inequality, fitted cubic constant",
-    "prop3.2-decay": "fitted decay rate of the weighted low+band energy vs alpha",
-    "eq4.4": "high-block gradient-energy inequality with reported nonlinear split",
-    "lemma4.2": "gradient-energy relaxation bound with fitted forcing constant",
-    "lemma4.3": "fitted curvature-energy decay rate vs the theoretical floor",
-    "eq3.13-3.14": "low-block sup/L4 budget and tail decay",
-}
+DECAY_END = 4.0
+# Lemma 4.3's floor on the curvature-energy decay rate: 3/2 less a margin
+LEMMA43_FLOOR = 1.5 - 0.2
 
 
-def _simpson3(col: np.ndarray, i: int) -> float:
-    return (col[i - 1] + 4.0 * col[i] + col[i + 1]) / 6.0
+def weighted_low_band_energy(series: RecordSeries) -> np.ndarray:
+    """``X = E0_low_chi + E0_tilde``, the weighted energy of eq 3.10 and Prop 3.2."""
+    return series.column("E0_low_chi") + series.column("E0_tilde")
 
 
-def _bracket_mean(col: np.ndarray, taus: np.ndarray, i: int) -> float:
-    return (col[i + 1] - col[i - 1]) / (taus[i + 1] - taus[i - 1])
+def _decay_window(taus: np.ndarray) -> tuple:
+    return FIT_START, min(DECAY_END, float(taus[-1]))
 
 
-def _equality_check(
-    name: str,
-    series: RecordSeries,
-    lhs_col: str,
-    lhs_factor: float,
-    quad_terms: Sequence[tuple],
-    cubic_terms: Sequence[tuple],
-    tolerance_scale: float,
-) -> list:
+def decay_rate(series: RecordSeries, values: np.ndarray) -> float:
+    """Least-squares slope of ``-ln(values)`` against tau on the decay window
+    ``[FIT_START, min(DECAY_END, last tau)]``."""
     taus = series.taus
-    if len(series) < 5:
-        raise DomainError(f"{name}: need at least five samples")
-    E = series.column(lhs_col)
-    quads = [(coef, series.column("cum_" + col)) for coef, col in quad_terms]
-    cubics = [(coef, series.column(col)) for coef, col in cubic_terms]
+    window = _decay_window(taus)
+    mask = (taus >= window[0]) & (taus <= window[1])
+    if mask.sum() < 2:
+        raise FitError(f"window {window} holds fewer than two samples")
+    if np.any(values[mask] <= 0):
+        raise FitError("decay fit requires positive values in the window")
+    return float(np.polyfit(taus[mask], -np.log(values[mask]), 1)[0])
+
+
+def _simpson3(col: np.ndarray) -> np.ndarray:
+    """Three-point Simpson filter of ``col`` at each interior sample."""
+    return (col[:-2] + 4.0 * col[1:-1] + col[2:]) / 6.0
+
+
+def _bracket_mean(col: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Centered difference of ``col`` over each interior sample's bracket."""
+    return (col[2:] - col[:-2]) / (taus[2:] - taus[:-2])
+
+
+def _tolerance(scale, tolerance_scale: float):
+    return np.maximum(REL_TOL * tolerance_scale * scale, ABS_TOL)
+
+
+def _reports(name, taus, lhs, rhs, residual, scale, tolerance_scale, constant=None):
+    """One report per sample from the per-sample columns of a check."""
+    tol = _tolerance(scale, tolerance_scale)
+    return [
+        InequalityReport(name, *row, constant)
+        for row in zip(taus, lhs, rhs, residual, tol)
+    ]
+
+
+@dataclass(frozen=True)
+class Balance:
+    """The equality balance ``lhs_factor * dE/dtau = sum of terms`` at each
+    interior sample, ``E`` the column ``lhs``. A quadratic term ``(coef,
+    col)`` enters as the bracket mean of its ``cum_`` integral, a cubic term
+    as the Simpson filter of its column. Residuals are two-sided."""
+
+    lhs: str
+    lhs_factor: float
+    quad_terms: tuple
+    cubic_terms: tuple = ()
+
+    def __call__(self, name, series, tolerance_scale) -> list:
+        taus = series.taus
+        lhs = self.lhs_factor * _bracket_mean(series.column(self.lhs), taus)
+        terms = [coef * _bracket_mean(series.column("cum_" + col), taus)
+                 for coef, col in self.quad_terms]
+        terms += [coef * _simpson3(series.column(col))
+                  for coef, col in self.cubic_terms]
+        rhs = sum(terms)
+        scale = np.abs([lhs, *terms, rhs]).max(axis=0)
+        return _reports(name, taus[1:-1], lhs, rhs, np.abs(lhs - rhs), scale,
+                        tolerance_scale)
+
+
+def _decay(name, series, tolerance_scale, values, floor) -> list:
+    """One report at the window's end: the rate :func:`decay_rate` fits to
+    ``values`` is at least ``floor`` (signed residual ``floor - rate``)."""
+    rate = decay_rate(series, values)
+    tol = max(1e-9, REL_TOL * tolerance_scale * floor)
+    end = _decay_window(series.taus)[1]
+    return [InequalityReport(name, end, -rate, -floor, floor - rate, tol, rate)]
+
+
+def _prop3_2(name, series, tolerance_scale) -> list:
+    """Prop 3.2: the weighted low+band energy decays at rate alpha or faster."""
+    return _decay(name, series, tolerance_scale,
+                  weighted_low_band_energy(series), series.ctx.alpha)
+
+
+def _lemma4_3(name, series, tolerance_scale) -> list:
+    """Lemma 4.3: the curvature energy decays at rate LEMMA43_FLOOR or faster."""
+    return _decay(name, series, tolerance_scale, series.column("E2"), LEMMA43_FLOOR)
+
+
+def _eq3_10(name, series, tolerance_scale) -> list:
+    X = weighted_low_band_energy(series)
+    alpha = series.ctx.alpha
+    lhs = 0.5 * _bracket_mean(X, series.taus)
+    xf = np.maximum(_simpson3(X), 0.0)
+    # scalar ** here and math.exp in lemma4.2: array ufuncs may round differently
+    c_req = [(lo + alpha * x) / x**1.5 for lo, x in zip(lhs, xf) if x > 0]
+    c_emp = max(c_req) if c_req else 0.0
+    rhs = np.array([-alpha * x + c_emp * x**1.5 for x in xf])
+    scale = np.max([np.abs(lhs), np.abs(rhs), alpha * xf], axis=0)
+    return _reports(name, series.taus[1:-1], lhs, rhs, lhs - rhs, scale,
+                    tolerance_scale, c_emp)
+
+
+def _eq4_4(name, series, tolerance_scale) -> list:
+    E1h = series.column("E1_high")
+    dissipation = _simpson3(series.column("E2_high"))
+    lhs = 0.5 * _bracket_mean(E1h, series.taus)
+    rhs = (-dissipation - 0.25 * _simpson3(E1h)
+           + np.abs(_simpson3(series.column("T_grad_high"))))
+    scale = np.max([np.abs(lhs), np.abs(rhs), dissipation], axis=0)
+    return _reports(name, series.taus[1:-1], lhs, rhs, lhs - rhs, scale,
+                    tolerance_scale)
+
+
+def _lemma4_2(name, series, tolerance_scale) -> list:
+    taus = series.taus
+    start = int(np.searchsorted(taus, FIT_START))
+    if start >= len(series) - 1:
+        raise DomainError("lemma4.2 window starts beyond the sampled range")
+    delta1 = float(np.sqrt(series.column("E1_high")[start:].max()))
+    E1 = series.column("E1")
+    e1_0, E1 = E1[start], E1[start + 1:]
+    decayed = np.array([math.exp(-0.5 * (t - taus[start])) for t in taus[start + 1:]])
+    denom = 2.0 * delta1 * (1.0 - decayed)
+    c_req = ((E1 - decayed * e1_0) / denom)[denom > 0]
+    c_emp = max(c_req) if c_req.size else 0.0
+    rhs = decayed * e1_0 + 2.0 * c_emp * delta1 * (1.0 - decayed)
+    scale = np.max([E1, np.abs(rhs), e1_0 * decayed], axis=0)
+    return _reports(name, taus[start + 1:], E1, rhs, E1 - rhs, scale,
+                    tolerance_scale, c_emp)
+
+
+def _eq3_13_14(name, series, tolerance_scale) -> list:
+    delta = series.ctx.delta
+    if delta is None:
+        raise DomainError("eq3.13-3.14 needs the run's delta in the context")
+    end = series.taus[-1]
+    start = min(int(np.searchsorted(series.taus, FIT_START)), len(series) - 2)
     reports = []
-    for i in range(1, len(series) - 1):
-        lhs = lhs_factor * _bracket_mean(E, taus, i)
-        rhs = 0.0
-        scale = abs(lhs)
-        for coef, cum in quads:
-            term = coef * _bracket_mean(cum, taus, i)
-            rhs += term
-            scale = max(scale, abs(term))
-        for coef, col in cubics:
-            term = coef * _simpson3(col, i)
-            rhs += term
-            scale = max(scale, abs(term))
-        scale = max(scale, abs(rhs))
-        tol = max(REL_TOL * tolerance_scale * scale, ABS_TOL)
-        resid = abs(lhs - rhs)
-        reports.append(
-            InequalityReport(name, taus[i], lhs, rhs, resid, tol, resid <= tol)
-        )
+    for col in ("sup_w_low", "l4_w_low"):
+        vals = series.column(col)
+        budget = float(vals.max()) / delta  # reported C(beta) analogue
+        head, final = vals[start], vals[-1]
+        tol = _tolerance(head, tolerance_scale)
+        reports.append(InequalityReport(
+            name, end, final, 0.5 * head, final - 0.5 * head, tol, budget))
+    grad_budget = float(series.column("sup_grad_w_low").max()) / delta
+    reports.append(InequalityReport(
+        name, end, grad_budget, math.inf, -math.inf, 0.0, grad_budget))
     return reports
 
 
-def check_inequality(
-    name: str,
-    series: RecordSeries,
-    tolerance_scale: float = 1.0,
-    decay_window: tuple = (FIT_START, 4.0),
-    lemma43_margin: float = 0.2,
-    tail_start: float = FIT_START,
-) -> list:
-    """Evaluate one named balance/inequality over the record series.
+@dataclass(frozen=True)
+class Check:
+    """One of the paper's checks. ``evaluate(name, series, tolerance_scale)``
+    returns its reports; a ``fitted`` check fits on tau >= FIT_START."""
+
+    description: str
+    evaluate: Callable
+    fitted: bool = False
+
+
+CHECKS = {
+    "lemma2.1": Check(
+        "L2 energy balance of the rescaled field (torus equality form)",
+        Balance("E0", 0.5, ((0.25, "E0"), (-1.0, "E1"))),
+    ),
+    "lemma2.2-grad": Check(
+        "gradient-energy balance with the cubic strain term",
+        Balance("E1", 1.0, ((-0.5, "E1"), (-2.0, "E2")), ((-2.0, "T_grad"),)),
+    ),
+    "lemma2.2-lap": Check(
+        "curvature-energy balance with the advected-Laplacian term",
+        Balance("E2", 1.0, ((-1.5, "E2"), (-2.0, "E3")), ((-2.0, "T_lap"),)),
+    ),
+    "eq3.7-identity": Check(
+        "low-block energy balance with the dilation flux",
+        Balance(
+            "E0_low", 0.5,
+            ((0.25, "E0_low"), (-1.0, "E1_low"), (-0.25, "flux_phi")),
+            ((-1.0, "T_low"),),
+        ),
+    ),
+    "eq3.21-chi": Check(
+        "fractional low-block energy balance with its dilation flux",
+        Balance(
+            "E0_low_chi", 0.5,
+            ((0.25, "E0_low_chi"), (-1.0, "E1_low_chi"), (-0.25, "flux_chi")),
+            ((-1.0, "T_chi"),),
+        ),
+    ),
+    "eq3.10": Check(
+        "weighted low+band energy differential inequality, fitted cubic constant",
+        _eq3_10,
+    ),
+    "prop3.2-decay": Check(
+        "fitted decay rate of the weighted low+band energy vs alpha",
+        _prop3_2, fitted=True,
+    ),
+    "eq4.4": Check(
+        "high-block gradient-energy inequality with reported nonlinear split",
+        _eq4_4,
+    ),
+    "lemma4.2": Check(
+        "gradient-energy relaxation bound with fitted forcing constant",
+        _lemma4_2, fitted=True,
+    ),
+    "lemma4.3": Check(
+        "fitted curvature-energy decay rate vs the theoretical floor",
+        _lemma4_3, fitted=True,
+    ),
+    "eq3.13-3.14": Check("low-block sup/L4 budget and tail decay", _eq3_13_14),
+}
+CHECK_NAMES = tuple(CHECKS)
+FITTED_CHECKS = tuple(name for name, check in CHECKS.items() if check.fitted)
+
+
+def check_inequality(name: str, series: RecordSeries, tolerance_scale=1.0) -> list:
+    """Evaluate one named balance/inequality of :data:`CHECKS` over the
+    record series.
 
     Returns one report per interior sample for the differential checks and a
     small number of fit-level reports for the decay/budget checks. Equality
     residuals are absolute values (two-sided); inequality residuals are signed
     ``lhs - rhs`` (pass when at most the tolerance).
     """
-    if name not in CHECK_NAMES:
+    if name not in CHECKS:
         raise DomainError(f"unknown inequality name {name!r}")
     if len(series) < 5:
         raise DomainError("inequality checks need at least five samples")
-    taus = series.taus
-    ts = tolerance_scale
-
-    if name == "lemma2.1":
-        return _equality_check(
-            name, series, "E0", 0.5,
-            [(0.25, "E0"), (-1.0, "E1")], [], ts,
-        )
-    if name == "lemma2.2-grad":
-        return _equality_check(
-            name, series, "E1", 1.0,
-            [(-0.5, "E1"), (-2.0, "E2")], [(-2.0, "T_grad")], ts,
-        )
-    if name == "lemma2.2-lap":
-        return _equality_check(
-            name, series, "E2", 1.0,
-            [(-1.5, "E2"), (-2.0, "E3")], [(-2.0, "T_lap")], ts,
-        )
-    if name == "eq3.7-identity":
-        return _equality_check(
-            name, series, "E0_low", 0.5,
-            [(0.25, "E0_low"), (-1.0, "E1_low"), (-0.25, "flux_phi")],
-            [(-1.0, "T_low")], ts,
-        )
-    if name == "eq3.21-chi":
-        return _equality_check(
-            name, series, "E0_low_chi", 0.5,
-            [(0.25, "E0_low_chi"), (-1.0, "E1_low_chi"), (-0.25, "flux_chi")],
-            [(-1.0, "T_chi")], ts,
-        )
-
-    if name == "eq3.10":
-        X = series.column("E0_low_chi") + series.column("E0_tilde")
-        alpha = series.ctx.alpha
-        interior = range(1, len(series) - 1)
-        lhs = {i: 0.5 * _bracket_mean(X, taus, i) for i in interior}
-        xf = {i: max(_simpson3(X, i), 0.0) for i in interior}
-        c_req = [
-            (lhs[i] + alpha * xf[i]) / xf[i] ** 1.5
-            for i in interior
-            if xf[i] > 0
-        ]
-        c_emp = max(c_req) if c_req else 0.0
-        reports = []
-        for i in interior:
-            rhs = -alpha * xf[i] + c_emp * xf[i] ** 1.5
-            resid = lhs[i] - rhs
-            scale = max(abs(lhs[i]), abs(rhs), alpha * xf[i])
-            tol = max(REL_TOL * ts * scale, ABS_TOL)
-            reports.append(
-                InequalityReport(
-                    name, taus[i], lhs[i], rhs, resid, tol, resid <= tol, c_emp
-                )
-            )
-        return reports
-
-    if name == "prop3.2-decay":
-        X = series.column("E0_low_chi") + series.column("E0_tilde")
-        alpha = series.ctx.alpha
-        lo, hi = decay_window
-        hi = min(hi, float(taus[-1]))
-        fitted = fit_decay_rate(list(zip(taus, X)), (lo, hi))
-        resid = alpha - fitted
-        tol = max(1e-9, REL_TOL * ts * alpha)
-        return [
-            InequalityReport(
-                name, hi, -fitted, -alpha, resid, tol, resid <= tol, fitted
-            )
-        ]
-
-    if name == "eq4.4":
-        E1h = series.column("E1_high")
-        E2h = series.column("E2_high")
-        Tgh = series.column("T_grad_high")
-        reports = []
-        for i in range(1, len(series) - 1):
-            lhs = 0.5 * _bracket_mean(E1h, taus, i)
-            rhs = (
-                -_simpson3(E2h, i)
-                - 0.25 * _simpson3(E1h, i)
-                + abs(_simpson3(Tgh, i))
-            )
-            resid = lhs - rhs
-            scale = max(abs(lhs), abs(rhs), _simpson3(E2h, i))
-            tol = max(REL_TOL * ts * scale, ABS_TOL)
-            reports.append(
-                InequalityReport(name, taus[i], lhs, rhs, resid, tol, resid <= tol)
-            )
-        return reports
-
-    if name == "lemma4.2":
-        E1 = series.column("E1")
-        E1h = series.column("E1_high")
-        start = int(np.searchsorted(taus, tail_start))
-        if start >= len(series) - 1:
-            raise DomainError("lemma4.2 window starts beyond the sampled range")
-        delta1 = float(np.sqrt(E1h[start:].max()))
-        tau0 = taus[start]
-        e1_0 = E1[start]
-        c_req = []
-        for i in range(start + 1, len(series)):
-            decayed = math.exp(-0.5 * (taus[i] - tau0))
-            denom = 2.0 * delta1 * (1.0 - decayed)
-            if denom > 0:
-                c_req.append((E1[i] - decayed * e1_0) / denom)
-        c_emp = max(c_req) if c_req else 0.0
-        reports = []
-        for i in range(start + 1, len(series)):
-            decayed = math.exp(-0.5 * (taus[i] - tau0))
-            rhs = decayed * e1_0 + 2.0 * c_emp * delta1 * (1.0 - decayed)
-            resid = E1[i] - rhs
-            scale = max(E1[i], abs(rhs), e1_0 * decayed)
-            tol = max(REL_TOL * ts * scale, ABS_TOL)
-            reports.append(
-                InequalityReport(
-                    name, taus[i], E1[i], rhs, resid, tol, resid <= tol, c_emp
-                )
-            )
-        return reports
-
-    if name == "lemma4.3":
-        lo, hi = decay_window
-        hi = min(hi, float(taus[-1]))
-        fitted = fit_decay_rate(list(zip(taus, series.column("E2"))), (lo, hi))
-        floor = 1.5 - lemma43_margin
-        resid = floor - fitted
-        tol = max(1e-9, REL_TOL * ts * floor)
-        return [
-            InequalityReport(
-                name, hi, -fitted, -floor, resid, tol, resid <= tol, fitted
-            )
-        ]
-
-    if name == "eq3.13-3.14":
-        delta = series.ctx.delta
-        if delta is None:
-            raise DomainError("eq3.13-3.14 needs the run's delta in the context")
-        reports = []
-        start = int(np.searchsorted(taus, tail_start))
-        start = min(start, len(series) - 2)
-        for col in ("sup_w_low", "l4_w_low"):
-            vals = series.column(col)
-            budget = float(vals.max()) / delta  # reported C(beta) analogue
-            head = vals[start]
-            final = vals[-1]
-            resid = final - 0.5 * head
-            tol = max(REL_TOL * ts * head, ABS_TOL)
-            reports.append(
-                InequalityReport(
-                    name, taus[-1], final, 0.5 * head, resid, tol,
-                    resid <= tol, budget,
-                )
-            )
-        grad_budget = float(series.column("sup_grad_w_low").max()) / delta
-        reports.append(
-            InequalityReport(
-                name, taus[-1], grad_budget, math.inf, -math.inf, 0.0, True,
-                grad_budget,
-            )
-        )
-        return reports
-
-    raise DomainError(f"unknown inequality name {name!r}")
+    return CHECKS[name].evaluate(name, series, tolerance_scale)
 
 
 def summarize_reports(reports_by_name: dict) -> list:
@@ -757,7 +716,7 @@ def summarize_reports(reports_by_name: dict) -> list:
         out.append(
             {
                 "name": name,
-                "description": CHECK_DESCRIPTIONS.get(name, ""),
+                "description": CHECKS[name].description if name in CHECKS else "",
                 "samples": len(reports),
                 "max_residual": worst.residual if worst else None,
                 "tolerance": worst.tolerance if worst else None,

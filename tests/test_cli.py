@@ -25,16 +25,22 @@ def test_check_failure_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, flags",
     [
-        SMALL_SCENARIO + "colour = blue\n",
-        SMALL_SCENARIO + "n = 32\n",
-        SMALL_SCENARIO.replace("schema_version = 1\n", ""),
+        (SMALL_SCENARIO + "colour = blue\n", ()),
+        (SMALL_SCENARIO + "n = 32\n", ()),
+        (SMALL_SCENARIO.replace("schema_version = 1\n", ""), ()),
+        (SMALL_SCENARIO.replace("dtau = 0.02", "dtau = 0"), ()),
+        (SMALL_SCENARIO.replace("dtau = 0.02", "dtau = nan"), ()),
+        (SMALL_SCENARIO + "seed = -3\n", ()),
+        (SMALL_SCENARIO, ("--seed", "-1")),
     ],
-    ids=["unknown-key", "duplicate-key", "missing-schema-version"],
+    ids=["unknown-key", "duplicate-key", "missing-schema-version", "zero-dtau",
+         "nan-dtau", "negative-seed", "negative-seed-flag"],
 )
-def test_invalid_config_exits_2(tmp_path, text):
-    assert run_cli(tmp_path, text) == 2
+def test_invalid_config_exits_2(tmp_path, capsys, text, flags):
+    assert run_cli(tmp_path, text, *flags) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_window_too_short_for_the_fits_exits_2(tmp_path):
@@ -77,3 +83,11 @@ def test_profiles_match_eval(tmp_path):
     for name, psi in files.items():
         table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 1], psi.eval(table[:, 0]))
+
+
+def test_profiles_reject_alpha_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["profiles", "--alpha", "0.5", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must lie in") and err.count("\n") == 1
+    assert not out.exists()

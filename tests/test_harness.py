@@ -79,3 +79,14 @@ def test_energy_increase_maps_to_exit_3(monkeypatch):
     result = run_scenario(parse_scenario_text(SMALL_SCENARIO))
     assert result.exit_code == 3
     assert "energy increased" in result.message
+
+
+def test_fitted_rates_are_the_decay_checks_fits():
+    text = (SMALL_SCENARIO.replace("tau_max = 0.2", "tau_max = 2.0")
+            .replace("checks = lemma2.1", "checks = all"))
+    result = run_scenario(parse_scenario_text(text))
+    constants = {s["name"]: s["empirical_constant"] for s in result.summaries}
+    assert result.fitted_rates["weighted_low_band_energy"] == constants["prop3.2-decay"]
+    assert result.fitted_rates["curvature_energy"] == constants["lemma4.3"]
+    assert len(result.summaries) == 11
+    assert all(s["description"] for s in result.summaries)
