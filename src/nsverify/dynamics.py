@@ -4,8 +4,8 @@ Unit viscosity, periodic box, pressure eliminated by projection:
 
     du_hat/dt = -|xi|^2 u_hat - P[F[(u . grad) u]]
 
-The quadratic term is formed in physical space and truncated with the 2/3
-cube mask, which makes every retained product mode an exact Galerkin
+The quadratic term is formed in physical space and truncated to the 2/3
+band, which makes every retained product mode an exact Galerkin
 convolution. Time stepping is classical RK4 on the integrating-factor
 transform ``v = exp(|xi|^2 t) u_hat``: the viscous factor is treated exactly,
 so the linear problem is integrated without error regardless of step size.
@@ -24,6 +24,15 @@ sample strictly inside a step is the step's dense output: the classical RK4
 continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of
 ``v``, built from the step's own four stages, so the linear part is exact
 there too and the local error is O(h^4).
+
+The integrator works on the grid's 2/3 band (:class:`~nsverify.spectral.Band`):
+a dealiased trajectory is zero outside it, so the state, the four stages,
+the viscous factors and the products are held as band arrays, 28-30 % of
+the half spectrum. Each inverse transform scatters its band coefficients
+into the zero-padded half spectrum, and each forward transform of a product
+gathers the band out of it, which is the truncation. The tendency functions
+take a field on a grid or on its band. Snapshots are scattered back to the
+grid's half spectrum when they are emitted.
 
 The integrator computes nothing for the ledger: a nonlinear trajectory costs
 exactly four tendency evaluations per step, and a snapshot carries the field
@@ -55,12 +64,13 @@ from .spectral import (
     SpectralVectorField,
     cross,
     l2_norm,
-    l2_norm_sq,
     leray_project,
+    mode_energy,
+    mode_sum,
     parseval_pair,
     phys_to_spec,
     spec_to_phys,
-    spectral_tail_fraction,
+    tail_fraction,
 )
 
 __all__ = [
@@ -139,6 +149,15 @@ class TrajectoryConfig:
 # -- tendencies ---------------------------------------------------------------
 
 
+def _dealiased_product(samples: np.ndarray, g) -> np.ndarray:
+    """Forward transform of a quadratic product, truncated to the 2/3 band:
+    by the mask on a grid, by the gather itself on a band."""
+    coeffs = phys_to_spec(samples, g)
+    if isinstance(g, Grid):
+        coeffs *= g.dealias_mask
+    return coeffs
+
+
 def convective_term(u_hat: SpectralVectorField) -> SpectralVectorField:
     """Dealiased coefficients of ``(u . grad) u`` (no projection applied)."""
     g = u_hat.grid
@@ -149,9 +168,7 @@ def convective_term(u_hat: SpectralVectorField) -> SpectralVectorField:
         acc += u[1] * spec_to_phys(1j * g.xi[1] * u_hat.coeffs[k], g)
         acc += u[2] * spec_to_phys(1j * g.xi[2] * u_hat.coeffs[k], g)
         out[k] = acc
-    coeffs = phys_to_spec(out, g)
-    coeffs *= g.dealias_mask
-    return SpectralVectorField(g, coeffs, False)
+    return SpectralVectorField(g, _dealiased_product(out, g), False)
 
 
 def _rotational_product(u_hat: SpectralVectorField) -> np.ndarray:
@@ -166,9 +183,7 @@ def _rotational_product(u_hat: SpectralVectorField) -> np.ndarray:
         vort[i] -= term
         vort[i] *= 1j
     u = spec_to_phys(c, g)
-    coeffs = phys_to_spec(cross(u, spec_to_phys(vort, g)), g)
-    coeffs *= g.dealias_mask
-    return coeffs
+    return _dealiased_product(cross(u, spec_to_phys(vort, g)), g)
 
 
 def _nonlinear_tendency(
@@ -222,8 +237,8 @@ def _cfl_cap(u_hat: SpectralVectorField, cfg: TrajectoryConfig) -> float:
     return min(cfg.dt_max, cfg.cfl * dx / bound)
 
 
-def _viscous_factors(grid: Grid, dt: float):
-    half = np.exp(grid.xi_sq * (-dt / 2.0))
+def _viscous_factors(band, dt: float):
+    half = np.exp(band.xi_sq * (-dt / 2.0))
     return half, half * half
 
 
@@ -233,7 +248,8 @@ def _ifrk4(
     cfg: TrajectoryConfig,
     factors=None,
 ) -> tuple[SpectralVectorField, float, tuple | None]:
-    """One integrating-factor RK4 step; it evaluates all four stages itself.
+    """One integrating-factor RK4 step of a band field; it evaluates all
+    four stages itself.
 
     Returns the new field, the energy-orthogonality ratio
     ``|<P N, u>| / (||N|| ||u||)`` of the first stage's dealiased quadratic
@@ -284,7 +300,7 @@ def _ifrk4(
 
 
 def _dense_output(
-    c0: np.ndarray, stages: tuple | None, h: float, theta: float, grid: Grid
+    c0: np.ndarray, stages: tuple | None, h: float, theta: float, band
 ) -> np.ndarray:
     """State at ``t0 + theta*h`` inside the IF-RK4 step of size ``h`` that
     starts from ``c0`` and has the given ``stages``.
@@ -297,10 +313,10 @@ def _dense_output(
 
     with ``b1 = theta - 3 theta^2/2 + 2 theta^3/3``, ``b2 = theta^2 -
     2 theta^3/3`` and ``b4 = -theta^2/2 + 2 theta^3/3``; at ``theta = 1`` it
-    is the step's end state. The exponents are taken on the 2/3 band, where
-    the trajectory lives, so the growth factors stay finite on large grids.
+    is the step's end state. All arrays are on the 2/3 band, where the
+    trajectory lives, so the growth factors stay finite on large grids.
     """
-    xs = grid.dealiased_xi_sq
+    xs = band.xi_sq
     decay = np.exp(xs * (-theta * h))
     if stages is None:
         return decay * c0
@@ -320,21 +336,27 @@ def _dense_output(
 
 def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
     """Advance one step of size ``dt``; validates the step against ``dt_max``
-    and the advective CFL bound before moving."""
+    and the advective CFL bound before moving. The step runs on the grid's
+    2/3 band, as in :func:`simulate`: the field's part outside it is
+    dropped."""
     if not dt > 0:
         raise StepSizeError(f"step size must be positive, got {dt}")
     if dt > cfg.dt_max * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} exceeds dt_max {cfg.dt_max}")
-    cap = _cfl_cap(state.u_hat, cfg)
+    grid = state.u_hat.grid
+    u = SpectralVectorField(grid.band, grid.band.gather(state.u_hat.coeffs), True)
+    cap = _cfl_cap(u, cfg)
     if dt > cap * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} violates the CFL cap {cap:.3e}")
-    new, _, _ = _ifrk4(state.u_hat, dt, cfg)
-    return SimState(state.t + dt, new)
+    new, _, _ = _ifrk4(u, dt, cfg)
+    return SimState(
+        state.t + dt, SpectralVectorField(grid, grid.band.scatter(new.coeffs), True)
+    )
 
 
 def _prepare_initial(u0: SpectralVectorField, cfg: TrajectoryConfig) -> SpectralVectorField:
     g = u0.grid
-    if g != Grid(cfg.n, cfg.l_box):
+    if (g.n, g.l_box) != (cfg.n, cfg.l_box):
         raise ConfigurationError("initial field grid does not match the config")
     u = SpectralVectorField(g, u0.coeffs * g.dealias_mask, True)
     norm = l2_norm(u)
@@ -363,19 +385,22 @@ def simulate(
 ) -> Iterator[Snapshot]:
     """Integrate from ``t = 0`` and yield a snapshot at every sample tau.
 
-    The initial data is rescaled to ``||u0|| = delta`` on entry. From each
+    The initial data is dealiased and rescaled to ``||u0|| = delta`` on
+    entry; the state then lives on the grid's 2/3 band. From each
     step end (a sample, or ``t = 0``) one IF-RK4 step goes to the furthest
     later sample within ``min(dt_max, CFL cap at the step start)``; if even
     the next sample lies beyond the cap, that span is split into equal steps.
     A sample strictly inside a step is the step's RK4 dense output
     (:func:`_dense_output`); a sample on a step end is the step's own result.
-    Emitted fields are fresh copies safe to hold across iterations; energy
-    monotonicity and the spectral-tail guard are enforced sample by sample.
+    Emitted fields are fresh half-spectrum arrays safe to hold across
+    iterations; energy monotonicity and the spectral-tail guard are enforced
+    sample by sample.
     Emitting a sample evaluates no tendency, so a nonlinear trajectory costs
     exactly ``4 * steps`` tendency evaluations.
     """
     ugrid = u0.grid
-    u = _prepare_initial(u0, cfg)
+    band = ugrid.band
+    u = SpectralVectorField(band, band.gather(_prepare_initial(u0, cfg).coeffs), True)
     times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
     t = 0.0
     worst_orth = 0.0
@@ -383,14 +408,15 @@ def simulate(
 
     def sample(i: int, t_i: float, coeffs: np.ndarray) -> Snapshot:
         nonlocal prev_energy
-        field = SpectralVectorField(ugrid, coeffs, True)
-        energy = l2_norm_sq(field)
+        field = SpectralVectorField(ugrid, band.scatter(coeffs), True)
+        density = mode_energy(field.coeffs)
+        energy = mode_sum(density, ugrid)
         if energy > prev_energy * (1.0 + 1e-12):
             raise EnergyIncreaseError(
                 f"energy increased between samples ({prev_energy} -> {energy})"
             )
         prev_energy = energy
-        tail = spectral_tail_fraction(field)
+        tail = tail_fraction(density, ugrid)
         if tail > cfg.resolution_threshold:
             msg = (
                 f"spectral tail fraction {tail:.3e} above "
@@ -421,7 +447,7 @@ def simulate(
             if span > cap:
                 nsteps = math.ceil(span / cap)
                 dt = span / nsteps
-                factors = _viscous_factors(ugrid, dt)
+                factors = _viscous_factors(band, dt)
                 for _ in range(nsteps):
                     u, orth, _ = _ifrk4(u, dt, cfg, factors)
                     worst_orth = max(worst_orth, orth)
@@ -434,12 +460,12 @@ def simulate(
                 worst_orth = max(worst_orth, orth)
                 for k in range(i, j):
                     theta = (times[k] - t) / h
-                    inside = _dense_output(u.coeffs, stages, h, theta, ugrid)
+                    inside = _dense_output(u.coeffs, stages, h, theta, band)
                     yield sample(k, times[k], inside)
                 stages = None  # free the four stage arrays before the next step
                 u, i = end, j
             t = times[i]
-        yield sample(i, t, u.coeffs.copy())
+        yield sample(i, t, u.coeffs)
         i += 1
 
 
@@ -609,7 +635,10 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
             grad_v[j, k] = spec_to_phys(1j * g.xi[j] * v.coeffs[k], g)
     norm_v = l2_norm(v)
     grad_norm_v = float(np.sqrt((grad_v**2).sum() * g.cell_volume))
-    xi_sq_v = g.xi_sq * v.coeffs
+    # the test field's Parseval weights, applied once: u pairs with them
+    # by vdot, and a weight of 1 or 2 scales each product exactly
+    weighted_v = g.multiplicity * v.coeffs
+    weighted_xi_sq_v = g.multiplicity * (g.xi_sq * v.coeffs)
 
     cell = g.cell_volume
     values = np.empty(len(snapshots))
@@ -619,8 +648,8 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
         t = snap.frame.t
         theta = testfield.envelope(t)
         theta_dot = testfield.envelope_rate(t)
-        u_v = parseval_pair(v.coeffs, u_hat.coeffs, g)
-        gradu_gradv = parseval_pair(xi_sq_v, u_hat.coeffs, g)
+        u_v = float(np.vdot(weighted_v, u_hat.coeffs).real)
+        gradu_gradv = float(np.vdot(weighted_xi_sq_v, u_hat.coeffs).real)
         u = spec_to_phys(u_hat.coeffs, g)
         adv = 0.0
         uu_sq = 0.0

@@ -120,6 +120,11 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"dtau must be positive and finite, got {self.dtau}"
             )
+        for name in ("tau_min", "tau_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         self.trajectory_config()
         self.field_spec()
         unknown = set(self.checks) - set(lg.CHECKS)
@@ -261,14 +266,15 @@ def run_scenario(
             reports = lg.check_inequality(
                 name, series, tolerance_scale=cfg.tolerance_scale
             )
-        except Exception as exc:
+        except Exception as exc:  # its stand-in report fails; name it once
             failures.append(f"{name}: {exc}")
             reports = [
                 lg.InequalityReport(name, math.nan, math.nan, math.nan, math.inf, 0.0)
             ]
+        else:
+            if not all(r.passed for r in reports):
+                failures.append(name)
         reports_by_name[name] = reports
-        if not all(r.passed for r in reports):
-            failures.append(name)
 
     fitted = {}
     if series.taus[-1] > 1.5:

@@ -21,11 +21,21 @@ Conventions used everywhere in the package:
 * a quadratic functional whose weight depends on ``|xi|`` only is a sum over
   lattice shells ``|xi| = const`` (:func:`shell_sum`, :attr:`Grid.shell_radii`).
 
+A dealiased field is zero outside the 2/3 band ``|kx|, |ky|, kz <= K``
+(``K = dealias_kmax``), 28 % of the half spectrum at n=32 and 30 % at n=64.
+:attr:`Grid.band` (a :class:`Band`) holds that band as compact arrays, with
+the same frequency arrays and Parseval weights as its grid, so the operators
+here run on band coefficients unchanged.
+
 The inverse transform runs one component at a time: a batch of nine n=32
 components is about 2.5 MB, larger than a typical 2 MB L2 cache, while one
 component's transform stays in cache, which halves its time per component.
 Transforming a component alone gives bitwise the same samples as the batched
-call. The forward transform stays batched; per component it is no faster.
+call. Band coefficients are scattered into a zeroed half spectrum, scaled on
+the way, so the transform sees bitwise the input of their grid's layout. The
+forward transform stays batched; per component it is no faster. Onto a band,
+it gathers the band out of the half spectrum, and that gather is the 2/3
+truncation.
 """
 
 from __future__ import annotations
@@ -63,13 +73,13 @@ class Grid:
     wavenumbers and frequencies of a full axis; ``xi``, broadcastable
     ``(xi_x, xi_y, xi_z)`` with ``xi_z`` over ``kz = 0 .. n/2``; per stored
     mode ``xi_sq``, ``xi_mag``, ``inv_xi_sq`` (zero mode mapped to 0),
-    ``dealias_mask``, ``dealiased_xi_sq`` (``xi_sq`` on the 2/3 band, 0
-    outside), ``tail_mask`` (``|xi|`` above two thirds of Nyquist),
+    ``dealias_mask``, ``tail_mask`` (``|xi|`` above two thirds of Nyquist),
     ``not_nyquist`` and ``multiplicity``, the number of
     lattice modes each stored mode stands for (1 on the ``kz = 0`` and
     ``kz = n/2`` planes, 2 elsewhere, where the conjugate is not stored);
     the lattice shells ``shell_radii``, the distinct ``|xi|`` values, and
-    ``shell_index``, the shell of each stored mode (flattened).
+    ``shell_index``, the shell of each stored mode (flattened); ``band``, the
+    grid's 2/3 band (:class:`Band`).
     """
 
     n: int
@@ -105,7 +115,6 @@ class Grid:
         not_nyq = ~(nyq[:, None, None] | nyq[None, :, None]
                     | (kz == n // 2)[None, None, :])
         put("not_nyquist", not_nyq)
-        put("dealiased_xi_sq", xi_sq * self.dealias_mask)
         put("tail_mask", self.xi_mag > (2.0 / 3.0) * self.xi_nyquist)
         put("_forward_factor", not_nyq * (self.l_box**1.5 / n**3))
         mult = np.where((kz == 0) | (kz == n // 2), 1.0, 2.0)
@@ -125,6 +134,7 @@ class Grid:
         present[k_sq.ravel()] = True
         put("shell_radii", np.sqrt(np.flatnonzero(present)) * self.dxi)
         put("shell_index", (np.cumsum(present) - 1)[k_sq.ravel()])
+        put("band", Band(self))
 
     @property
     def cell_volume(self) -> float:
@@ -152,6 +162,64 @@ class Grid:
         return hash((self.n, self.l_box))
 
 
+class Band:
+    """The 2/3 band ``|kx|, |ky|, kz <= K`` (``K = dealias_kmax``) of a
+    :class:`Grid`: the modes a dealiased field can hold, as compact arrays of
+    shape ``(2K+1, 2K+1, K+1)``.
+
+    The first two axes run over ``k = 0 .. K, -K .. -1``, the order in which
+    the grid stores them, and the last over ``kz = 0 .. K``. ``xi``,
+    ``xi_sq``, ``inv_xi_sq`` and ``multiplicity`` are the grid's, gathered,
+    so :func:`leray_project`, :func:`parseval_pair` and the like run on band
+    coefficients as on the grid's. ``n`` and ``l_box`` are the grid's too;
+    :func:`spec_to_phys` and :func:`phys_to_spec` transform band coefficients
+    on the grid's collocation points. A band is equal only to itself, never
+    to its grid, so fields of the two layouts do not mix.
+    """
+
+    def __init__(self, grid: Grid):
+        n, k = grid.n, grid.dealias_kmax
+        self.n, self.l_box = n, grid.l_box
+        self.shape = (2 * k + 1, 2 * k + 1, k + 1)
+        # band rows -> grid rows per axis: k >= 0 first, then k < 0
+        rows = ((slice(0, k + 1), slice(0, k + 1)),
+                (slice(k + 1, None), slice(n - k, n)))
+        self._blocks = [
+            ((Ellipsis, bx, by, slice(None)), (Ellipsis, gx, gy, slice(0, k + 1)))
+            for bx, gx in rows for by, gy in rows
+        ]
+        self._forward_scale = self.l_box**1.5 / n**3
+        xi1d = grid.xi1d[np.r_[0 : k + 1, n - k : n]]
+        self.xi = (xi1d[:, None, None], xi1d[None, :, None], grid.xi[2][..., : k + 1])
+        self.xi_sq = self.gather(grid.xi_sq)
+        self.inv_xi_sq = self.gather(grid.inv_xi_sq)
+        self.multiplicity = self.gather(grid.multiplicity)
+
+    def gather(self, half: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """The band entries of ``half`` (``(..., n, n, n//2 + 1)``, the
+        grid's layout), times ``scale``."""
+        out = np.empty(half.shape[:-3] + self.shape, dtype=half.dtype)
+        for b, g in self._blocks:
+            np.multiply(half[g], scale, out=out[b])
+        return out
+
+    def scatter(
+        self, coeffs: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Band coefficients times ``scale`` in the grid's layout, zero
+        outside the band. Given ``out``, only its band entries are written:
+        it must be zero outside the band already."""
+        n = self.n
+        if out is None:
+            out = np.zeros(coeffs.shape[:-3] + (n, n, n // 2 + 1), dtype=coeffs.dtype)
+        # scaling the contiguous band, then copying, beats scaling into the
+        # strided blocks
+        scaled = coeffs * scale
+        for b, g in self._blocks:
+            out[g] = scaled[b]
+        return out
+
+
 def build_grid(n: int, l_box: float) -> Grid:
     """Validate parameters and construct a :class:`Grid`.
 
@@ -170,7 +238,7 @@ def build_grid(n: int, l_box: float) -> Grid:
 class SpectralVectorField:
     """Three-component real vector field stored as Fourier coefficients."""
 
-    grid: Grid
+    grid: Grid  # or a Band, whose fields have (3,) + band.shape coefficients
     # (3, n, n, n//2 + 1) complex128: rfftn half spectrum, modes with kz < 0
     # implied by conjugate symmetry; Parseval sums weight by grid.multiplicity
     coeffs: np.ndarray
@@ -205,18 +273,22 @@ class RealVectorField:
 # -- transforms (real fields, rfftn half spectrum) ---------------------------
 
 
-def phys_to_spec(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples (..., n, n, n) to unitary half-spectrum coefficients."""
+def phys_to_spec(samples: np.ndarray, grid: Grid | Band) -> np.ndarray:
+    """Real samples (..., n, n, n) to unitary half-spectrum coefficients, or
+    onto a :class:`Band` to its coefficients: the 2/3 truncation."""
     half = _fft.rfftn(samples, axes=(-3, -2, -1), workers=_WORKERS)
+    if isinstance(grid, Band):
+        return grid.gather(half, grid._forward_scale)
     half *= grid._forward_factor  # l_box**1.5 / n**3, zero on Nyquist planes
     return half
 
 
 def spec_to_phys(
-    coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None
+    coeffs: np.ndarray, grid: Grid | Band, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unitary half-spectrum coefficients (..., n, n, n//2 + 1) of real fields
-    back to samples (..., n, n, n), one component at a time.
+    """Unitary coefficients of real fields, half spectrum (..., n, n,
+    n//2 + 1) or band, back to samples (..., n, n, n), one component at a
+    time.
 
     With ``out`` the samples are written into that array (any float64 view
     of shape ``coeffs.shape[:-3] + (n, n, n)``, such as the first eight
@@ -227,12 +299,15 @@ def spec_to_phys(
     if out is None:
         out = np.empty(coeffs.shape[:-3] + (n, n, n))
     scale = n**3 / grid.l_box**1.5
-    scaled = np.empty(coeffs.shape[-3:], dtype=complex)  # irfftn may overwrite it
+    band = isinstance(grid, Band)
+    # irfftn leaves its input as it is, so the zeros outside a band stay
+    scaled = np.zeros((n, n, n // 2 + 1), dtype=complex)
     for idx in np.ndindex(coeffs.shape[:-3]):
-        np.multiply(coeffs[idx], scale, out=scaled)
-        out[idx] = _fft.irfftn(
-            scaled, s=(n, n, n), workers=_WORKERS, overwrite_x=True
-        )
+        if band:
+            grid.scatter(coeffs[idx], scale, out=scaled)
+        else:
+            np.multiply(coeffs[idx], scale, out=scaled)
+        out[idx] = _fft.irfftn(scaled, s=(n, n, n), workers=_WORKERS)
     return out
 
 
@@ -376,10 +451,15 @@ def zero_field(grid: Grid) -> SpectralVectorField:
 
 def spectral_tail_fraction(w: SpectralVectorField) -> float:
     """Energy fraction in the radial band above two thirds of Nyquist."""
-    g = w.grid
-    weighted = mode_energy(w.coeffs) * g.multiplicity
+    return tail_fraction(mode_energy(w.coeffs), w.grid)
+
+
+def tail_fraction(density: np.ndarray, grid: Grid) -> float:
+    """:func:`spectral_tail_fraction` of the field whose :func:`mode_energy`
+    is ``density``."""
+    weighted = density * grid.multiplicity
     total = weighted.sum()
     if total == 0.0:
         return 0.0
-    tail = weighted[g.tail_mask].sum()
+    tail = weighted[grid.tail_mask].sum()
     return float(tail / total)

@@ -34,9 +34,13 @@ def test_check_failure_exits_1(tmp_path):
         (SMALL_SCENARIO.replace("dtau = 0.02", "dtau = nan"), ()),
         (SMALL_SCENARIO + "seed = -3\n", ()),
         (SMALL_SCENARIO, ("--seed", "-1")),
+        (SMALL_SCENARIO.replace("tau_max = 0.2", "tau_max = inf"), ()),
+        (SMALL_SCENARIO.replace("tau_max = 0.2", "tau_max = nan"), ()),
+        (SMALL_SCENARIO + "tau_min = inf\n", ()),
     ],
     ids=["unknown-key", "duplicate-key", "missing-schema-version", "zero-dtau",
-         "nan-dtau", "negative-seed", "negative-seed-flag"],
+         "nan-dtau", "negative-seed", "negative-seed-flag", "inf-tau-max",
+         "nan-tau-max", "inf-tau-min"],
 )
 def test_invalid_config_exits_2(tmp_path, capsys, text, flags):
     assert run_cli(tmp_path, text, *flags) == 2

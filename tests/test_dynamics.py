@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -30,14 +31,17 @@ from nsverify.errors import (
     StepSizeError,
 )
 from nsverify.fields import FieldSpec, generate
+from nsverify.similarity import t_of_tau
 from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import (
+    SpectralVectorField,
     build_grid,
     l2_norm,
     l2_norm_sq,
     leray_project,
     parseval_pair,
     spec_to_phys,
+    spectral_tail_fraction,
     transform_inverse,
     zero_field,
 )
@@ -77,6 +81,79 @@ def step_spans(snaps, cfg):
 # Samples every 0.1 in tau on [0, 2.5]: at dt_max = 0.04 the early intervals
 # need several steps each and the late steps span several samples.
 MIXED_TAUS = np.arange(0.0, 2.5 + 1e-9, 0.1)
+
+
+def cube_ifrk4(c, dt, grid, nonlinear):
+    """Reference IF-RK4 step on the full half spectrum: the end state and
+    the four stage tendencies (``None`` for linear dynamics)."""
+    half = np.exp(grid.xi_sq * (-dt / 2.0))
+    full = half * half
+    if not nonlinear:
+        return c * full, None
+
+    def tendency(coeffs):
+        return _nonlinear_tendency(SpectralVectorField(grid, coeffs, True))
+
+    a = tendency(c)
+    b = tendency((a * (dt / 2.0) + c) * half)
+    hc = half * c
+    cc = tendency(b * (dt / 2.0) + hc)
+    fc = half * hc
+    d = tendency(half * cc * dt + fc)
+    end = ((b + cc) * 2.0 * half + full * a + d) * (dt / 6.0) + fc
+    return end, (a, b, cc, d)
+
+
+def cube_dense_output(c0, stages, h, theta, grid):
+    """Reference RK4 dense output on the full half spectrum, its exponents
+    taken on the 2/3 band."""
+    xs = grid.xi_sq * grid.dealias_mask
+    decay = np.exp(xs * (-theta * h))
+    if stages is None:
+        return decay * c0
+    a, b, c, d = stages
+    t2 = theta * theta
+    t3 = t2 * theta
+    b1 = theta - 1.5 * t2 + t3 * (2.0 / 3.0)
+    b2 = t2 - t3 * (2.0 / 3.0)
+    b4 = -0.5 * t2 + t3 * (2.0 / 3.0)
+    return (
+        (a * (h * b1) + c0) * decay
+        + np.exp(xs * ((0.5 - theta) * h)) * ((b + c) * (h * b2))
+        + np.exp(xs * ((1.0 - theta) * h)) * (d * (h * b4))
+    )
+
+
+def cube_trajectory(u0, cfg):
+    """Reference for :func:`simulate`: its step schedule, stepped by
+    :func:`cube_ifrk4` and sampled by :func:`cube_dense_output`; the
+    coefficients of every sample."""
+    grid = u0.grid
+    c = _prepare_initial(u0, cfg).coeffs
+    times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
+    samples, t, i = [], 0.0, 0
+    while i < len(times):
+        span = times[i] - t
+        if span > 1e-15:
+            cap = _cfl_cap(SpectralVectorField(grid, c, True), cfg)
+            if span > cap:
+                nsteps = math.ceil(span / cap)
+                for _ in range(nsteps):
+                    c, _ = cube_ifrk4(c, span / nsteps, grid, cfg.nonlinear)
+            else:
+                j = i
+                while j + 1 < len(times) and times[j + 1] - t <= cap:
+                    j += 1
+                h = times[j] - t
+                end, stages = cube_ifrk4(c, h, grid, cfg.nonlinear)
+                for k in range(i, j):
+                    theta = (times[k] - t) / h
+                    samples.append(cube_dense_output(c, stages, h, theta, grid))
+                c, i = end, j
+            t = times[i]
+        samples.append(c)
+        i += 1
+    return samples
 
 
 def base_config(grid, **kw):
@@ -337,6 +414,59 @@ class TestSimulate:
         steps = sum(nsteps for _, _, nsteps in spans)
         assert len(calls) == 4 * steps
 
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_band_integrator_equals_the_cube_reference(self, grid32, nonlinear):
+        # bitwise: every band entry goes through the arithmetic of its mode
+        # in the full half spectrum, and the modes outside the band stay 0
+        u0 = random_solenoidal(grid32, 9, target=0.05)
+        cfg = base_config(
+            grid32, dt_max=0.04, sample_taus=MIXED_TAUS, nonlinear=nonlinear
+        )
+        snaps = simulate_collect(u0, cfg)
+        spans = step_spans(snaps, cfg)
+        assert any(end - start > 1 for start, end, _ in spans)
+        assert any(nsteps > 1 for _, _, nsteps in spans)
+        reference = cube_trajectory(u0, cfg)
+        assert len(reference) == len(snaps)
+        for snap, expected in zip(snaps, reference):
+            assert np.array_equal(snap.u_hat.coeffs, expected)
+
+    def test_sample_energy_and_tail_are_the_fields(self, grid32):
+        _, snaps = small_run(grid32, seed=2, tau_max=0.2)
+        for snap in snaps:
+            assert snap.energy == l2_norm_sq(snap.u_hat)
+            assert snap.tail_fraction == spectral_tail_fraction(snap.u_hat)
+
+    def test_tendency_transforms_go_through_the_traced_bindings(
+        self, grid32, monkeypatch
+    ):
+        # the benchmark counts transforms and projections at these bindings
+        # of dynamics: per tendency the rotational product takes u and its
+        # vorticity back (two calls) and the product forward (one), and the
+        # tendency projects once
+        counts = collections.Counter()
+
+        def counted(name):
+            original = getattr(dynamics, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_nonlinear_tendency", "spec_to_phys", "phys_to_spec",
+                     "leray_project"):
+            monkeypatch.setattr(dynamics, name, counted(name))
+        u0 = random_solenoidal(grid32, 9, target=0.05)
+        simulate_collect(u0, base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS[:6]))
+        tendencies = counts["_nonlinear_tendency"]
+        assert tendencies > 0
+        assert counts == {"_nonlinear_tendency": tendencies,
+                          "spec_to_phys": 2 * tendencies,
+                          "phys_to_spec": tendencies,
+                          "leray_project": tendencies}
+
     def test_interpolated_linear_decay_is_exact(self, grid32):
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(
@@ -530,6 +660,14 @@ class TestWeakForm:
         t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
         assert abs(weak_residual(snaps, tf)) <= 1e-5
+
+    def test_exact_trajectory_residual_golden(self, grid16):
+        # 17 digits: the trajectory and every pairing of the residual are
+        # bitwise reproducible, so a change that moves it shows here
+        snaps = self._tg_snapshots(grid16)
+        t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
+        tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
+        assert weak_residual(snaps, tf) == -1.7173368890948994e-06
 
     def test_quadrature_fourth_order(self, grid16):
         # halving the tau spacing must gain at least 8x (Simpson's 16x in the

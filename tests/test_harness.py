@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 
-from nsverify import dynamics, harness
+from nsverify import dynamics, harness, ledger
 from nsverify.harness import (
     CriterionResult,
     criterion_decomposition,
@@ -75,7 +76,7 @@ def test_suite_verdict_accepts_numpy_bool(monkeypatch, tmp_path):
 
 def test_energy_increase_maps_to_exit_3(monkeypatch):
     energies = itertools.count(1.0)
-    monkeypatch.setattr(dynamics, "l2_norm_sq", lambda u: next(energies))
+    monkeypatch.setattr(dynamics, "mode_sum", lambda density, grid: next(energies))
     result = run_scenario(parse_scenario_text(SMALL_SCENARIO))
     assert result.exit_code == 3
     assert "energy increased" in result.message
@@ -90,3 +91,14 @@ def test_fitted_rates_are_the_decay_checks_fits():
     assert result.fitted_rates["curvature_energy"] == constants["lemma4.3"]
     assert len(result.summaries) == 11
     assert all(s["description"] for s in result.summaries)
+
+
+def test_raising_check_is_named_once(monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    row = dataclasses.replace(ledger.CHECKS["lemma2.1"], evaluate=boom)
+    monkeypatch.setitem(ledger.CHECKS, "lemma2.1", row)
+    result = run_scenario(parse_scenario_text(SMALL_SCENARIO))
+    assert result.exit_code == 1
+    assert result.message == "failed: lemma2.1: boom"

@@ -14,11 +14,14 @@ from nsverify.errors import (
 from nsverify.dynamics import _amplitude_bound
 from nsverify.spectral import (
     RealVectorField,
+    SpectralVectorField,
     build_grid,
     l2_inner,
     l2_norm,
     l2_norm_sq,
     leray_project,
+    parseval_pair,
+    phys_to_spec,
     shell_sum,
     solenoidal_error,
     spec_to_phys,
@@ -139,6 +142,69 @@ class TestTransforms:
         assert grid16.multiplicity.shape == (16, 16, 9)
         assert set(np.unique(grid16.multiplicity[:, :, [0, 8]])) == {1.0}
         assert set(np.unique(grid16.multiplicity[:, :, 1:8])) == {2.0}
+
+
+def random_band(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (3,) + grid.band.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBand:
+    @pytest.mark.parametrize("n, entries", [(32, 4851), (64, 40678)])
+    def test_holds_the_dealiased_modes(self, n, entries):
+        grid = build_grid(n, 8.0 * math.pi)
+        k = grid.dealias_kmax
+        assert grid.band.shape == (2 * k + 1, 2 * k + 1, k + 1)
+        assert grid.band.xi_sq.size == entries == grid.dealias_mask.sum()
+
+    def test_scatter_inverts_gather(self, grid16):
+        c = transform_forward(random_band_limited(grid16, 1)).coeffs
+        c *= grid16.dealias_mask
+        band = grid16.band
+        assert np.array_equal(band.scatter(band.gather(c)), c)
+        b = random_band(grid16, 2)
+        spread = band.scatter(b)
+        assert np.all(spread[:, ~grid16.dealias_mask] == 0.0)
+        assert np.array_equal(band.gather(spread), b)
+
+    def test_frequencies_and_weights_are_the_grids(self, grid16):
+        band = grid16.band
+        for name in ("xi_sq", "inv_xi_sq", "multiplicity"):
+            assert np.array_equal(
+                band.scatter(getattr(band, name)),
+                getattr(grid16, name) * grid16.dealias_mask,
+            )
+        for axis in range(3):
+            xi = np.broadcast_to(band.xi[axis], band.shape)
+            full = np.broadcast_to(grid16.xi[axis], grid16.xi_sq.shape)
+            assert np.array_equal(band.gather(full), xi)
+
+    def test_transforms_equal_the_grids(self, grid16):
+        # bitwise: the inverse sees the zero-padded half spectrum, and the
+        # forward gather is the masked half spectrum's band
+        band = grid16.band
+        b = random_band(grid16, 3)
+        samples = spec_to_phys(b, band)
+        assert np.array_equal(samples, spec_to_phys(band.scatter(b), grid16))
+        half = phys_to_spec(samples**2, grid16) * grid16.dealias_mask
+        assert np.array_equal(phys_to_spec(samples**2, band), band.gather(half))
+
+    def test_operators_run_on_band_fields(self, grid16):
+        band = grid16.band
+        b = random_band(grid16, 4)
+        c = band.scatter(b)
+        projected = leray_project(SpectralVectorField(band, b)).coeffs
+        full = leray_project(SpectralVectorField(grid16, c)).coeffs
+        assert np.array_equal(band.scatter(projected), full)
+        assert parseval_pair(b, b, band) == pytest.approx(
+            parseval_pair(c, c, grid16), rel=1e-14
+        )
+
+    def test_a_band_is_not_its_grid(self, grid16):
+        assert grid16.band != grid16
+        assert grid16 != grid16.band
+        assert build_grid(16, grid16.l_box).band is not grid16.band
 
 
 class TestDerivative:
