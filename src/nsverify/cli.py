@@ -57,17 +57,34 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
+    # validate what the command was given, then create the output directory,
+    # all before any integration
     if args.command == "run":
         try:
             cfg = load_scenario(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            if args.tolerance_scale is not None:
+                cfg.tolerance_scale = args.tolerance_scale
+            cfg.validate()
         except (ConfigurationError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.tolerance_scale is not None:
-            cfg.tolerance_scale = args.tolerance_scale
-        result = run_scenario(cfg, args.out_dir, scenario_name=args.config.stem)
+    elif args.command == "profiles":
+        try:
+            chi = make_profile("chi", args.alpha)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    out = args.out_dir
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create the output directory: {exc}", file=sys.stderr)
+        return 2
+
+    if args.command == "run":
+        result = run_scenario(cfg, out, scenario_name=args.config.stem)
         if result.exit_code in (2, 3):
             print(result.message, file=sys.stderr)
         else:
@@ -78,27 +95,17 @@ def main(argv=None) -> int:
 
     if args.command == "suite":
         try:
-            code, _ = run_suite(args.name, out_dir=args.out_dir)
+            code, _ = run_suite(args.name, out_dir=out)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return code
 
-    if args.command == "profiles":
-        try:
-            chi = make_profile("chi", args.alpha)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        out = args.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-        for kind in ("phi", "one_minus_phi", "tilde"):
-            export_profile_table(make_profile(kind), out / f"{kind}.csv")
-        export_profile_table(chi, out / f"chi_alpha{args.alpha:g}.csv")
-        print(f"profile tables written to {out}")
-        return 0
-
-    return 2
+    for kind in ("phi", "one_minus_phi", "tilde"):
+        export_profile_table(make_profile(kind), out / f"{kind}.csv")
+    export_profile_table(chi, out / f"chi_alpha{args.alpha:g}.csv")
+    print(f"profile tables written to {out}")
+    return 0
 
 
 if __name__ == "__main__":

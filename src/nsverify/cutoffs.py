@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import DomainError
@@ -97,10 +96,6 @@ def _pow_or_zero(r, expo):
     return np.where(r > 0.0, safe**expo, 0.0)
 
 
-phi_eval = _radial(lambda r: _phi_pieces(r)[0])
-phi_eval.__doc__ = "The smooth radial step: 1 below radius 1, 0 above radius 2."
-
-
 # -- the profile table --------------------------------------------------------
 
 # psi^2 = c(r) * B(phi) for every kind. Each entry gives B, dB/dphi and
@@ -138,15 +133,6 @@ def _sq_pieces(kind, r, alpha, phi_pieces=None):
     return c * b, c1 * b + c * db, c2 * b + 2.0 * c1 * db + c * ddb
 
 
-def chi_eval(r, alpha: float):
-    """Fractional low-pass weight ``r**(1/2+2*alpha)`` capped at ``1/2+alpha``.
-
-    Continuous everywhere, zero at the origin and zero for ``r >= 2`` where
-    the step vanishes.
-    """
-    return CutoffProfile("chi", alpha).eval(r)
-
-
 @dataclass(frozen=True)
 class CutoffProfile:
     """Radial multiplier symbol with analytic radial derivatives.
@@ -177,8 +163,6 @@ class CutoffProfile:
     def eval(self, r):
         return self._column(r, lambda rr, p, p1, p2: np.sqrt(p))
 
-    __call__ = eval
-
     def radial_slope(self, r):
         """d(psi)/dr, reported as 0 where ``psi = 0``: at chi's origin (the
         true slope diverges like ``r**(2*alpha - 1/2)`` but every flux kernel
@@ -191,20 +175,9 @@ class CutoffProfile:
 
         return self._column(r, slope)
 
-    def sq(self, r):
-        return self._column(r, lambda rr, p, p1, p2: p)
-
-    def sq_slope(self, r):
-        """d(psi^2)/dr; analytic on each branch, one-sided at chi's cap."""
-        return self._column(r, lambda rr, p, p1, p2: p1)
-
     def flux_kernel(self, r):
         """The dilation kernel ``r * d(psi^2)/dr``."""
         return self._column(r, lambda rr, p, p1, p2: rr * p1)
-
-    def flux_kernel_slope(self, r):
-        """d/dr of ``r * d(psi^2)/dr``, used by the flux time-quadrature."""
-        return self._column(r, lambda rr, p, p1, p2: p1 + rr * p2)
 
 
 def make_profile(kind: str, alpha: float | None = None) -> CutoffProfile:
@@ -216,9 +189,8 @@ def make_profile(kind: str, alpha: float | None = None) -> CutoffProfile:
 def weight_tables(r: np.ndarray, alpha: float) -> dict:
     """The profile table at radii ``r``, from one step evaluation.
 
-    Maps every kind to ``(psi^2, r d(psi^2)/dr, d/dr of that kernel)``, the
-    columns of :meth:`CutoffProfile.sq`, :meth:`~CutoffProfile.flux_kernel`
-    and :meth:`~CutoffProfile.flux_kernel_slope`.
+    Maps every kind to ``(psi^2, r d(psi^2)/dr, d/dr of that kernel)``; the
+    middle column is :meth:`CutoffProfile.flux_kernel`.
     """
     alpha = _check_alpha(alpha)
     pieces = _phi_pieces(r)
@@ -230,42 +202,6 @@ def weight_tables(r: np.ndarray, alpha: float) -> dict:
 
 
 # -- operators ---------------------------------------------------------------
-
-
-def apply_profile(
-    w: SpectralVectorField, psi: CutoffProfile, scale: float = 1.0
-) -> SpectralVectorField:
-    """Multiply each coefficient by ``psi(scale * |xi|)``.
-
-    A pure Fourier multiplier: commutes with derivatives and preserves
-    solenoidality. ``scale`` is used by the similarity-variable filters.
-    """
-    mult = psi.eval(scale * w.grid.xi_mag)
-    return SpectralVectorField(w.grid, w.coeffs * mult, w.solenoidal_flag)
-
-
-@dataclass
-class Decomposition:
-    """Low/high/band split of a solenoidal field."""
-
-    low: SpectralVectorField
-    high: SpectralVectorField
-    tilde: SpectralVectorField
-    chi_low: SpectralVectorField
-    alpha: float
-
-
-def decompose(w: SpectralVectorField, alpha: float = DEFAULT_ALPHA) -> Decomposition:
-    """Split ``w`` into the low block, its complement, the energy-complement
-    band and the fractional low block.
-
-    ``low + high`` reconstructs ``w`` exactly, and
-    ``||w||^2 == ||low||^2 + ||tilde||^2`` by the pointwise identity
-    ``phi^2 + (1 - phi^2) = 1``.
-    """
-    alpha = _check_alpha(alpha)
-    parts = (apply_profile(w, make_profile(kind, alpha)) for kind in _TABLE)
-    return Decomposition(*parts, alpha)
 
 
 def dilation_flux(
@@ -283,33 +219,16 @@ def dilation_flux(
     return mode_sum(kern * mode_energy(w.coeffs), g) / scale
 
 
-def bernstein_constant(alpha: float, m: float) -> float:
-    """Low-block L^m against fractional-block L^2 comparison constant.
-
-    Computed by radial quadrature of the singular-weight integral
-    ``int_{|xi|<=2} |xi|**(-(1/2+2a)*2m'/(2-m')) dxi`` (``m'`` the conjugate
-    exponent), raised to ``(2-m')/(2m')`` and multiplied by the transform-norm
-    prefactor ``(2*pi)**(3/m')``. Finite exactly when ``alpha < 1/8`` at the
-    worst index ``m = 4``, and increasing in alpha at fixed ``m``.
-    """
-    alpha = _check_alpha(alpha)
-    m = float(m)
-    if not m >= 4.0:
-        raise DomainError(f"norm index must satisfy m >= 4, got {m}")
-    mprime = 1.0 if np.isinf(m) else m / (m - 1.0)
-    expo = -(0.5 + 2.0 * alpha) * 2.0 * mprime / (2.0 - mprime)
-    if expo <= -3.0:
-        raise RuntimeError("singular-weight quadrature diverges; invalid inputs")
-    integral, _ = quad(lambda r: 4.0 * np.pi * r ** (2.0 + expo), 0.0, 2.0)
-    return float(
-        (2.0 * np.pi) ** (3.0 / mprime)
-        * integral ** ((2.0 - mprime) / (2.0 * mprime))
-    )
-
-
-def _balance_shell_integrand(r, alpha: float):
+def balance_shell_integrand(r, alpha: float):
     """``r/4 * d(phi^2 - chi^2)/dr - (r^2 - 1/4 - alpha) * chi^2``, the shell
-    weight of the weighted low+band energy balance."""
+    weight of the weighted low+band energy balance; nonpositive for every
+    valid alpha, which makes the weighted low+band energy dissipative.
+
+    On ``r <= 1`` phi is flat, so it is ``-r/4 * d(chi^2)/dr - (r^2 - 1/4 -
+    alpha) chi^2``. On ``1 <= r <= 2`` chi^2 is ``cap^(1+4a) phi^2`` with
+    ``cap = 1/2 + alpha``, so it is ``(1 - cap^(1+4a))/4 * r d(phi^2)/dr -
+    (r^2 - 1/4 - alpha) cap^(1+4a) phi^2``, both summands nonpositive.
+    """
     alpha = _check_alpha(alpha)
 
     def kernel(rr):
@@ -317,26 +236,6 @@ def _balance_shell_integrand(r, alpha: float):
         return 0.25 * (w["phi"][1] - w["chi"][1]) - (rr**2 - 0.25 - alpha) * w["chi"][0]
 
     return _radial(kernel)(r)
-
-
-def low_block_shell_integrand(r, alpha: float):
-    """Pointwise weight of the weighted low-block balance on ``r <= 1``.
-
-    ``-r/4 * d(chi^2)/dr - (r^2 - 1/4 - alpha) * chi^2`` (phi is flat there);
-    nonpositive for all valid alpha, which is what makes the weighted low block
-    dissipative.
-    """
-    return _balance_shell_integrand(r, alpha)
-
-
-def transition_shell_integrand(r, alpha: float):
-    """Pointwise weight of the transition-band balance on ``1 <= r <= 2``.
-
-    ``(1 - cap^(1+4a))/4 * r d(phi^2)/dr - (r^2 - 1/4 - alpha) cap^(1+4a) phi^2``
-    with ``cap = 1/2 + alpha`` (chi^2 is ``cap^(1+4a) phi^2`` there); both
-    summands are nonpositive.
-    """
-    return _balance_shell_integrand(r, alpha)
 
 
 def export_profile_table(psi: CutoffProfile, path, r_max: float = 3.0, num: int = 3001):

@@ -81,9 +81,7 @@ __all__ = [
     "nse_rhs",
     "step",
     "simulate",
-    "simulate_collect",
     "rescale_data",
-    "pressure_recover",
     "TestField",
     "make_test_field",
     "weak_residual",
@@ -168,7 +166,7 @@ def convective_term(u_hat: SpectralVectorField) -> SpectralVectorField:
         acc += u[1] * spec_to_phys(1j * g.xi[1] * u_hat.coeffs[k], g)
         acc += u[2] * spec_to_phys(1j * g.xi[2] * u_hat.coeffs[k], g)
         out[k] = acc
-    return SpectralVectorField(g, _dealiased_product(out, g), False)
+    return SpectralVectorField(g, _dealiased_product(out, g))
 
 
 def _rotational_product(u_hat: SpectralVectorField) -> np.ndarray:
@@ -199,7 +197,7 @@ def _nonlinear_tendency(
         product = -convective_term(u_hat).coeffs
     else:
         raise ConfigurationError(f"unknown advection form {form!r}")
-    tendency = leray_project(SpectralVectorField(u_hat.grid, product, False)).coeffs
+    tendency = leray_project(SpectralVectorField(u_hat.grid, product)).coeffs
     return (tendency, product) if with_product else tendency
 
 
@@ -215,7 +213,7 @@ def nse_rhs(
     out = -g.xi_sq * u_hat.coeffs
     if nonlinear:
         out = out + _nonlinear_tendency(u_hat, form)
-    return SpectralVectorField(g, out, True)
+    return SpectralVectorField(g, out)
 
 
 # -- stepping ------------------------------------------------------------------
@@ -263,13 +261,13 @@ def _ifrk4(
     half, full = factors if factors is not None else _viscous_factors(g, dt)
     c = u_hat.coeffs
     if not cfg.nonlinear:
-        return SpectralVectorField(g, c * full, True), 0.0, None
+        return SpectralVectorField(g, c * full), 0.0, None
 
     def nonlin(coeffs):
-        return _nonlinear_tendency(SpectralVectorField(g, coeffs, True))
+        return _nonlinear_tendency(SpectralVectorField(g, coeffs))
 
     a, product = _nonlinear_tendency(
-        SpectralVectorField(g, c, True), with_product=True
+        SpectralVectorField(g, c), with_product=True
     )
     pairing = abs(parseval_pair(a, c, g))
     denom = math.sqrt(parseval_pair(product, product, g) * parseval_pair(c, c, g))
@@ -296,7 +294,7 @@ def _ifrk4(
     acc += d
     acc *= dt / 6.0
     acc += fc
-    return SpectralVectorField(g, acc, True), orth, (a, b, cc, d)
+    return SpectralVectorField(g, acc), orth, (a, b, cc, d)
 
 
 def _dense_output(
@@ -344,13 +342,13 @@ def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
     if dt > cfg.dt_max * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} exceeds dt_max {cfg.dt_max}")
     grid = state.u_hat.grid
-    u = SpectralVectorField(grid.band, grid.band.gather(state.u_hat.coeffs), True)
+    u = SpectralVectorField(grid.band, grid.band.gather(state.u_hat.coeffs))
     cap = _cfl_cap(u, cfg)
     if dt > cap * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} violates the CFL cap {cap:.3e}")
     new, _, _ = _ifrk4(u, dt, cfg)
     return SimState(
-        state.t + dt, SpectralVectorField(grid, grid.band.scatter(new.coeffs), True)
+        state.t + dt, SpectralVectorField(grid, grid.band.scatter(new.coeffs))
     )
 
 
@@ -358,7 +356,7 @@ def _prepare_initial(u0: SpectralVectorField, cfg: TrajectoryConfig) -> Spectral
     g = u0.grid
     if (g.n, g.l_box) != (cfg.n, cfg.l_box):
         raise ConfigurationError("initial field grid does not match the config")
-    u = SpectralVectorField(g, u0.coeffs * g.dealias_mask, True)
+    u = SpectralVectorField(g, u0.coeffs * g.dealias_mask)
     norm = l2_norm(u)
     if norm > 0.0:
         # entry contract: data is rescaled so ||u0|| = delta; the zero field
@@ -400,7 +398,7 @@ def simulate(
     """
     ugrid = u0.grid
     band = ugrid.band
-    u = SpectralVectorField(band, band.gather(_prepare_initial(u0, cfg).coeffs), True)
+    u = SpectralVectorField(band, band.gather(_prepare_initial(u0, cfg).coeffs))
     times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
     t = 0.0
     worst_orth = 0.0
@@ -408,7 +406,7 @@ def simulate(
 
     def sample(i: int, t_i: float, coeffs: np.ndarray) -> Snapshot:
         nonlocal prev_energy
-        field = SpectralVectorField(ugrid, band.scatter(coeffs), True)
+        field = SpectralVectorField(ugrid, band.scatter(coeffs))
         density = mode_energy(field.coeffs)
         energy = mode_sum(density, ugrid)
         if energy > prev_energy * (1.0 + 1e-12):
@@ -469,38 +467,33 @@ def simulate(
         i += 1
 
 
-def simulate_collect(u0, cfg) -> list[Snapshot]:
-    """Materialized :func:`simulate`; only sensible for short runs."""
-    return list(simulate(u0, cfg))
+# -- symmetry ------------------------------------------------------------------
+
+_ACTIVE_TOL = 1e-9  # of the peak magnitude: below it a mode counts as inactive
 
 
-# -- symmetry and diagnostics --------------------------------------------------
-
-
-def rescale_data(
-    u0: SpectralVectorField, lam: int, active_tol: float = 1e-9
-) -> SpectralVectorField:
+def rescale_data(u0: SpectralVectorField, lam: int) -> SpectralVectorField:
     """Dilation ``u(x) -> lam * u(lam x)`` on the fixed box.
 
     Integer ``lam`` keeps periodicity: the coefficient at wavenumber ``k``
     moves to ``lam * k`` with amplitude multiplied by ``lam`` (so the fixed-box
     L2 norm is multiplied by ``lam``); the stored ``kz >= 0`` half maps onto
     itself. Raises if an active frequency would leave the representable range;
-    modes below ``active_tol`` of the peak magnitude count as inactive and are
-    dropped, which lets evolved fields (whose dealiased spectrum is populated
-    at rounding level) be dilated.
+    inactive modes (below ``_ACTIVE_TOL`` of the peak magnitude) are dropped,
+    which lets evolved fields (whose dealiased spectrum is populated at
+    rounding level) be dilated.
     """
     if not isinstance(lam, (int, np.integer)) or lam < 1:
         raise RescaleError(f"dilation factor must be a positive integer, got {lam}")
     g = u0.grid
     if lam == 1:
-        return SpectralVectorField(g, u0.coeffs.copy(), u0.solenoidal_flag)
+        return SpectralVectorField(g, u0.coeffs.copy())
     target_k = lam * g.wavenumbers.astype(int)
     target_kz = lam * np.arange(g.n // 2 + 1)
     valid = np.abs(target_k) < g.n // 2
     valid_z = target_kz < g.n // 2
     mags = np.abs(u0.coeffs).sum(axis=0)
-    threshold = active_tol * mags.max()
+    threshold = _ACTIVE_TOL * mags.max()
     escaped = max(
         mags[~valid, :, :].max(initial=0.0),
         mags[:, ~valid, :].max(initial=0.0),
@@ -517,23 +510,7 @@ def rescale_data(
     out[np.ix_(range(3), tgt, tgt, target_kz[valid_z])] = lam * u0.coeffs[
         np.ix_(range(3), src, src, src_z)
     ]
-    return SpectralVectorField(g, out, u0.solenoidal_flag)
-
-
-def pressure_recover(u_hat: SpectralVectorField) -> np.ndarray:
-    """Zero-mean pressure coefficients solving ``-lap p = div div (u ox u)``.
-
-    Returned with the same unitary normalization as vector coefficients. The
-    gradient of this pressure restores the non-solenoidal part of the
-    advection term: ``(u.grad)u - P[(u.grad)u] + grad p = 0``.
-    """
-    g = u_hat.grid
-    G = convective_term(u_hat).coeffs
-    divG = 1j * (g.xi[0] * G[0] + g.xi[1] * G[1] + g.xi[2] * G[2])
-    p = np.zeros_like(divG)
-    nz = g.xi_sq > 0
-    p[nz] = divG[nz] / g.xi_sq[nz]
-    return p
+    return SpectralVectorField(g, out)
 
 
 # -- weak form -----------------------------------------------------------------

@@ -13,10 +13,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class UnsupportedOrderError(DomainError):
-    """Derivative multi-index order above the supported maximum."""
-
-
 class HorizonError(DomainError):
     """Physical time at or beyond the similarity horizon T."""
 
@@ -47,7 +43,3 @@ class NoRootError(DomainError):
 
 class FitError(ValueError):
     """Decay-rate fit impossible (nonpositive values or short window)."""
-
-
-class OracleError(ValueError):
-    """No closed-form reference value exists for the request."""

@@ -1,5 +1,4 @@
-"""Deterministic generators of solenoidal initial data plus closed-form
-energy oracles for the analytic families.
+"""Deterministic generators of solenoidal initial data.
 
 Families:
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OracleError, ResolutionError
+from .errors import ConfigurationError, ResolutionError
 from .spectral import (
     Grid,
     SpectralVectorField,
@@ -122,31 +121,14 @@ def generate(spec: FieldSpec, grid: Grid) -> SpectralVectorField:
     Deterministic in ``spec.seed`` for the random family.
     """
     if spec.family == "taylor_green":
-        field = SpectralVectorField(
-            grid, phys_to_spec(_taylor_green_samples(grid), grid), True
-        )
+        field = SpectralVectorField(grid, phys_to_spec(_taylor_green_samples(grid), grid))
     elif spec.family == "abc_flow":
-        field = SpectralVectorField(grid, phys_to_spec(_abc_samples(grid), grid), True)
+        field = SpectralVectorField(grid, phys_to_spec(_abc_samples(grid), grid))
     else:
         field = _random_solenoidal(spec, grid)
     norm = l2_norm(field)
     if norm == 0.0:
         raise ResolutionError("generated field vanished; spectrum unresolvable")
     field.coeffs *= spec.l2_norm_target / norm
-    field.solenoidal_flag = True
     return field
 
-
-def oracle_energy(spec: FieldSpec) -> float:
-    """Closed-form unnormalized squared L2 norm on the unit box [0, 2*pi]^3.
-
-    For a box of side ``2*pi*m`` multiply by ``m**3``. The planar vortex
-    integrates to ``4*pi^3`` (each component contributes ``2*pi^3``); the
-    unit-coefficient ABC field to ``3*(2*pi)^3`` (six unit-amplitude trig
-    terms, each integrating to ``(2*pi)^3 / 2``).
-    """
-    if spec.family == "taylor_green":
-        return 4.0 * np.pi**3
-    if spec.family == "abc_flow":
-        return 3.0 * (2.0 * np.pi) ** 3
-    raise OracleError(f"no closed-form energy for family {spec.family!r}")

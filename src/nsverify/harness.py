@@ -21,12 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import ledger as lg
-from .cutoffs import (
-    dilation_flux,
-    low_block_shell_integrand,
-    make_profile,
-    transition_shell_integrand,
-)
+from .cutoffs import balance_shell_integrand, dilation_flux, make_profile
 from .dynamics import (
     TrajectoryConfig,
     initial_from_snapshot,
@@ -247,7 +242,8 @@ class ScenarioResult:
 def run_scenario(
     cfg: ScenarioConfig, out_dir=None, scenario_name: str = "scenario"
 ) -> ScenarioResult:
-    """Full pipeline for one scenario: run, check, emit artifacts."""
+    """Full pipeline for one scenario: run, check, and write the artifacts
+    into ``out_dir``, an existing directory, unless it is None."""
     try:
         cfg.validate()
     except ConfigurationError as exc:
@@ -292,7 +288,6 @@ def run_scenario(
     artifacts = []
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"energy_{scenario_name}.csv"
         lg.write_records_csv(series, csv_path)
         json_path = out / f"report_{scenario_name}.json"
@@ -460,17 +455,12 @@ def criterion_sign_claims(
              "flux_one_minus_phi": math.inf, "shell": -math.inf}
     for alpha in alphas:
         chi = make_profile("chi", alpha)
-        low_r = radii[radii <= 1.0]
-        band_r = radii[(radii >= 1.0) & (radii <= 2.0)]
-        if low_r.size:
-            worst["shell"] = max(
-                worst["shell"], float(np.max(low_block_shell_integrand(low_r, alpha)))
-            )
-        if band_r.size:
-            worst["shell"] = max(
-                worst["shell"],
-                float(np.max(transition_shell_integrand(band_r, alpha))),
-            )
+        # the low block r <= 1 and the transition band 1 <= r <= 2
+        for shells in (radii[radii <= 1.0], radii[(radii >= 1.0) & (radii <= 2.0)]):
+            if shells.size:
+                worst["shell"] = max(
+                    worst["shell"], float(np.max(balance_shell_integrand(shells, alpha)))
+                )
         for k in range(count):
             fld = generate(
                 FieldSpec("random_solenoidal", seed=seed + k, xi_cutoff=2.3), grid
@@ -747,7 +737,8 @@ SUITES = {
 
 
 def run_suite(name: str, out_dir=None, verbose: bool = True):
-    """Run one named criteria group; returns (exit_code, results)."""
+    """Run one named criteria group; returns (exit_code, results). The
+    verdict goes into ``out_dir``, an existing directory, unless it is None."""
     if name not in SUITES:
         raise ConfigurationError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
@@ -766,7 +757,6 @@ def run_suite(name: str, out_dir=None, verbose: bool = True):
         import json
 
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         payload = {
             "suite": name,
             "pass": passed,

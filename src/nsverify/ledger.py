@@ -192,7 +192,7 @@ class InequalityReport:
 class LedgerContext:
     """The grid and run parameters shared by every record evaluation."""
 
-    def __init__(self, grid: Grid, alpha: float, delta: float | None = None):
+    def __init__(self, grid: Grid, alpha: float, delta: float):
         self.grid = grid
         self.alpha = float(alpha)
         self.delta = delta
@@ -594,8 +594,6 @@ def _lemma4_2(name, series, tolerance_scale) -> list:
 
 def _eq3_13_14(name, series, tolerance_scale) -> list:
     delta = series.ctx.delta
-    if delta is None:
-        raise DomainError("eq3.13-3.14 needs the run's delta in the context")
     end = series.taus[-1]
     start = min(int(np.searchsorted(series.taus, FIT_START)), len(series) - 2)
     reports = []

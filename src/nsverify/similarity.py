@@ -1,21 +1,16 @@
-"""Self-similar change of variables and the exact rescaling identities.
+"""Self-similar change of variables.
 
 Rescaled variables freeze a virtual horizon ``T``: with ``s = (T-t)**0.5``,
 
 * rescaled position ``y = x / s``, slow time ``tau = -ln(T-t)``,
 * rescaled velocity ``w(y, tau) = s * u(x, t)``.
 
-Rescaled-variable functionals are never evaluated on their own grid. A
-physical frequency ``xi`` corresponds to the rescaled frequency ``s * xi``,
-which turns every rescaled quadratic functional into a weighted Parseval sum
-over the physical coefficients:
+A physical frequency ``xi`` is the rescaled frequency ``s * xi``, so every
+rescaled quadratic functional is a weighted Parseval sum over the physical
+coefficients, which is how :mod:`nsverify.ledger` evaluates them:
 
     int |D^b w|^2 dy = s**(2|b| - 1) * int |D^b u|^2 dx
     int |F^-1[psi] * w|^2 dy = s**-1 * sum psi(s|xi|)^2 |u_hat(xi)|^2
-
-The drift term ``y/2 . grad w`` of the rescaled dynamics would be a dilation
-in frequency space that a fixed grid cannot represent, so this module is the
-only sanctioned bridge between the two descriptions.
 """
 
 from __future__ import annotations
@@ -23,21 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import HorizonError
 
-from .cutoffs import CutoffProfile, apply_profile
-from .errors import HorizonError, UnsupportedOrderError
-from .spectral import SpectralVectorField, _as_multi_index, mode_energy, mode_sum
-
-__all__ = [
-    "SimilarityFrame",
-    "frame",
-    "t_of_tau",
-    "similarity_norm",
-    "similarity_filter",
-    "similarity_filtered_energy",
-    "blowup_rate_ratio",
-]
+__all__ = ["SimilarityFrame", "frame", "t_of_tau"]
 
 
 @dataclass(frozen=True)
@@ -65,60 +48,3 @@ def frame(t: float, t_horizon: float) -> SimilarityFrame:
 def t_of_tau(tau: float, t_horizon: float) -> float:
     """Inverse of the slow-time map: ``t = T - exp(-tau)``."""
     return t_horizon - math.exp(-float(tau))
-
-
-def similarity_norm(u_hat: SpectralVectorField, fr: SimilarityFrame, beta) -> float:
-    """Squared L2 norm of ``D^beta w`` computed from the physical field.
-
-    Exact chain-rule identity: ``s**(2|beta|-1)`` times the physical squared
-    norm of ``D^beta u``. ``beta`` is a multi-index with ``|beta| <= 3`` (the
-    integer 0 is accepted for the plain energy).
-    """
-    beta = _as_multi_index(beta)
-    order = sum(beta)
-    if order > 3:
-        raise UnsupportedOrderError(f"derivative order {order} exceeds 3")
-    g = u_hat.grid
-    weight = np.ones_like(g.xi_sq)
-    for axis, b in enumerate(beta):
-        if b:
-            weight = weight * g.xi[axis] ** (2 * b)
-    return fr.scale ** (2 * order - 1) * mode_sum(weight * mode_energy(u_hat.coeffs), g)
-
-
-def similarity_filter(
-    u_hat: SpectralVectorField, fr: SimilarityFrame, psi: CutoffProfile
-) -> SpectralVectorField:
-    """Rescaled-variable radial multiplier as a physical-space multiplier.
-
-    Multiplies the coefficient at physical frequency ``xi`` by
-    ``psi(scale * |xi|)``; at ``scale == 1`` this is exactly
-    :func:`nsverify.cutoffs.apply_profile`.
-    """
-    return apply_profile(u_hat, psi, scale=fr.scale)
-
-
-def similarity_filtered_energy(
-    u_hat: SpectralVectorField, fr: SimilarityFrame, psi: CutoffProfile
-) -> float:
-    """Squared L2 norm of the psi-filtered rescaled field.
-
-    Equals ``s**-1 * sum psi(s|xi|)^2 |u_hat|^2`` and agrees with
-    ``similarity_norm(u_hat, fr, 0)`` whenever the filter acts as identity on
-    the occupied spectrum.
-    """
-    s = fr.scale
-    mult = psi.sq(s * u_hat.grid.xi_mag)
-    return mode_sum(mult * mode_energy(u_hat.coeffs), u_hat.grid) / s
-
-
-def blowup_rate_ratio(sup_norm: float, fr: SimilarityFrame) -> float:
-    """Sup-norm growth ratio ``||u(t)||_inf * (T - t)**0.5``.
-
-    For decaying small data this falls below any threshold as ``t``
-    approaches the horizon.
-    """
-    sup_norm = float(sup_norm)
-    if sup_norm < 0:
-        raise HorizonError(f"sup norm must be nonnegative, got {sup_norm}")
-    return sup_norm * fr.scale

@@ -22,6 +22,7 @@ Samples are physical-space collocation values. In-memory arrays are indexed
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -55,10 +56,11 @@ def read_snapshot(path) -> tuple:
             raise ConfigurationError(f"{path}: unsupported version {version}")
         if ncomp != 3:
             raise ConfigurationError(f"{path}: expected 3 components, got {ncomp}")
-        grid = build_grid(n, l_box)
+        # checked before the grid exists: a header's n sizes its arrays
         count = 3 * n**3
-        raw = np.fromfile(fh, dtype="<f8", count=count)
-        if raw.size != count:
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + 8 * count:
             raise ConfigurationError(f"{path}: truncated payload")
+        grid = build_grid(n, l_box)
+        raw = np.fromfile(fh, dtype="<f8", count=count)
     samples = raw.reshape(3, n, n, n).transpose(0, 3, 2, 1).copy()
     return RealVectorField(grid, samples), float(t)

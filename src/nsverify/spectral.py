@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import ConfigurationError, GridMismatchError, UnsupportedOrderError
+from .errors import ConfigurationError, GridMismatchError
 
 # NSVERIFY_FFT_WORKERS overrides; the default is every CPU this process may use
 _WORKERS = int(os.environ.get("NSVERIFY_FFT_WORKERS", "0")) or len(
@@ -139,10 +139,6 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return (self.l_box / self.n) ** 3
-
-    @property
-    def volume(self) -> float:
-        return self.l_box**3
 
     @property
     def xi_nyquist(self) -> float:
@@ -242,10 +238,6 @@ class SpectralVectorField:
     # (3, n, n, n//2 + 1) complex128: rfftn half spectrum, modes with kz < 0
     # implied by conjugate symmetry; Parseval sums weight by grid.multiplicity
     coeffs: np.ndarray
-    solenoidal_flag: bool = False
-
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs.copy(), self.solenoidal_flag)
 
     def __post_init__(self):
         expected = (3,) + self.grid.xi_sq.shape
@@ -364,37 +356,6 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- operators ---------------------------------------------------------------
 
 
-def spectral_derivative(w: SpectralVectorField, beta) -> SpectralVectorField:
-    """Partial derivative ``d^b1_x d^b2_y d^b3_z`` as a Fourier multiplier.
-
-    ``beta`` is a multi-index of three nonnegative integers with total order
-    at most 3. Each coefficient is multiplied by ``(i*xi)**beta``; the Nyquist
-    planes stay zero, so differentiating a real field yields a real field.
-    """
-    beta = _as_multi_index(beta)
-    if sum(beta) > 3:
-        raise UnsupportedOrderError(f"derivative order {sum(beta)} exceeds 3")
-    g = w.grid
-    mult = np.ones_like(g.xi_sq, dtype=complex)
-    for axis, b in enumerate(beta):
-        if b:
-            mult = mult * (1j * g.xi[axis]) ** b
-    return SpectralVectorField(g, w.coeffs * mult, w.solenoidal_flag)
-
-
-def _as_multi_index(beta) -> tuple:
-    if isinstance(beta, (int, np.integer)):
-        if beta == 0:
-            return (0, 0, 0)
-        raise UnsupportedOrderError(
-            "scalar multi-index only supported for order 0; pass a 3-tuple"
-        )
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != 3 or any(b < 0 for b in beta):
-        raise UnsupportedOrderError(f"invalid multi-index {beta}")
-    return beta
-
-
 def leray_project(w: SpectralVectorField) -> SpectralVectorField:
     """Project onto divergence-free fields: ``I - xi xi^T / |xi|^2`` per mode.
 
@@ -410,7 +371,7 @@ def leray_project(w: SpectralVectorField) -> SpectralVectorField:
     for c in range(3):
         np.multiply(g.xi[c], div, out=out[c])
         np.subtract(w.coeffs[c], out[c], out=out[c])
-    return SpectralVectorField(g, out, solenoidal_flag=True)
+    return SpectralVectorField(g, out)
 
 
 def l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:
@@ -444,19 +405,9 @@ def solenoidal_error(w: SpectralVectorField) -> float:
     return float((dot[active] / mag[active]).max())
 
 
-def zero_field(grid: Grid) -> SpectralVectorField:
-    coeffs = np.zeros((3,) + grid.xi_sq.shape, dtype=complex)
-    return SpectralVectorField(grid, coeffs, True)
-
-
-def spectral_tail_fraction(w: SpectralVectorField) -> float:
-    """Energy fraction in the radial band above two thirds of Nyquist."""
-    return tail_fraction(mode_energy(w.coeffs), w.grid)
-
-
 def tail_fraction(density: np.ndarray, grid: Grid) -> float:
-    """:func:`spectral_tail_fraction` of the field whose :func:`mode_energy`
-    is ``density``."""
+    """Energy fraction above two thirds of Nyquist (``grid.tail_mask``) of
+    the field whose :func:`mode_energy` is ``density``."""
     weighted = density * grid.multiplicity
     total = weighted.sum()
     if total == 0.0:

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nsverify.dynamics import TrajectoryConfig, simulate
+from nsverify.dynamics import Snapshot, TrajectoryConfig, simulate
 from nsverify.fields import FieldSpec, generate
 from nsverify.ledger import LedgerContext, RecordsBuilder
-from nsverify.spectral import RealVectorField, build_grid, transform_forward
+from nsverify.similarity import frame
+from nsverify.spectral import (
+    RealVectorField,
+    SpectralVectorField,
+    build_grid,
+    transform_forward,
+)
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +34,26 @@ def random_band_limited(grid, seed):
     from nsverify.spectral import transform_inverse
 
     return transform_inverse(w)
+
+
+def zero_field(grid):
+    return SpectralVectorField(grid, np.zeros((3,) + grid.xi_sq.shape, dtype=complex))
+
+
+def derivative(w, beta):
+    """``d^b1_x d^b2_y d^b3_z w`` through the multiplier ``(1j xi)**beta``."""
+    mult = np.ones(w.grid.xi_sq.shape, dtype=complex)
+    for axis, b in enumerate(beta):
+        mult = mult * (1j * w.grid.xi[axis]) ** b
+    return SpectralVectorField(w.grid, w.coeffs * mult)
+
+
+def ledger_record(u, t, alpha=0.1):
+    """The ledger's record of the field ``u`` at time ``t`` below the horizon
+    ``T = 1`` (``s = sqrt(1 - t)``)."""
+    snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0,
+                    nonlinear_orthogonality=0.0, energy=0.0)
+    return RecordsBuilder(LedgerContext(u.grid, alpha, 0.05)).feed(snap)
 
 
 def random_solenoidal(grid, seed, target=1.0, cutoff=2.3):

@@ -7,6 +7,7 @@ from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import transform_inverse
 
 from conftest import SMALL_SCENARIO, random_solenoidal
+from test_io import write_header_only
 
 
 def run_cli(tmp_path, text, *flags):
@@ -67,6 +68,29 @@ def test_initial_file_on_another_grid_exits_2(tmp_path, capsys, grid32):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "does not match the scenario grid" in err
+
+
+def test_initial_file_with_a_truncated_payload_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.nsvf"
+    write_header_only(path, n=16384)
+    assert run_cli(tmp_path, SMALL_SCENARIO + f"initial_file = {path}\n") == 2
+    err = capsys.readouterr().err
+    assert "truncated payload" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{config}"], ["suite", "ode"], ["profiles", "--alpha", "0.1"],
+], ids=["run", "suite", "profiles"])
+def test_unusable_out_dir_exits_2_before_any_work(tmp_path, capsys, argv):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_SCENARIO)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [a.format(config=config) for a in argv]
+    assert main([*argv, "--out-dir", str(blocker / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran: no summary, no suite verdicts
+    assert captured.err.startswith("error: cannot create") and captured.err.count("\n") == 1
 
 
 def test_unresolvable_cutoff_exits_3(tmp_path):

@@ -5,35 +5,40 @@ import pytest
 
 from nsverify.cutoffs import (
     CutoffProfile,
-    apply_profile,
-    bernstein_constant,
-    chi_eval,
-    decompose,
+    balance_shell_integrand,
     dilation_flux,
     export_profile_table,
-    low_block_shell_integrand,
     make_profile,
-    phi_eval,
-    transition_shell_integrand,
     weight_tables,
 )
 from nsverify.errors import DomainError
 from nsverify.spectral import (
     SpectralVectorField,
-    l2_norm,
     l2_norm_sq,
-    spec_to_phys,
-    spectral_derivative,
     solenoidal_error,
+    spec_to_phys,
 )
 
-from conftest import random_solenoidal
+from conftest import derivative, ledger_record, random_solenoidal
 
 ALL_KINDS = ["phi", "one_minus_phi", "tilde", "chi"]
 
 
 def profile(kind):
     return make_profile(kind, 0.1 if kind == "chi" else None)
+
+
+def phi_eval(r):
+    return make_profile("phi").eval(r)
+
+
+def chi_eval(r, alpha):
+    return make_profile("chi", alpha).eval(r)
+
+
+def sq_columns(kind, r, alpha=0.1):
+    """``psi^2``, ``r d(psi^2)/dr`` and that kernel's slope from the table."""
+    return weight_tables(np.asarray(r, dtype=float), alpha)[kind]
 
 
 class TestPhi:
@@ -112,21 +117,21 @@ class TestSlopes:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sq_slope(self, kind):
-        psi = profile(kind)
+        # the kernel column over r is d(psi^2)/dr
         r = np.linspace(0.05, 2.5, 300)
         r = r[np.abs(r - 0.6) > 0.01]  # keep clear of the chi cap kink
         h = 1e-6
-        fd = (psi.sq(r + h) - psi.sq(r - h)) / (2 * h)
-        assert np.abs(psi.sq_slope(r) - fd).max() < 5e-5 * (np.abs(fd).max() + 1)
+        fd = (sq_columns(kind, r + h)[0] - sq_columns(kind, r - h)[0]) / (2 * h)
+        slope = sq_columns(kind, r)[1] / r
+        assert np.abs(slope - fd).max() < 5e-5 * (np.abs(fd).max() + 1)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_flux_kernel_slope(self, kind):
-        psi = profile(kind)
         r = np.linspace(0.05, 2.5, 300)
         r = r[np.abs(r - 0.6) > 0.01]
         h = 1e-6
-        fd = (psi.flux_kernel(r + h) - psi.flux_kernel(r - h)) / (2 * h)
-        assert np.abs(psi.flux_kernel_slope(r) - fd).max() < 5e-4 * (
+        fd = (sq_columns(kind, r + h)[1] - sq_columns(kind, r - h)[1]) / (2 * h)
+        assert np.abs(sq_columns(kind, r)[2] - fd).max() < 5e-4 * (
             np.abs(fd).max() + 1
         )
 
@@ -136,36 +141,41 @@ class TestSlopes:
         w = weight_tables(r, alpha)
         for kind in ALL_KINDS:
             psi = make_profile(kind, alpha)
-            columns = (psi.sq(r), psi.flux_kernel(r), psi.flux_kernel_slope(r))
-            for got, expected in zip(w[kind], columns):
-                assert np.array_equal(got, expected)
+            assert np.abs(w[kind][0] - psi.eval(r) ** 2).max() <= 1e-15
+            assert np.array_equal(w[kind][1], psi.flux_kernel(r))
 
 
 class TestApplyProfile:
+    """A profile as the Fourier multiplier ``psi(|xi|)`` on the lattice."""
+
+    @staticmethod
+    def apply(w, kind):
+        return SpectralVectorField(w.grid, w.coeffs * profile(kind).eval(w.grid.xi_mag))
+
     def test_plateau_identity(self, grid32):
         w = random_solenoidal(grid32, 0, cutoff=0.9)
-        out = apply_profile(w, profile("phi"))
+        out = self.apply(w, "phi")
         assert np.array_equal(out.coeffs, w.coeffs)
 
     def test_outer_support_zero(self, grid32):
         w = random_solenoidal(grid32, 1)
         mask = grid32.xi_mag >= 2.0
-        shifted = SpectralVectorField(grid32, w.coeffs * mask, True)
-        out = apply_profile(shifted, profile("phi"))
+        shifted = SpectralVectorField(grid32, w.coeffs * mask)
+        out = self.apply(shifted, "phi")
         assert np.abs(out.coeffs).max() == 0.0
 
     def test_partition_of_unity(self, grid32):
         w = random_solenoidal(grid32, 2)
-        low = apply_profile(w, profile("phi"))
-        high = apply_profile(w, profile("one_minus_phi"))
+        low = self.apply(w, "phi")
+        high = self.apply(w, "one_minus_phi")
         assert np.abs(low.coeffs + high.coeffs - w.coeffs).max() < 1e-15
 
     def test_solenoidality_and_commutation(self, grid32):
         w = random_solenoidal(grid32, 3)
-        out = apply_profile(w, profile("tilde"))
+        out = self.apply(w, "tilde")
         assert solenoidal_error(out) < 1e-10
-        a = apply_profile(spectral_derivative(w, (1, 0, 1)), profile("chi"))
-        b = spectral_derivative(apply_profile(w, profile("chi")), (1, 0, 1))
+        a = self.apply(derivative(w, (1, 0, 1)), "chi")
+        b = derivative(self.apply(w, "chi"), (1, 0, 1))
         assert np.abs(a.coeffs - b.coeffs).max() < 1e-14
 
 
@@ -174,41 +184,49 @@ def single_mode_field(grid, k_index, component=2):
     coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     coeffs[component, k_index % grid.n, 0, 0] = 1.0
     coeffs[component, (-k_index) % grid.n, 0, 0] = 1.0
-    return SpectralVectorField(grid, coeffs, True)
+    return SpectralVectorField(grid, coeffs)
 
 
 class TestDecompose:
+    """The ledger's low/high/band split of a field, at tau = 0 (s = 1)."""
+
     def test_low_mode(self, grid32):
-        w = single_mode_field(grid32, 2)  # |xi| = 0.5
-        d = decompose(w)
-        assert np.array_equal(d.low.coeffs, w.coeffs)
-        assert np.abs(d.high.coeffs).max() == 0.0
-        assert np.abs(d.tilde.coeffs).max() == 0.0
+        rec = ledger_record(single_mode_field(grid32, 2), 0.0)  # |xi| = 0.5
+        assert rec.E0_low == rec.E0 > 0.0
+        assert rec.E0_high == rec.E0_tilde == 0.0
+        assert rec.T_split_lh == rec.T_split_hl == rec.T_split_hh == 0.0
+        assert rec.sup_w_low == rec.sup_norm_w
 
     def test_high_mode(self, grid32):
-        w = single_mode_field(grid32, 12)  # |xi| = 3
-        d = decompose(w)
-        assert np.abs(d.low.coeffs).max() == 0.0
-        assert np.array_equal(d.high.coeffs, w.coeffs)
-        assert np.array_equal(d.tilde.coeffs, w.coeffs)
+        rec = ledger_record(single_mode_field(grid32, 12), 0.0)  # |xi| = 3
+        assert rec.E0_low == rec.E0_low_chi == 0.0
+        assert rec.E0_high == rec.E0_tilde == rec.E0 > 0.0
+        assert rec.sup_w_low == 0.0
 
     def test_energy_split(self, grid32):
         for seed in range(5):
-            w = random_solenoidal(grid32, seed)
-            d = decompose(w)
-            total = l2_norm_sq(w)
-            split = l2_norm_sq(d.low) + l2_norm_sq(d.tilde)
-            assert abs(total - split) <= 1e-10 * total
+            rec = ledger_record(random_solenoidal(grid32, seed), 0.0)
+            assert abs(rec.E0 - rec.E0_low - rec.E0_tilde) <= 1e-10 * rec.E0
 
     def test_reconstruction(self, grid32):
+        # low + high = u: the four splits add up to the unsplit pairing
+        # sum_x u_j d_j u_k adjoint_k, adjoint = F^-1[(1 - phi)^2 |xi|^2 u_hat]
         w = random_solenoidal(grid32, 9)
-        d = decompose(w)
-        err = np.abs(d.low.coeffs + d.high.coeffs - w.coeffs).max()
-        assert err <= 1e-12 * np.abs(w.coeffs).max()
+        rec = ledger_record(w, 0.0)
+        g, c = grid32, w.coeffs
+        high_sq = weight_tables(g.xi_mag, 0.1)["one_minus_phi"][0]
+        u = spec_to_phys(c, g)
+        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
+        terms = [u[j] * spec_to_phys(1j * g.xi[j] * c[k], g) * adjoint[k]
+                 for j in range(3) for k in range(3)]
+        expected = sum(float(t.sum()) for t in terms)
+        magnitude = sum(float(np.abs(t).sum()) for t in terms)
+        splits = rec.T_split_ll + rec.T_split_lh + rec.T_split_hl + rec.T_split_hh
+        assert abs(splits - g.cell_volume * expected) <= 1e-13 * g.cell_volume * magnitude
 
     def test_alpha_validation(self, grid32):
         with pytest.raises(DomainError):
-            decompose(random_solenoidal(grid32, 0), alpha=0.5)
+            ledger_record(random_solenoidal(grid32, 0), 0.0, alpha=0.5)
 
 
 class TestDilationFlux:
@@ -239,67 +257,16 @@ class TestDilationFlux:
         )
 
 
-class TestBernsteinConstant:
-    def test_closed_form_oracle(self):
-        # independent oracle: the radial integral has the closed form
-        # 4*pi * 2**(3+e) / (3+e) for integrand r**(2+e)
-        for alpha, m in [(0.05, 4.0), (0.1, 4.0), (0.1, math.inf), (0.06, 6.0)]:
-            mprime = 1.0 if math.isinf(m) else m / (m - 1.0)
-            e = -(0.5 + 2 * alpha) * 2 * mprime / (2 - mprime)
-            integral = 4 * math.pi * 2 ** (3 + e) / (3 + e)
-            expected = (2 * math.pi) ** (3 / mprime) * integral ** (
-                (2 - mprime) / (2 * mprime)
-            )
-            assert bernstein_constant(alpha, m) == pytest.approx(expected, rel=1e-9)
-
-    def test_increasing_in_alpha_at_critical_index(self):
-        # at m = 4 the singular weight dominates and the quadrature value
-        # rises with alpha (it diverges as alpha -> 1/8)
-        assert bernstein_constant(0.05, 4) < bernstein_constant(0.1, 4)
-        assert bernstein_constant(0.1, 4) < bernstein_constant(0.124, 4)
-
-    def test_finite_positive_across_range(self):
-        for alpha in (0.01, 0.06, 0.12):
-            for m in (4.0, 6.0, math.inf):
-                val = bernstein_constant(alpha, m)
-                assert math.isfinite(val) and val > 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bernstein_constant(0.2, 4)
-        with pytest.raises(DomainError):
-            bernstein_constant(0.1, 3)
-
-    def test_low_block_norm_comparison(self, grid32):
-        # empirical form of the L4-vs-L2 block bound; the measured ratio is
-        # reported through the assertion margin
-        alpha = 0.1
-        cap = bernstein_constant(alpha, 4)
-        chi = make_profile("chi", alpha)
-        phi = make_profile("phi")
-        worst = 0.0
-        for seed in range(25):
-            f = random_solenoidal(grid32, 100 + seed)
-            low = apply_profile(f, phi)
-            chi_low = apply_profile(f, chi)
-            phys = spec_to_phys(low.coeffs, grid32)
-            mag2 = (phys**2).sum(axis=0)
-            l4 = float(((mag2**2).sum() * grid32.cell_volume) ** 0.25)
-            ratio = l4 / l2_norm(chi_low)
-            worst = max(worst, ratio)
-        assert worst <= cap
-
-
 class TestBalanceIntegrands:
     @pytest.mark.parametrize("alpha", [0.02, 0.06, 0.1, 0.12])
     def test_low_block_nonpositive(self, alpha):
         r = np.linspace(0.0, 1.0, 2000)
-        assert np.max(low_block_shell_integrand(r, alpha)) <= 1e-15
+        assert np.max(balance_shell_integrand(r, alpha)) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.02, 0.06, 0.1, 0.12])
     def test_transition_band_nonpositive(self, alpha):
         r = np.linspace(1.0, 2.0, 2000)
-        assert np.max(transition_shell_integrand(r, alpha)) <= 1e-15
+        assert np.max(balance_shell_integrand(r, alpha)) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.02, 0.1])
     def test_combined_weight_slope_nonpositive(self, alpha):

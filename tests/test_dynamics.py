@@ -15,10 +15,8 @@ from nsverify.dynamics import (
     initial_from_snapshot,
     make_test_field,
     nse_rhs,
-    pressure_recover,
     rescale_data,
     simulate,
-    simulate_collect,
     step,
     weak_residual,
 )
@@ -39,14 +37,14 @@ from nsverify.spectral import (
     l2_norm,
     l2_norm_sq,
     leray_project,
+    mode_energy,
     parseval_pair,
     spec_to_phys,
-    spectral_tail_fraction,
+    tail_fraction,
     transform_inverse,
-    zero_field,
 )
 
-from conftest import random_solenoidal, small_run
+from conftest import random_solenoidal, small_run, zero_field
 from test_cutoffs import single_mode_field
 
 
@@ -92,7 +90,7 @@ def cube_ifrk4(c, dt, grid, nonlinear):
         return c * full, None
 
     def tendency(coeffs):
-        return _nonlinear_tendency(SpectralVectorField(grid, coeffs, True))
+        return _nonlinear_tendency(SpectralVectorField(grid, coeffs))
 
     a = tendency(c)
     b = tendency((a * (dt / 2.0) + c) * half)
@@ -135,7 +133,7 @@ def cube_trajectory(u0, cfg):
     while i < len(times):
         span = times[i] - t
         if span > 1e-15:
-            cap = _cfl_cap(SpectralVectorField(grid, c, True), cfg)
+            cap = _cfl_cap(SpectralVectorField(grid, c), cfg)
             if span > cap:
                 nsteps = math.ceil(span / cap)
                 for _ in range(nsteps):
@@ -262,7 +260,7 @@ class TestStep:
 class TestSimulate:
     def test_zero_data_stays_zero(self, grid16):
         cfg = base_config(grid16)
-        snaps = simulate_collect(zero_field(grid16), cfg)
+        snaps = list(simulate(zero_field(grid16), cfg))
         assert len(snaps) == len(cfg.sample_taus)
         assert all(np.abs(s.u_hat.coeffs).max() == 0.0 for s in snaps)
 
@@ -303,7 +301,7 @@ class TestSimulate:
             n=32, l_box=8 * math.pi, t_horizon=1.0, dt_max=0.02, cfl=0.4,
             sample_taus=-np.log(1.0 - t_samples), delta=0.05, alpha=0.1,
         )
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         energies = np.array([s.energy for s in snaps])
         grads = np.array(
             [
@@ -340,14 +338,14 @@ class TestSimulate:
             sample_taus=-np.log(2.0 - np.linspace(0.0, 0.2, 5)),
             delta=l2_norm(u0), alpha=0.1,
         )
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         assert snaps[-1].nonlinear_orthogonality <= 1e-12
 
     def test_resolution_guard_error(self, grid32):
         u0 = random_solenoidal(grid32, 7, target=0.05)
         cfg = base_config(grid32, resolution_threshold=1e-30)
         with pytest.raises(ResolutionError):
-            simulate_collect(u0, cfg)
+            list(simulate(u0, cfg))
 
     def test_resolution_guard_warn(self, grid32):
         u0 = random_solenoidal(grid32, 7, target=0.05)
@@ -355,19 +353,19 @@ class TestSimulate:
             grid32, resolution_threshold=1e-30, resolution_policy="warn"
         )
         with pytest.warns(ResolutionWarning):
-            simulate_collect(u0, cfg)
+            list(simulate(u0, cfg))
 
     def test_grid_mismatch(self, grid16, grid32):
         u0 = random_solenoidal(grid32, 8)
         with pytest.raises(ConfigurationError):
-            simulate_collect(u0, base_config(grid16))
+            list(simulate(u0, base_config(grid16)))
 
     def test_handed_over_first_stage_equals_fresh_steps(self, grid32):
         # a span split into several steps equals the same number of chained
         # step() calls from the sample that starts it
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.004)
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         u_hat, most = snaps[0].u_hat, 0
         for prev, snap in zip(snaps, snaps[1:]):
             span = snap.frame.t - prev.frame.t
@@ -383,7 +381,7 @@ class TestSimulate:
     def test_step_ends_equal_chained_steps(self, grid32):
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS)
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         spans = step_spans(snaps, cfg)
         assert any(end - start > 1 for start, end, _ in spans)
         assert any(nsteps > 1 for _, _, nsteps in spans)
@@ -406,7 +404,7 @@ class TestSimulate:
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS)
         monkeypatch.setattr(dynamics, "_nonlinear_tendency", counted)
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         monkeypatch.undo()
         spans = step_spans(snaps, cfg)
         assert any(end - start > 1 for start, end, _ in spans)
@@ -422,7 +420,7 @@ class TestSimulate:
         cfg = base_config(
             grid32, dt_max=0.04, sample_taus=MIXED_TAUS, nonlinear=nonlinear
         )
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         spans = step_spans(snaps, cfg)
         assert any(end - start > 1 for start, end, _ in spans)
         assert any(nsteps > 1 for _, _, nsteps in spans)
@@ -435,7 +433,8 @@ class TestSimulate:
         _, snaps = small_run(grid32, seed=2, tau_max=0.2)
         for snap in snaps:
             assert snap.energy == l2_norm_sq(snap.u_hat)
-            assert snap.tail_fraction == spectral_tail_fraction(snap.u_hat)
+            assert snap.tail_fraction == tail_fraction(
+                mode_energy(snap.u_hat.coeffs), grid32)
 
     def test_tendency_transforms_go_through_the_traced_bindings(
         self, grid32, monkeypatch
@@ -459,7 +458,7 @@ class TestSimulate:
                      "leray_project"):
             monkeypatch.setattr(dynamics, name, counted(name))
         u0 = random_solenoidal(grid32, 9, target=0.05)
-        simulate_collect(u0, base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS[:6]))
+        list(simulate(u0, base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS[:6])))
         tendencies = counts["_nonlinear_tendency"]
         assert tendencies > 0
         assert counts == {"_nonlinear_tendency": tendencies,
@@ -472,7 +471,7 @@ class TestSimulate:
         cfg = base_config(
             grid32, dt_max=0.04, sample_taus=MIXED_TAUS, nonlinear=False
         )
-        snaps = simulate_collect(u0, cfg)
+        snaps = list(simulate(u0, cfg))
         assert any(end - start > 1 for start, end, _ in step_spans(snaps, cfg))
         c0 = snaps[0].u_hat.coeffs
         for snap in snaps:
@@ -501,7 +500,7 @@ class TestSimulate:
         errors = []
         for h, k in ((0.04, 32), (0.02, 16), (0.01, 8)):
             taus = [-math.log1p(-h / 2), -math.log1p(-h)]
-            mid = simulate_collect(u0, config(taus))[0].u_hat.coeffs
+            mid = list(simulate(u0, config(taus)))[0].u_hat.coeffs
             errors.append(np.abs(mid - reference[k]).max())
         assert errors[0] >= 12.0 * errors[1] >= 144.0 * errors[2]
 
@@ -509,7 +508,7 @@ class TestSimulate:
         u0 = random_solenoidal(grid32, 8)
         cfg = base_config(grid32, l_box=grid32.l_box * (1.0 + 1e-13))
         with pytest.raises(ConfigurationError):
-            simulate_collect(u0, cfg)
+            list(simulate(u0, cfg))
 
     def test_config_validation(self, grid16):
         with pytest.raises(ConfigurationError):
@@ -569,47 +568,17 @@ class TestRescale:
             n=32, l_box=8 * math.pi, t_horizon=1.0, dt_max=0.005, cfl=0.4,
             sample_taus=[-math.log(1 - t_a)], delta=delta, alpha=0.1,
         )
-        ref = rescale_data(simulate_collect(u0, cfg_a)[-1].u_hat, 2)
+        ref = rescale_data(list(simulate(u0, cfg_a))[-1].u_hat, 2)
         cfg_b = TrajectoryConfig(
             n=32, l_box=8 * math.pi, t_horizon=1.0, dt_max=0.005, cfl=0.4,
             sample_taus=[-math.log(1 - t_a / 4)], delta=2 * delta, alpha=0.1,
         )
-        got = simulate_collect(rescale_data(u0, 2), cfg_b)[-1].u_hat
+        got = list(simulate(rescale_data(u0, 2), cfg_b))[-1].u_hat
         err = np.sqrt(
             (grid.multiplicity * np.abs(got.coeffs - ref.coeffs) ** 2).sum()
             / l2_norm_sq(ref)
         )
         assert err <= 1e-6
-
-
-class TestPressure:
-    def test_zero(self, grid16):
-        assert np.abs(pressure_recover(zero_field(grid16))).max() == 0.0
-
-    def test_planar_vortex_closed_form(self, grid16):
-        # (u.grad)u = (sin 2x, sin 2y, 0)/2 and -lap p = div((u.grad)u)
-        # = 2(cos 2x + cos 2y)/... gives p = (cos 2x + cos 2y)/4 for this
-        # phase choice (shift x,y by pi/2 to recover the textbook variant)
-        u = planar_vortex(grid16)
-        p = spec_to_phys(pressure_recover(u), grid16)
-        x, y, _ = grid16.axes()
-        expected = (np.cos(2 * x) + np.cos(2 * y)) / 4.0 * np.ones((1, 1, 16))
-        assert np.abs(p - expected).max() < 1e-12
-
-    def test_gradient_restores_nonsolenoidal_part(self, grid32):
-        u = random_solenoidal(grid32, 14, target=1.0)
-        G = convective_term(u)
-        PG = leray_project(G)
-        p = pressure_recover(u)
-        grad_p = np.stack(
-            [1j * grid32.xi[c] * p for c in range(3)]
-        )
-        resid = np.abs(G.coeffs - PG.coeffs + grad_p).max()
-        assert resid <= 1e-10 * np.abs(G.coeffs).max()
-
-    def test_zero_mean(self, grid32):
-        u = random_solenoidal(grid32, 15)
-        assert pressure_recover(u)[0, 0, 0] == 0.0
 
 
 class TestEnvelope:
@@ -647,11 +616,11 @@ class TestWeakForm:
             n=grid.n, l_box=grid.l_box, t_horizon=2.0, dt_max=0.02, cfl=0.4,
             sample_taus=taus, delta=l2_norm(u0), alpha=0.1,
         )
-        return simulate_collect(u0, cfg)
+        return list(simulate(u0, cfg))
 
     def test_zero_trajectory(self, grid16):
         cfg = base_config(grid16, sample_taus=np.linspace(0.0, 0.4, 21))
-        snaps = simulate_collect(zero_field(grid16), cfg)
+        snaps = list(simulate(zero_field(grid16), cfg))
         tf = make_test_field(grid16, 0, 0.05, 0.25)
         assert weak_residual(snaps, tf) == 0.0
 
@@ -688,8 +657,7 @@ class TestWeakForm:
         clean = abs(weak_residual(snaps, tf))
         k = len(snaps) // 2
         corrupted = list(snaps)
-        bad = corrupted[k].u_hat.copy()
-        bad.coeffs *= 1.1
+        bad = SpectralVectorField(grid16, corrupted[k].u_hat.coeffs * 1.1)
         corrupted[k] = type(snaps[k])(
             frame=snaps[k].frame, u_hat=bad,
             tail_fraction=snaps[k].tail_fraction,

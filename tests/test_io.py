@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nsverify.errors import ConfigurationError
-from nsverify.snapshot_io import read_snapshot, write_snapshot
+from nsverify.snapshot_io import _HEADER, MAGIC, VERSION, read_snapshot, write_snapshot
 from nsverify.spectral import RealVectorField
 
 from conftest import random_band_limited
@@ -44,4 +44,18 @@ def test_truncated(tmp_path, grid16):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ConfigurationError):
+        read_snapshot(path)
+
+
+def write_header_only(path, n, l_box=2.0 * np.pi):
+    """A snapshot header for an ``n``-point grid with no payload."""
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, n, l_box, 0.0, 3))
+
+
+def test_truncated_payload_is_caught_before_the_grid(tmp_path):
+    # n = 16384 would make the grid's frequency arrays about 16 TiB: the
+    # payload size must be checked against the header before they exist
+    path = tmp_path / "huge.nsvf"
+    write_header_only(path, n=16384)
+    with pytest.raises(ConfigurationError, match="truncated payload"):
         read_snapshot(path)

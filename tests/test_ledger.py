@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nsverify import ledger
-from nsverify.cutoffs import weight_tables
+from nsverify.cutoffs import make_profile, weight_tables
 from nsverify.dynamics import convective_term
 from nsverify.errors import FitError
 from nsverify.harness import format_summary_table
@@ -21,7 +21,7 @@ from nsverify.ledger import (
     summarize_reports,
 )
 from nsverify.similarity import frame, t_of_tau
-from nsverify.spectral import shell_sum, spec_to_phys
+from nsverify.spectral import mode_energy, mode_sum, shell_sum, spec_to_phys
 
 from conftest import small_run
 
@@ -255,6 +255,66 @@ def test_trace_closes_the_gradient_tensor(grid32, early_run):
         closed = _gradient_tensor(spectra[:8], grid32).reshape(full.shape)
         assert np.array_equal(closed[:8], full[:8])
         assert np.abs(closed[8] - full[8]).max() <= 1e-14 * np.abs(full).max()
+
+
+# Each shell-sum column restated from the paper: (density, j, profile, flux)
+# for s**p * sum over modes of m(s|xi|) |xi|^(2j) density, with m the
+# profile's psi^2 (1 without one) or, for a flux, its kernel r d(psi^2)/dr.
+# The frame power follows from w = s u(s y): the energy of D^j w carries
+# s**(2j - 1), and a transfer, cubic in w and paired with D^2j w, s**(2j + 1).
+MODE_COLUMNS = {
+    "E0": ("e", 0, None, False),
+    "E1": ("e", 1, None, False),
+    "E2": ("e", 2, None, False),
+    "E3": ("e", 3, None, False),
+    "E0_low": ("e", 0, "phi", False),
+    "E0_tilde": ("e", 0, "tilde", False),
+    "E0_high": ("e", 0, "one_minus_phi", False),
+    "E0_low_chi": ("e", 0, "chi", False),
+    "E1_low": ("e", 1, "phi", False),
+    "E1_low_chi": ("e", 1, "chi", False),
+    "E1_tilde": ("e", 1, "tilde", False),
+    "E1_high": ("e", 1, "one_minus_phi", False),
+    "E2_high": ("e", 2, "one_minus_phi", False),
+    "T_grad": ("t", 1, None, False),
+    "T_lap": ("t", 2, None, False),
+    "T_low": ("t", 0, "phi", False),
+    "T_chi": ("t", 0, "chi", False),
+    "T_grad_high": ("t", 1, "one_minus_phi", False),
+    "flux_phi": ("e", 0, "phi", True),
+    "flux_chi": ("e", 0, "chi", True),
+    "flux_one_minus_phi": ("e", 0, "one_minus_phi", True),
+    "flux_one_minus_phi_grad": ("e", 1, "one_minus_phi", True),
+}
+
+
+def test_shell_columns_are_mode_sums(grid32, early_run):
+    # mode by mode on the half spectrum, against the ledger's shell sums;
+    # the energy density is |u_hat|^2, the transfer density
+    # Re<F[(u.grad)u], u_hat> from the convective product
+    series, snaps = early_run
+    snap, rec = snaps[-1], series.records[-1]
+    g, s = grid32, snap.frame.scale
+    assert s < 0.9
+    c = snap.u_hat.coeffs
+    density = {
+        "e": mode_energy(c),
+        "t": (convective_term(snap.u_hat).coeffs * np.conj(c)).real.sum(axis=0),
+    }
+    assert set(MODE_COLUMNS) == set(ledger._SHELL_TERMS)
+    for name, (kind, j, profile, flux) in MODE_COLUMNS.items():
+        if profile is None:
+            m = 1.0
+        else:
+            psi = make_profile(profile, series.ctx.alpha)
+            r = s * g.xi_mag
+            m = psi.flux_kernel(r) if flux else psi.eval(r) ** 2
+        p = 2 * j - 1 if kind == "e" else 2 * j + 1
+        terms = s**p * m * g.xi_sq**j * density[kind]
+        expected = mode_sum(terms, g)
+        magnitude = mode_sum(np.abs(terms), g)
+        assert magnitude > 0.0, name
+        assert abs(getattr(rec, name) - expected) <= 1e-12 * magnitude, name
 
 
 def test_splits_are_the_direct_pairings(grid32, early_run):

@@ -6,11 +6,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsverify.errors import (
-    ConfigurationError,
-    GridMismatchError,
-    UnsupportedOrderError,
-)
+from nsverify.errors import ConfigurationError, GridMismatchError
 from nsverify.dynamics import _amplitude_bound
 from nsverify.spectral import (
     RealVectorField,
@@ -25,13 +21,11 @@ from nsverify.spectral import (
     shell_sum,
     solenoidal_error,
     spec_to_phys,
-    spectral_derivative,
     transform_forward,
     transform_inverse,
-    zero_field,
 )
 
-from conftest import random_band_limited
+from conftest import derivative, random_band_limited, zero_field
 
 
 def plane_hermitian_error(w):
@@ -208,19 +202,15 @@ class TestBand:
 
 
 class TestDerivative:
-    def test_order_zero_identity(self, grid16):
-        w = transform_forward(random_band_limited(grid16, 1))
-        d = spectral_derivative(w, (0, 0, 0))
-        assert np.array_equal(d.coeffs, w.coeffs)
-        d0 = spectral_derivative(w, 0)
-        assert np.array_equal(d0.coeffs, w.coeffs)
+    """``1j * grid.xi`` is the derivative multiplier in the transforms'
+    convention, as the integrator and the ledger use it."""
 
     def test_sin_to_cos(self, grid16):
         x = grid16.axes()[0]
         samples = np.zeros((3, 16, 16, 16))
         samples[0] = np.sin(x) * np.ones((1, 16, 16))
         w = transform_forward(RealVectorField(grid16, samples))
-        d = transform_inverse(spectral_derivative(w, (1, 0, 0)))
+        d = transform_inverse(derivative(w, (1, 0, 0)))
         expected = np.cos(x) * np.ones((1, 16, 16))
         assert np.abs(d.samples[0] - expected).max() < 1e-13
 
@@ -231,21 +221,14 @@ class TestDerivative:
         samples = np.zeros((3, 16, 16, 16))
         samples[1] = np.cos(2.0 * x) * np.ones((1, 16, 16))
         w = transform_forward(RealVectorField(grid16, samples))
-        d = spectral_derivative(w, (2, 0, 0))
+        d = derivative(w, (2, 0, 0))
         assert l2_norm(d) == pytest.approx(4.0 * l2_norm(w), rel=1e-13)
-
-    def test_order_cap(self, grid16):
-        w = zero_field(grid16)
-        with pytest.raises(UnsupportedOrderError):
-            spectral_derivative(w, (2, 1, 1))
-        with pytest.raises(UnsupportedOrderError):
-            spectral_derivative(w, 2)
 
     def test_hermitian_preserved(self, grid16):
         w = transform_forward(random_band_limited(grid16, 9))
         # (1, 1, 1) vanishes on the kz = 0 plane; (1, 2, 0) does not
         for beta in ((1, 1, 1), (1, 2, 0)):
-            d = spectral_derivative(w, beta)
+            d = derivative(w, beta)
             assert plane_hermitian_error(d) < 1e-13 * max(np.abs(d.coeffs).max(), 1e-30)
 
 
@@ -271,7 +254,7 @@ class TestLerayProjection:
     def test_divergence_and_idempotence(self, grid16):
         w = transform_forward(random_band_limited(grid16, 13))
         p = leray_project(w)
-        grad_norm = l2_norm(spectral_derivative(w, (1, 0, 0)))
+        grad_norm = l2_norm(derivative(w, (1, 0, 0)))
         div_norm = math.sqrt(
             float((grid16.multiplicity
                    * np.abs(1j * (grid16.xi[0] * p.coeffs[0]
@@ -296,8 +279,8 @@ class TestLerayProjection:
     def test_commutes_with_derivative(self, grid16):
         w = transform_forward(random_band_limited(grid16, 29))
         beta = (1, 1, 0)
-        a = spectral_derivative(leray_project(w), beta)
-        b = leray_project(spectral_derivative(w, beta))
+        a = derivative(leray_project(w), beta)
+        b = leray_project(derivative(w, beta))
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-12 * np.abs(a.coeffs).max()
 
 
