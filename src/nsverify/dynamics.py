@@ -31,8 +31,9 @@ the viscous factors and the products are held as band arrays, 28-30 % of
 the half spectrum. Each inverse transform scatters its band coefficients
 into the zero-padded half spectrum, and each forward transform of a product
 gathers the band out of it, which is the truncation. The tendency functions
-take a field on a grid or on its band. Snapshots are scattered back to the
-grid's half spectrum when they are emitted.
+take a field on a grid or on its band. Snapshots carry band coefficients
+too, a copy per sample; the sample's energy and tail fraction are taken on
+the half spectrum, through one scatter buffer per trajectory.
 
 The integrator computes nothing for the ledger: a nonlinear trajectory costs
 exactly four tendency evaluations per step, and a snapshot carries the field
@@ -60,6 +61,7 @@ from .errors import (
 )
 from .similarity import SimilarityFrame, frame, t_of_tau
 from .spectral import (
+    Band,
     Grid,
     SpectralVectorField,
     cross,
@@ -99,7 +101,7 @@ class Snapshot:
     """One emitted sample: frame, field, and per-run diagnostics."""
 
     frame: SimilarityFrame
-    u_hat: SpectralVectorField
+    u_hat: SpectralVectorField  # on the grid's 2/3 band
     tail_fraction: float
     nonlinear_orthogonality: float  # worst |<P N, u>| / (|N| |u|) so far
     energy: float
@@ -390,9 +392,9 @@ def simulate(
     the next sample lies beyond the cap, that span is split into equal steps.
     A sample strictly inside a step is the step's RK4 dense output
     (:func:`_dense_output`); a sample on a step end is the step's own result.
-    Emitted fields are fresh half-spectrum arrays safe to hold across
-    iterations; energy monotonicity and the spectral-tail guard are enforced
-    sample by sample.
+    Emitted fields are fresh arrays on ``u0.grid.band``, safe to hold and to
+    modify across iterations; energy monotonicity and the spectral-tail guard
+    are enforced sample by sample.
     Emitting a sample evaluates no tendency, so a nonlinear trajectory costs
     exactly ``4 * steps`` tendency evaluations.
     """
@@ -403,11 +405,12 @@ def simulate(
     t = 0.0
     worst_orth = 0.0
     prev_energy = math.inf
+    # energy and tail are sums over the half spectrum, in its order
+    half = np.zeros((3,) + ugrid.xi_sq.shape, dtype=complex)
 
     def sample(i: int, t_i: float, coeffs: np.ndarray) -> Snapshot:
         nonlocal prev_energy
-        field = SpectralVectorField(ugrid, band.scatter(coeffs))
-        density = mode_energy(field.coeffs)
+        density = mode_energy(band.scatter(coeffs, out=half))
         energy = mode_sum(density, ugrid)
         if energy > prev_energy * (1.0 + 1e-12):
             raise EnergyIncreaseError(
@@ -426,7 +429,7 @@ def simulate(
                 warnings.warn(msg, ResolutionWarning)
         snap = Snapshot(
             frame=frame(t_i, cfg.t_horizon),
-            u_hat=field,
+            u_hat=SpectralVectorField(band, coeffs.copy()),
             tail_fraction=tail,
             nonlinear_orthogonality=worst_orth,
             energy=energy,
@@ -584,12 +587,20 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
     exact for dealiased fields. The test field's envelope is C^3 at its
     support ends, so the quadrature is fourth order in the tau spacing and the
     support ends need not fall on sample nodes.
+
+    The snapshots carry band coefficients, as :func:`simulate` emits them;
+    the test field lives on the band's grid. A sample outside the support,
+    where the envelope and its rate are both 0, adds exactly 0 to both
+    quadratures, so it is not transformed.
     """
     if len(snapshots) < 3:
         raise DomainError("weak-form quadrature needs at least three snapshots")
-    g = snapshots[0].u_hat.grid
+    band = snapshots[0].u_hat.grid
+    if not isinstance(band, Band):
+        raise DomainError("weak form reads snapshots on a grid's 2/3 band")
     v = testfield.spatial
-    if v.grid != g:
+    g = v.grid
+    if (band.n, band.l_box) != (g.n, g.l_box):
         raise DomainError("test field lives on a different grid")
     from .spectral import solenoidal_error
 
@@ -618,16 +629,20 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
     weighted_xi_sq_v = g.multiplicity * (g.xi_sq * v.coeffs)
 
     cell = g.cell_volume
-    values = np.empty(len(snapshots))
-    scales = np.empty(len(snapshots))
+    values = np.zeros(len(snapshots))
+    scales = np.zeros(len(snapshots))
+    # the pairings run over the half spectrum, in its order
+    half = np.zeros((3,) + g.xi_sq.shape, dtype=complex)
     for i, snap in enumerate(snapshots):
-        u_hat = snap.u_hat
         t = snap.frame.t
         theta = testfield.envelope(t)
         theta_dot = testfield.envelope_rate(t)
-        u_v = float(np.vdot(weighted_v, u_hat.coeffs).real)
-        gradu_gradv = float(np.vdot(weighted_xi_sq_v, u_hat.coeffs).real)
-        u = spec_to_phys(u_hat.coeffs, g)
+        if theta == 0.0 and theta_dot == 0.0:
+            continue
+        c = band.scatter(snap.u_hat.coeffs, out=half)
+        u_v = float(np.vdot(weighted_v, c).real)
+        gradu_gradv = float(np.vdot(weighted_xi_sq_v, c).real)
+        u = spec_to_phys(snap.u_hat.coeffs, band)
         adv = 0.0
         uu_sq = 0.0
         for j in range(3):
@@ -635,10 +650,8 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
                 prod = u[j] * u[k]
                 adv -= float((prod * grad_v[j, k]).sum() * cell)
                 uu_sq += float((prod**2).sum() * cell)
-        norm_u = l2_norm(u_hat)
-        grad_norm_u = math.sqrt(
-            max(parseval_pair(g.xi_sq * u_hat.coeffs, u_hat.coeffs, g), 0.0)
-        )
+        norm_u = math.sqrt(snap.energy)
+        grad_norm_u = math.sqrt(max(parseval_pair(g.xi_sq * c, c, g), 0.0))
         jac = snap.frame.t_horizon - t  # dt/dtau
         values[i] = jac * (-theta_dot * u_v + theta * (gradu_gradv + adv))
         scales[i] = jac * (

@@ -1,12 +1,13 @@
 """Periodic-box spectral representation of 3-vector fields.
 
-Conventions used everywhere in the package:
+Conventions of the package:
 
 * collocation points ``x_j = j * l_box / n`` per axis, arrays indexed
   ``[component, ix, iy, iz]``;
-* coefficients are stored in the ``rfftn`` half-spectrum layout
-  ``[component, ix, iy, iz]`` with shape ``(3, n, n, n//2 + 1)``: signed
-  integer wavenumbers ``k in {-n/2, ..., n/2 - 1}`` on the first two axes and
+* a field on a :class:`Grid` stores its coefficients in the ``rfftn``
+  half-spectrum layout ``[component, ix, iy, iz]`` with shape
+  ``(3, n, n, n//2 + 1)``: signed integer wavenumbers
+  ``k in {-n/2, ..., n/2 - 1}`` on the first two axes and
   ``kz in {0, ..., n/2}`` on the last, mapped to continuous frequencies
   ``xi = k * dxi`` with ``dxi = 2*pi/l_box``. The modes with ``kz < 0`` are
   not stored: a real field has ``coeff(-k) == conj(coeff(k))``;
@@ -24,8 +25,12 @@ Conventions used everywhere in the package:
 A dealiased field is zero outside the 2/3 band ``|kx|, |ky|, kz <= K``
 (``K = dealias_kmax``), 28 % of the half spectrum at n=32 and 30 % at n=64.
 :attr:`Grid.band` (a :class:`Band`) holds that band as compact arrays, with
-the same frequency arrays and Parseval weights as its grid, so the operators
-here run on band coefficients unchanged.
+the same frequency arrays, Parseval weights and shells as its grid, so the
+operators here run on band coefficients unchanged. Trajectories live on the
+band: the integrator's state, the snapshots it emits, and the ledger's and
+the weak form's spectra are band coefficients. Initial data, test fields
+and the reference fields of the acceptance criteria stay on the half
+spectrum, and :meth:`Band.scatter` takes band coefficients there.
 
 The inverse transform runs one component at a time: a batch of nine n=32
 components is about 2.5 MB, larger than a typical 2 MB L2 cache, while one
@@ -164,13 +169,18 @@ class Band:
     shape ``(2K+1, 2K+1, K+1)``.
 
     The first two axes run over ``k = 0 .. K, -K .. -1``, the order in which
-    the grid stores them, and the last over ``kz = 0 .. K``. ``xi``,
-    ``xi_sq``, ``inv_xi_sq`` and ``multiplicity`` are the grid's, gathered,
-    so :func:`leray_project`, :func:`parseval_pair` and the like run on band
-    coefficients as on the grid's. ``n`` and ``l_box`` are the grid's too;
-    :func:`spec_to_phys` and :func:`phys_to_spec` transform band coefficients
-    on the grid's collocation points. A band is equal only to itself, never
-    to its grid, so fields of the two layouts do not mix.
+    the grid stores them, and the last over ``kz = 0 .. K``, so a flattened
+    band visits its modes in the grid's order. ``xi``, ``xi_sq``,
+    ``inv_xi_sq``, ``multiplicity`` and ``shell_index`` are the grid's,
+    gathered, and ``shell_radii`` is the grid's, so :func:`leray_project`,
+    :func:`parseval_pair`, :func:`shell_sum` and the like run on band
+    coefficients as on the grid's; a shell sum adds the same terms in the
+    same order, so it is bitwise the grid's. ``n`` and ``l_box`` are the
+    grid's too; :func:`spec_to_phys` and :func:`phys_to_spec` transform band
+    coefficients on the grid's collocation points. A band is equal only to
+    itself, never to its grid, so fields of the two layouts do not mix. It
+    keeps no reference to its grid, which holds it, so a dropped grid is
+    freed at once rather than by the cycle collector.
     """
 
     def __init__(self, grid: Grid):
@@ -185,11 +195,15 @@ class Band:
             for bx, gx in rows for by, gy in rows
         ]
         self._forward_scale = self.l_box**1.5 / n**3
-        xi1d = grid.xi1d[np.r_[0 : k + 1, n - k : n]]
+        axis = np.r_[0 : k + 1, n - k : n]
+        xi1d = grid.xi1d[axis]
         self.xi = (xi1d[:, None, None], xi1d[None, :, None], grid.xi[2][..., : k + 1])
         self.xi_sq = self.gather(grid.xi_sq)
         self.inv_xi_sq = self.gather(grid.inv_xi_sq)
         self.multiplicity = self.gather(grid.multiplicity)
+        self.shell_radii = grid.shell_radii
+        self.shell_index = grid.shell_index.reshape(grid.xi_sq.shape)[
+            np.ix_(axis, axis, np.arange(k + 1))].ravel()
 
     def gather(self, half: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """The band entries of ``half`` (``(..., n, n, n//2 + 1)``, the
@@ -327,9 +341,10 @@ def parseval_pair(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     return float(np.vdot(a, grid.multiplicity * b).real)
 
 
-def shell_sum(density: np.ndarray, grid: Grid) -> np.ndarray:
+def shell_sum(density: np.ndarray, grid: Grid | Band) -> np.ndarray:
     """Full-lattice sum of a per-mode density over each lattice shell, in the
-    order of ``grid.shell_radii``."""
+    order of ``grid.shell_radii``; on a band, of a density that is zero
+    outside it."""
     return np.bincount(
         grid.shell_index,
         weights=(grid.multiplicity * density).ravel(),

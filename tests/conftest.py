@@ -50,9 +50,14 @@ def derivative(w, beta):
 
 def ledger_record(u, t, alpha=0.1):
     """The ledger's record of the field ``u`` at time ``t`` below the horizon
-    ``T = 1`` (``s = sqrt(1 - t)``)."""
-    snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0,
-                    nonlinear_orthogonality=0.0, energy=0.0)
+    ``T = 1`` (``s = sqrt(1 - t)``), read from a snapshot on the grid's 2/3
+    band as :func:`simulate` emits it. ``u`` must lie inside the band."""
+    band = u.grid.band
+    coeffs = band.gather(u.coeffs)
+    if not np.array_equal(band.scatter(coeffs), u.coeffs):
+        raise ValueError("the field has content outside the 2/3 band")
+    snap = Snapshot(frame(t, 1.0), SpectralVectorField(band, coeffs),
+                    tail_fraction=0.0, nonlinear_orthogonality=0.0, energy=0.0)
     return RecordsBuilder(LedgerContext(u.grid, alpha, 0.05)).feed(snap)
 
 

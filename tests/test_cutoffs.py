@@ -187,6 +187,15 @@ def single_mode_field(grid, k_index, component=2):
     return SpectralVectorField(grid, coeffs)
 
 
+def diagonal_mode_field(grid, k, kz):
+    """Real single-mode solenoidal field at the wavevector ``(k, k, kz)``,
+    ``kz > 0`` (the conjugate mode is implied), along ``(1, -1, 0)``."""
+    coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    coeffs[0, k, k, kz] = 1.0
+    coeffs[1, k, k, kz] = -1.0
+    return SpectralVectorField(grid, coeffs)
+
+
 class TestDecompose:
     """The ledger's low/high/band split of a field, at tau = 0 (s = 1)."""
 
@@ -198,7 +207,8 @@ class TestDecompose:
         assert rec.sup_w_low == rec.sup_norm_w
 
     def test_high_mode(self, grid32):
-        rec = ledger_record(single_mode_field(grid32, 12), 0.0)  # |xi| = 3
+        # |xi| = 3 inside the 2/3 band, |k| <= 10 per axis
+        rec = ledger_record(diagonal_mode_field(grid32, 8, 4), 0.0)
         assert rec.E0_low == rec.E0_low_chi == 0.0
         assert rec.E0_high == rec.E0_tilde == rec.E0 > 0.0
         assert rec.sup_w_low == 0.0

@@ -1,5 +1,6 @@
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,10 +276,8 @@ class TestSimulate:
         worst = 0.0
         for snap in simulate(u0, cfg):
             exact = u0.coeffs * math.exp(-2.0 * snap.frame.t)
-            worst = max(
-                worst,
-                np.abs(snap.u_hat.coeffs - exact).max() / np.abs(exact).max(),
-            )
+            got = grid16.band.scatter(snap.u_hat.coeffs)
+            worst = max(worst, np.abs(got - exact).max() / np.abs(exact).max())
         assert worst <= 1e-6
 
     def test_entry_rescale_to_delta(self, grid32):
@@ -307,7 +306,8 @@ class TestSimulate:
             [
                 float(
                     (grid32.multiplicity * grid32.xi_sq
-                     * (np.abs(s.u_hat.coeffs) ** 2).sum(axis=0)).sum()
+                     * (np.abs(grid32.band.scatter(s.u_hat.coeffs)) ** 2).sum(axis=0)
+                     ).sum()
                 )
                 for s in snaps
             ]
@@ -366,7 +366,9 @@ class TestSimulate:
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.004)
         snaps = list(simulate(u0, cfg))
-        u_hat, most = snaps[0].u_hat, 0
+        band = grid32.band
+        u_hat = SpectralVectorField(grid32, band.scatter(snaps[0].u_hat.coeffs))
+        most = 0
         for prev, snap in zip(snaps, snaps[1:]):
             span = snap.frame.t - prev.frame.t
             nsteps = math.ceil(span / _cfl_cap(u_hat, cfg))
@@ -375,7 +377,7 @@ class TestSimulate:
             for _ in range(nsteps):
                 state = step(state, span / nsteps, cfg)
             u_hat = state.u_hat
-            assert np.array_equal(u_hat.coeffs, snap.u_hat.coeffs)
+            assert np.array_equal(u_hat.coeffs, band.scatter(snap.u_hat.coeffs))
         assert most > 1
 
     def test_step_ends_equal_chained_steps(self, grid32):
@@ -385,12 +387,15 @@ class TestSimulate:
         spans = step_spans(snaps, cfg)
         assert any(end - start > 1 for start, end, _ in spans)
         assert any(nsteps > 1 for _, _, nsteps in spans)
+        band = grid32.band
         for start, end, nsteps in spans:
-            state = SimState(snaps[start].frame.t, snaps[start].u_hat)
+            u_hat = SpectralVectorField(grid32, band.scatter(snaps[start].u_hat.coeffs))
+            state = SimState(snaps[start].frame.t, u_hat)
             dt = (snaps[end].frame.t - snaps[start].frame.t) / nsteps
             for _ in range(nsteps):
                 state = step(state, dt, cfg)
-            assert np.array_equal(state.u_hat.coeffs, snaps[end].u_hat.coeffs)
+            assert np.array_equal(
+                state.u_hat.coeffs, band.scatter(snaps[end].u_hat.coeffs))
 
     def test_tendency_count(self, grid32, monkeypatch):
         # every step evaluates its four stages, and emitting a sample
@@ -427,14 +432,14 @@ class TestSimulate:
         reference = cube_trajectory(u0, cfg)
         assert len(reference) == len(snaps)
         for snap, expected in zip(snaps, reference):
-            assert np.array_equal(snap.u_hat.coeffs, expected)
+            assert np.array_equal(grid32.band.scatter(snap.u_hat.coeffs), expected)
 
     def test_sample_energy_and_tail_are_the_fields(self, grid32):
         _, snaps = small_run(grid32, seed=2, tau_max=0.2)
         for snap in snaps:
-            assert snap.energy == l2_norm_sq(snap.u_hat)
-            assert snap.tail_fraction == tail_fraction(
-                mode_energy(snap.u_hat.coeffs), grid32)
+            u = SpectralVectorField(grid32, grid32.band.scatter(snap.u_hat.coeffs))
+            assert snap.energy == l2_norm_sq(u)
+            assert snap.tail_fraction == tail_fraction(mode_energy(u.coeffs), grid32)
 
     def test_tendency_transforms_go_through_the_traced_bindings(
         self, grid32, monkeypatch
@@ -466,6 +471,40 @@ class TestSimulate:
                           "phys_to_spec": tendencies,
                           "leray_project": tendencies}
 
+    def test_snapshots_own_their_band_coefficients(self, grid16):
+        # each snapshot holds a copy of the band state: setting one to NaN
+        # in place, step ends included, changes no later snapshot
+        u0 = random_solenoidal(grid16, 9, target=0.05)
+        cfg = base_config(grid16, dt_max=0.04, sample_taus=MIXED_TAUS)
+        clean = list(simulate(u0, cfg))
+        spans = step_spans(clean, cfg)
+        assert any(end - start > 1 for start, end, _ in spans)
+        assert any(nsteps > 1 for _, _, nsteps in spans)
+        band = grid16.band
+        for snap, ref in zip(simulate(u0, cfg), clean):
+            assert snap.u_hat.grid is band
+            assert snap.u_hat.coeffs.shape == (3,) + band.shape
+            assert np.array_equal(snap.u_hat.coeffs, ref.u_hat.coeffs)
+            assert snap.energy == ref.energy
+            snap.u_hat.coeffs[...] = np.nan
+
+    def test_snapshots_hold_the_band_only(self):
+        # the random run of harness.criterion_weak_form on its first 11
+        # samples: a snapshot's coefficients are its own array, 28 % of the
+        # half spectrum's bytes
+        grid = build_grid(32, 8.0 * math.pi)
+        u0 = generate(FieldSpec("random_solenoidal", seed=5, l2_norm_target=0.05,
+                                xi_cutoff=2.3), grid)
+        cfg = TrajectoryConfig(
+            n=32, l_box=grid.l_box, t_horizon=1.0, dt_max=0.01,
+            sample_taus=np.arange(0.0, 0.2 + 1e-9, 0.02), delta=0.05, alpha=0.1,
+        )
+        snaps = list(simulate(u0, cfg))
+        assert all(s.u_hat.coeffs.base is None for s in snaps)
+        held = sum(s.u_hat.coeffs.nbytes for s in snaps)
+        half = len(snaps) * np.zeros((3,) + grid.xi_sq.shape, dtype=complex).nbytes
+        assert held <= 0.3 * half
+
     def test_interpolated_linear_decay_is_exact(self, grid32):
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(
@@ -473,10 +512,11 @@ class TestSimulate:
         )
         snaps = list(simulate(u0, cfg))
         assert any(end - start > 1 for start, end, _ in step_spans(snaps, cfg))
-        c0 = snaps[0].u_hat.coeffs
+        band = grid32.band
+        c0 = band.scatter(snaps[0].u_hat.coeffs)
         for snap in snaps:
             exact = np.exp(-grid32.xi_sq * snap.frame.t) * c0
-            err = np.abs(snap.u_hat.coeffs - exact).max()
+            err = np.abs(band.scatter(snap.u_hat.coeffs) - exact).max()
             assert err <= 1e-14 * np.abs(exact).max()
 
     def test_dense_output_is_fourth_order(self, grid32):
@@ -500,7 +540,7 @@ class TestSimulate:
         errors = []
         for h, k in ((0.04, 32), (0.02, 16), (0.01, 8)):
             taus = [-math.log1p(-h / 2), -math.log1p(-h)]
-            mid = list(simulate(u0, config(taus)))[0].u_hat.coeffs
+            mid = grid32.band.scatter(list(simulate(u0, config(taus)))[0].u_hat.coeffs)
             errors.append(np.abs(mid - reference[k]).max())
         assert errors[0] >= 12.0 * errors[1] >= 144.0 * errors[2]
 
@@ -568,12 +608,16 @@ class TestRescale:
             n=32, l_box=8 * math.pi, t_horizon=1.0, dt_max=0.005, cfl=0.4,
             sample_taus=[-math.log(1 - t_a)], delta=delta, alpha=0.1,
         )
-        ref = rescale_data(list(simulate(u0, cfg_a))[-1].u_hat, 2)
+        def final(u0, cfg):  # on the half spectrum, where the dilation acts
+            coeffs = list(simulate(u0, cfg))[-1].u_hat.coeffs
+            return SpectralVectorField(grid, grid.band.scatter(coeffs))
+
+        ref = rescale_data(final(u0, cfg_a), 2)
         cfg_b = TrajectoryConfig(
             n=32, l_box=8 * math.pi, t_horizon=1.0, dt_max=0.005, cfl=0.4,
             sample_taus=[-math.log(1 - t_a / 4)], delta=2 * delta, alpha=0.1,
         )
-        got = list(simulate(rescale_data(u0, 2), cfg_b))[-1].u_hat
+        got = final(rescale_data(u0, 2), cfg_b)
         err = np.sqrt(
             (grid.multiplicity * np.abs(got.coeffs - ref.coeffs) ** 2).sum()
             / l2_norm_sq(ref)
@@ -608,6 +652,20 @@ class TestEnvelope:
         assert tf.envelope(self.T1) == tf.envelope_rate(self.T1) == 0.0
 
 
+@pytest.fixture(scope="module")
+def random_weak_run(grid16):
+    """An n=16 random run of 21 samples and a test field whose support
+    leaves four samples before it and six after it with envelope and rate
+    exactly 0."""
+    _, snaps = small_run(grid16, seed=4, tau_max=0.4)
+    t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
+    tf = make_test_field(grid16, 7, t0 + 0.2 * (t1 - t0), t1 - 0.25 * (t1 - t0))
+    outside = [tf.envelope(s.frame.t) == tf.envelope_rate(s.frame.t) == 0.0
+               for s in snaps]
+    assert outside == [True] * 4 + [False] * 11 + [True] * 6
+    return snaps, tf
+
+
 class TestWeakForm:
     def _tg_snapshots(self, grid, samples=41):
         u0 = planar_vortex(grid)
@@ -638,6 +696,27 @@ class TestWeakForm:
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
         assert weak_residual(snaps, tf) == -1.7173368890948994e-06
 
+    def test_random_run_residual_golden(self, random_weak_run):
+        # recorded when every sample was transformed and paired, those
+        # outside the support included
+        snaps, tf = random_weak_run
+        assert weak_residual(snaps, tf) == 1.8721440083637893e-05
+
+    def test_transforms_only_the_support(self, random_weak_run, monkeypatch):
+        # the test field takes 10 transforms (v and its nine derivatives),
+        # each sample inside the support one, and the others none
+        snaps, tf = random_weak_run
+        calls = []
+        original = dynamics.spec_to_phys
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "spec_to_phys", counted)
+        weak_residual(snaps, tf)
+        assert len(calls) == 10 + 11
+
     def test_quadrature_fourth_order(self, grid16):
         # halving the tau spacing must gain at least 8x (Simpson's 16x in the
         # limit); an envelope whose rate has a kink at off-node support ends
@@ -657,12 +736,12 @@ class TestWeakForm:
         clean = abs(weak_residual(snaps, tf))
         k = len(snaps) // 2
         corrupted = list(snaps)
-        bad = SpectralVectorField(grid16, corrupted[k].u_hat.coeffs * 1.1)
+        bad = SpectralVectorField(grid16.band, corrupted[k].u_hat.coeffs * 1.1)
         corrupted[k] = type(snaps[k])(
             frame=snaps[k].frame, u_hat=bad,
             tail_fraction=snaps[k].tail_fraction,
             nonlinear_orthogonality=snaps[k].nonlinear_orthogonality,
-            energy=snaps[k].energy,
+            energy=l2_norm_sq(bad),
         )
         assert abs(weak_residual(corrupted, tf)) > 10.0 * clean
 
@@ -679,6 +758,13 @@ class TestWeakForm:
         tf = make_test_field(grid16, 3, 0.0, 5.0)
         with pytest.raises(DomainError):
             weak_residual(snaps, tf)
+
+    def test_half_spectrum_snapshots_rejected(self, random_weak_run, grid16):
+        snaps, tf = random_weak_run
+        half = [replace(s, u_hat=SpectralVectorField(
+            grid16, grid16.band.scatter(s.u_hat.coeffs))) for s in snaps]
+        with pytest.raises(DomainError):
+            weak_residual(half, tf)
 
 
 def test_initial_from_snapshot(tmp_path, grid32):

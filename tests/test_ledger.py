@@ -1,5 +1,8 @@
 import itertools
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from nsverify import ledger
 from nsverify.cutoffs import make_profile, weight_tables
 from nsverify.dynamics import convective_term
-from nsverify.errors import FitError
+from nsverify.errors import DomainError, FitError
 from nsverify.harness import format_summary_table
 from nsverify.ledger import (
     RECORD_FIELDS,
@@ -21,7 +24,9 @@ from nsverify.ledger import (
     summarize_reports,
 )
 from nsverify.similarity import frame, t_of_tau
-from nsverify.spectral import mode_energy, mode_sum, shell_sum, spec_to_phys
+from nsverify.spectral import (
+    SpectralVectorField, build_grid, mode_energy, mode_sum, shell_sum, spec_to_phys,
+)
 
 from conftest import small_run
 
@@ -188,13 +193,16 @@ def test_splits_vanish_with_the_high_pass_weight(long_series):
 def test_shell_transfer_is_the_convective_transfer(grid32, nonlinear):
     # the rotational form from u and grad u equals the shell sums of
     # Re<F[(u.grad)u], u_hat> from the convective product
+    # on the half spectrum; the ledger takes it on the band
     _, snaps = small_run(grid32, seed=3, tau_max=0.3, nonlinear=nonlinear)
-    xi = grid32.xi
+    band = grid32.band
     for snap in snaps:
-        c = snap.u_hat.coeffs
-        grads = np.stack([spec_to_phys(1j * xi[j] * c, grid32) for j in range(3)])
-        got = _shell_transfer(spec_to_phys(c, grid32), grads, c, grid32)
-        density = (convective_term(snap.u_hat).coeffs * np.conj(c)).real
+        b = snap.u_hat.coeffs
+        grads = np.stack([spec_to_phys(1j * band.xi[j] * b, band) for j in range(3)])
+        got = _shell_transfer(spec_to_phys(b, band), grads, b, band)
+        c = band.scatter(b)
+        u_hat = SpectralVectorField(grid32, c)
+        density = (convective_term(u_hat).coeffs * np.conj(c)).real
         expected = shell_sum(density.sum(axis=0), grid32)
         scale = np.abs(expected).max()
         assert scale > 0
@@ -206,6 +214,20 @@ def early_run(grid32):
     """``small_run(grid32, seed=3, tau_max=0.3)``: 16 samples, every one with
     a nonzero high-pass side, and their snapshots."""
     return small_run(grid32, seed=3, tau_max=0.3)
+
+
+# Every record column of ``early_run`` at every sample as ``float.hex``,
+# recorded when the snapshots and the ledger's spectra were half spectra.
+EARLY_RECORDS = json.loads(
+    (Path(__file__).parent / "golden" / "early_run_records.json").read_text())
+
+
+def test_early_run_records_are_bitwise_golden(early_run):
+    series, _ = early_run
+    assert set(EARLY_RECORDS) == set(RECORD_FIELDS)
+    for name in RECORD_FIELDS:
+        got = [float(v).hex() for v in series.column(name)]
+        assert got == EARLY_RECORDS[name], name
 
 
 def gradient_spectra(c, grid):
@@ -237,7 +259,7 @@ def test_t_grad_is_the_strain_contraction(grid32, early_run):
     # agree to the rounding of those terms (measured 6.5e-18 of them)
     series, snaps = early_run
     for snap, value in zip(snaps, series.column("T_grad")):
-        c = snap.u_hat.coeffs
+        c = grid32.band.scatter(snap.u_hat.coeffs)
         grads = spec_to_phys(gradient_spectra(c, grid32), grid32).reshape(
             (3, 3) + (grid32.n,) * 3)
         factor = snap.frame.scale**3 * grid32.cell_volume
@@ -249,10 +271,11 @@ def test_trace_closes_the_gradient_tensor(grid32, early_run):
     # the first eight slots are their own transforms; d_2 u_2 is -(d_0 u_0 +
     # d_1 u_1), which equals its transform up to rounding for solenoidal u
     _, snaps = early_run
+    band = grid32.band
     for snap in snaps[::5]:
-        spectra = gradient_spectra(snap.u_hat.coeffs, grid32)
-        full = spec_to_phys(spectra, grid32)
-        closed = _gradient_tensor(spectra[:8], grid32).reshape(full.shape)
+        spectra = gradient_spectra(snap.u_hat.coeffs, band)
+        full = spec_to_phys(spectra, band)
+        closed = _gradient_tensor(spectra[:8], band).reshape(full.shape)
         assert np.array_equal(closed[:8], full[:8])
         assert np.abs(closed[8] - full[8]).max() <= 1e-14 * np.abs(full).max()
 
@@ -296,10 +319,11 @@ def test_shell_columns_are_mode_sums(grid32, early_run):
     snap, rec = snaps[-1], series.records[-1]
     g, s = grid32, snap.frame.scale
     assert s < 0.9
-    c = snap.u_hat.coeffs
+    c = g.band.scatter(snap.u_hat.coeffs)
     density = {
         "e": mode_energy(c),
-        "t": (convective_term(snap.u_hat).coeffs * np.conj(c)).real.sum(axis=0),
+        "t": (convective_term(SpectralVectorField(g, c)).coeffs
+              * np.conj(c)).real.sum(axis=0),
     }
     assert set(MODE_COLUMNS) == set(ledger._SHELL_TERMS)
     for name, (kind, j, profile, flux) in MODE_COLUMNS.items():
@@ -326,7 +350,7 @@ def test_splits_are_the_direct_pairings(grid32, early_run):
     direct = {name: [] for name in SPLITS}
     for snap in snaps:
         s = snap.frame.scale
-        c = snap.u_hat.coeffs
+        c = g.band.scatter(snap.u_hat.coeffs)
         high_sq = weight_tables(s * g.shell_radii, series.ctx.alpha)[
             "one_minus_phi"][0][g.shell_index].reshape(c.shape[1:])
         high = np.sqrt(high_sq)
@@ -364,6 +388,17 @@ def ledger_components(snap, grid, monkeypatch):
         patch.setattr(ledger, "phys_to_spec", counted("forward", ledger.phys_to_spec))
         rec = RecordsBuilder(LedgerContext(grid, 0.1, 0.05)).feed(snap)
     return rec, counts
+
+
+def test_ledger_reads_band_snapshots_only(grid32, early_run):
+    # a half-spectrum field, or a band of another grid, is refused
+    snap = early_run[1][0]
+    half = SpectralVectorField(grid32, grid32.band.scatter(snap.u_hat.coeffs))
+    other = build_grid(32, 4.0 * math.pi).band
+    for u_hat in (half, SpectralVectorField(other, snap.u_hat.coeffs)):
+        with pytest.raises(DomainError):
+            RecordsBuilder(LedgerContext(grid32, 0.1, 0.05)).feed(
+                replace(snap, u_hat=u_hat))
 
 
 def test_ledger_transform_count(grid32, monkeypatch):

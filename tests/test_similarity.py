@@ -9,7 +9,7 @@ from nsverify.similarity import frame, t_of_tau
 from nsverify.spectral import SpectralVectorField, l2_norm_sq, spec_to_phys
 
 from conftest import derivative, ledger_record, random_solenoidal, zero_field
-from test_cutoffs import single_mode_field
+from test_cutoffs import diagonal_mode_field, single_mode_field
 
 
 class TestFrame:
@@ -77,7 +77,7 @@ class TestSimilarityNorm:
 class TestSimilarityFilter:
     def test_shrunk_radius_passes(self, grid32):
         # |xi| = 3 mode at scale 0.25: effective radius 0.75, inside plateau
-        u = single_mode_field(grid32, 12)
+        u = diagonal_mode_field(grid32, 8, 4)
         t = 1.0 - 0.25**2
         assert frame(t, 1.0).scale == pytest.approx(0.25, rel=1e-13)
         rec = ledger_record(u, t)
@@ -85,7 +85,7 @@ class TestSimilarityFilter:
         assert rec.E0_high == 0.0
 
     def test_unit_scale_kills_outer_mode(self, grid32):
-        rec = ledger_record(single_mode_field(grid32, 12), 0.0)
+        rec = ledger_record(diagonal_mode_field(grid32, 8, 4), 0.0)  # |xi| = 3
         assert rec.E0_low == 0.0 < rec.E0
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +201,16 @@ class TestBand:
         assert grid16.band != grid16
         assert grid16 != grid16.band
         assert build_grid(16, grid16.l_box).band is not grid16.band
+
+    def test_a_dropped_grid_is_freed_at_once(self):
+        # no reference cycle through the band: each pipeline run builds a
+        # grid, and one left to the cycle collector stays resident
+        gc.disable()
+        try:
+            grid = weakref.ref(build_grid(16, 2.0 * math.pi))
+            assert grid() is None
+        finally:
+            gc.enable()
 
 
 class TestDerivative:
