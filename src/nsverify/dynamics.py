@@ -25,15 +25,11 @@ continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of
 ``v``, built from the step's own four stages, so the linear part is exact
 there too and the local error is O(h^4).
 
-The integrator works on the grid's 2/3 band (:class:`~nsverify.spectral.Band`):
-a dealiased trajectory is zero outside it, so the state, the four stages,
-the viscous factors and the products are held as band arrays, 28-30 % of
-the half spectrum. Each inverse transform scatters its band coefficients
-into the zero-padded half spectrum, and each forward transform of a product
-gathers the band out of it, which is the truncation. The tendency functions
-take a field on a grid or on its band. Snapshots carry band coefficients
-too, a copy per sample; the sample's energy and tail fraction are taken on
-the half spectrum, through one scatter buffer per trajectory.
+Every field is held on the grid's 2/3 band (:mod:`nsverify.spectral`):
+the state, the four stages, the viscous factors and the products. The
+forward transform of a product is its truncation to the band. Snapshots
+carry a copy of the band coefficients per sample, with the sample's energy
+and tail fraction summed over the same band.
 
 The integrator computes nothing for the ledger: a nonlinear trajectory costs
 exactly four tendency evaluations per step, and a snapshot carries the field
@@ -61,7 +57,6 @@ from .errors import (
 )
 from .similarity import SimilarityFrame, frame, t_of_tau
 from .spectral import (
-    Band,
     Grid,
     SpectralVectorField,
     cross,
@@ -149,15 +144,6 @@ class TrajectoryConfig:
 # -- tendencies ---------------------------------------------------------------
 
 
-def _dealiased_product(samples: np.ndarray, g) -> np.ndarray:
-    """Forward transform of a quadratic product, truncated to the 2/3 band:
-    by the mask on a grid, by the gather itself on a band."""
-    coeffs = phys_to_spec(samples, g)
-    if isinstance(g, Grid):
-        coeffs *= g.dealias_mask
-    return coeffs
-
-
 def convective_term(u_hat: SpectralVectorField) -> SpectralVectorField:
     """Dealiased coefficients of ``(u . grad) u`` (no projection applied)."""
     g = u_hat.grid
@@ -168,7 +154,7 @@ def convective_term(u_hat: SpectralVectorField) -> SpectralVectorField:
         acc += u[1] * spec_to_phys(1j * g.xi[1] * u_hat.coeffs[k], g)
         acc += u[2] * spec_to_phys(1j * g.xi[2] * u_hat.coeffs[k], g)
         out[k] = acc
-    return SpectralVectorField(g, _dealiased_product(out, g))
+    return SpectralVectorField(g, phys_to_spec(out, g))
 
 
 def _rotational_product(u_hat: SpectralVectorField) -> np.ndarray:
@@ -183,7 +169,7 @@ def _rotational_product(u_hat: SpectralVectorField) -> np.ndarray:
         vort[i] -= term
         vort[i] *= 1j
     u = spec_to_phys(c, g)
-    return _dealiased_product(cross(u, spec_to_phys(vort, g)), g)
+    return phys_to_spec(cross(u, spec_to_phys(vort, g)), g)
 
 
 def _nonlinear_tendency(
@@ -237,8 +223,8 @@ def _cfl_cap(u_hat: SpectralVectorField, cfg: TrajectoryConfig) -> float:
     return min(cfg.dt_max, cfg.cfl * dx / bound)
 
 
-def _viscous_factors(band, dt: float):
-    half = np.exp(band.xi_sq * (-dt / 2.0))
+def _viscous_factors(grid: Grid, dt: float):
+    half = np.exp(grid.xi_sq * (-dt / 2.0))
     return half, half * half
 
 
@@ -248,8 +234,7 @@ def _ifrk4(
     cfg: TrajectoryConfig,
     factors=None,
 ) -> tuple[SpectralVectorField, float, tuple | None]:
-    """One integrating-factor RK4 step of a band field; it evaluates all
-    four stages itself.
+    """One integrating-factor RK4 step; it evaluates all four stages itself.
 
     Returns the new field, the energy-orthogonality ratio
     ``|<P N, u>| / (||N|| ||u||)`` of the first stage's dealiased quadratic
@@ -300,7 +285,7 @@ def _ifrk4(
 
 
 def _dense_output(
-    c0: np.ndarray, stages: tuple | None, h: float, theta: float, band
+    c0: np.ndarray, stages: tuple | None, h: float, theta: float, grid: Grid
 ) -> np.ndarray:
     """State at ``t0 + theta*h`` inside the IF-RK4 step of size ``h`` that
     starts from ``c0`` and has the given ``stages``.
@@ -313,10 +298,10 @@ def _dense_output(
 
     with ``b1 = theta - 3 theta^2/2 + 2 theta^3/3``, ``b2 = theta^2 -
     2 theta^3/3`` and ``b4 = -theta^2/2 + 2 theta^3/3``; at ``theta = 1`` it
-    is the step's end state. All arrays are on the 2/3 band, where the
-    trajectory lives, so the growth factors stay finite on large grids.
+    is the step's end state. On the 2/3 band the growth factors stay finite
+    on large grids.
     """
-    xs = band.xi_sq
+    xs = grid.xi_sq
     decay = np.exp(xs * (-theta * h))
     if stages is None:
         return decay * c0
@@ -336,35 +321,27 @@ def _dense_output(
 
 def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
     """Advance one step of size ``dt``; validates the step against ``dt_max``
-    and the advective CFL bound before moving. The step runs on the grid's
-    2/3 band, as in :func:`simulate`: the field's part outside it is
-    dropped."""
+    and the advective CFL bound before moving."""
     if not dt > 0:
         raise StepSizeError(f"step size must be positive, got {dt}")
     if dt > cfg.dt_max * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} exceeds dt_max {cfg.dt_max}")
-    grid = state.u_hat.grid
-    u = SpectralVectorField(grid.band, grid.band.gather(state.u_hat.coeffs))
-    cap = _cfl_cap(u, cfg)
+    cap = _cfl_cap(state.u_hat, cfg)
     if dt > cap * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} violates the CFL cap {cap:.3e}")
-    new, _, _ = _ifrk4(u, dt, cfg)
-    return SimState(
-        state.t + dt, SpectralVectorField(grid, grid.band.scatter(new.coeffs))
-    )
+    new, _, _ = _ifrk4(state.u_hat, dt, cfg)
+    return SimState(state.t + dt, new)
 
 
 def _prepare_initial(u0: SpectralVectorField, cfg: TrajectoryConfig) -> SpectralVectorField:
     g = u0.grid
     if (g.n, g.l_box) != (cfg.n, cfg.l_box):
         raise ConfigurationError("initial field grid does not match the config")
-    u = SpectralVectorField(g, u0.coeffs * g.dealias_mask)
-    norm = l2_norm(u)
-    if norm > 0.0:
-        # entry contract: data is rescaled so ||u0|| = delta; the zero field
-        # stays zero and yields the all-zero trajectory
-        u.coeffs *= cfg.delta / norm
-    return u
+    norm = l2_norm(u0)
+    # entry contract: data is rescaled so ||u0|| = delta; the zero field
+    # stays zero and yields the all-zero trajectory
+    scale = cfg.delta / norm if norm > 0.0 else 1.0
+    return SpectralVectorField(g, u0.coeffs * scale)
 
 
 def initial_from_snapshot(path) -> tuple[SpectralVectorField, float]:
@@ -385,39 +362,35 @@ def simulate(
 ) -> Iterator[Snapshot]:
     """Integrate from ``t = 0`` and yield a snapshot at every sample tau.
 
-    The initial data is dealiased and rescaled to ``||u0|| = delta`` on
-    entry; the state then lives on the grid's 2/3 band. From each
+    The initial data is rescaled to ``||u0|| = delta`` on entry. From each
     step end (a sample, or ``t = 0``) one IF-RK4 step goes to the furthest
     later sample within ``min(dt_max, CFL cap at the step start)``; if even
     the next sample lies beyond the cap, that span is split into equal steps.
     A sample strictly inside a step is the step's RK4 dense output
     (:func:`_dense_output`); a sample on a step end is the step's own result.
-    Emitted fields are fresh arrays on ``u0.grid.band``, safe to hold and to
+    Emitted fields are fresh arrays on ``u0.grid``, safe to hold and to
     modify across iterations; energy monotonicity and the spectral-tail guard
     are enforced sample by sample.
     Emitting a sample evaluates no tendency, so a nonlinear trajectory costs
     exactly ``4 * steps`` tendency evaluations.
     """
-    ugrid = u0.grid
-    band = ugrid.band
-    u = SpectralVectorField(band, band.gather(_prepare_initial(u0, cfg).coeffs))
+    grid = u0.grid
+    u = _prepare_initial(u0, cfg)
     times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
     t = 0.0
     worst_orth = 0.0
     prev_energy = math.inf
-    # energy and tail are sums over the half spectrum, in its order
-    half = np.zeros((3,) + ugrid.xi_sq.shape, dtype=complex)
 
     def sample(i: int, t_i: float, coeffs: np.ndarray) -> Snapshot:
         nonlocal prev_energy
-        density = mode_energy(band.scatter(coeffs, out=half))
-        energy = mode_sum(density, ugrid)
+        density = mode_energy(coeffs)
+        energy = mode_sum(density, grid)
         if energy > prev_energy * (1.0 + 1e-12):
             raise EnergyIncreaseError(
                 f"energy increased between samples ({prev_energy} -> {energy})"
             )
         prev_energy = energy
-        tail = tail_fraction(density, ugrid)
+        tail = tail_fraction(density, grid)
         if tail > cfg.resolution_threshold:
             msg = (
                 f"spectral tail fraction {tail:.3e} above "
@@ -429,7 +402,7 @@ def simulate(
                 warnings.warn(msg, ResolutionWarning)
         snap = Snapshot(
             frame=frame(t_i, cfg.t_horizon),
-            u_hat=SpectralVectorField(band, coeffs.copy()),
+            u_hat=SpectralVectorField(grid, coeffs.copy()),
             tail_fraction=tail,
             nonlinear_orthogonality=worst_orth,
             energy=energy,
@@ -448,7 +421,7 @@ def simulate(
             if span > cap:
                 nsteps = math.ceil(span / cap)
                 dt = span / nsteps
-                factors = _viscous_factors(band, dt)
+                factors = _viscous_factors(grid, dt)
                 for _ in range(nsteps):
                     u, orth, _ = _ifrk4(u, dt, cfg, factors)
                     worst_orth = max(worst_orth, orth)
@@ -461,7 +434,7 @@ def simulate(
                 worst_orth = max(worst_orth, orth)
                 for k in range(i, j):
                     theta = (times[k] - t) / h
-                    inside = _dense_output(u.coeffs, stages, h, theta, band)
+                    inside = _dense_output(u.coeffs, stages, h, theta, grid)
                     yield sample(k, times[k], inside)
                 stages = None  # free the four stage arrays before the next step
                 u, i = end, j
@@ -481,20 +454,20 @@ def rescale_data(u0: SpectralVectorField, lam: int) -> SpectralVectorField:
     Integer ``lam`` keeps periodicity: the coefficient at wavenumber ``k``
     moves to ``lam * k`` with amplitude multiplied by ``lam`` (so the fixed-box
     L2 norm is multiplied by ``lam``); the stored ``kz >= 0`` half maps onto
-    itself. Raises if an active frequency would leave the representable range;
-    inactive modes (below ``_ACTIVE_TOL`` of the peak magnitude) are dropped,
-    which lets evolved fields (whose dealiased spectrum is populated at
-    rounding level) be dilated.
+    itself. Raises if an active mode would leave the 2/3 band; inactive modes
+    (below ``_ACTIVE_TOL`` of the peak magnitude) are dropped, which lets
+    evolved fields (whose band is populated at rounding level) be dilated.
     """
     if not isinstance(lam, (int, np.integer)) or lam < 1:
         raise RescaleError(f"dilation factor must be a positive integer, got {lam}")
     g = u0.grid
     if lam == 1:
         return SpectralVectorField(g, u0.coeffs.copy())
-    target_k = lam * g.wavenumbers.astype(int)
-    target_kz = lam * np.arange(g.n // 2 + 1)
-    valid = np.abs(target_k) < g.n // 2
-    valid_z = target_kz < g.n // 2
+    kmax = g.dealias_kmax
+    k = g.wavenumbers
+    kz = np.arange(kmax + 1)
+    valid = np.abs(lam * k) <= kmax
+    valid_z = lam * kz <= kmax
     mags = np.abs(u0.coeffs).sum(axis=0)
     threshold = _ACTIVE_TOL * mags.max()
     escaped = max(
@@ -504,14 +477,12 @@ def rescale_data(u0: SpectralVectorField, lam: int) -> SpectralVectorField:
     )
     if escaped > threshold:
         raise RescaleError(
-            f"dilation by {lam} pushes active frequencies outside the grid"
+            f"dilation by {lam} pushes active frequencies outside the 2/3 band"
         )
-    src = np.nonzero(valid)[0]
-    tgt = target_k[valid] % g.n
-    src_z = np.nonzero(valid_z)[0]
+    tgt = (lam * k[valid]) % (2 * kmax + 1)
     out = np.zeros_like(u0.coeffs)
-    out[np.ix_(range(3), tgt, tgt, target_kz[valid_z])] = lam * u0.coeffs[
-        np.ix_(range(3), src, src, src_z)
+    out[np.ix_(range(3), tgt, tgt, lam * kz[valid_z])] = lam * u0.coeffs[
+        np.ix_(range(3), valid, valid, valid_z)
     ]
     return SpectralVectorField(g, out)
 
@@ -562,9 +533,7 @@ def make_test_field(
 
     cutoff = xi_cutoff
     if cutoff is None:
-        cutoff = 0.9 * min(
-            grid.dealias_kmax * grid.dxi, (2.0 / 3.0) * grid.xi_nyquist
-        )
+        cutoff = 0.9 * (grid.dealias_kmax * grid.dxi)
     spec = FieldSpec(
         "random_solenoidal",
         seed=seed,
@@ -588,19 +557,15 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
     support ends, so the quadrature is fourth order in the tau spacing and the
     support ends need not fall on sample nodes.
 
-    The snapshots carry band coefficients, as :func:`simulate` emits them;
-    the test field lives on the band's grid. A sample outside the support,
+    The test field lives on the snapshots' grid. A sample outside the support,
     where the envelope and its rate are both 0, adds exactly 0 to both
     quadratures, so it is not transformed.
     """
     if len(snapshots) < 3:
         raise DomainError("weak-form quadrature needs at least three snapshots")
-    band = snapshots[0].u_hat.grid
-    if not isinstance(band, Band):
-        raise DomainError("weak form reads snapshots on a grid's 2/3 band")
     v = testfield.spatial
     g = v.grid
-    if (band.n, band.l_box) != (g.n, g.l_box):
+    if snapshots[0].u_hat.grid != g:
         raise DomainError("test field lives on a different grid")
     from .spectral import solenoidal_error
 
@@ -631,18 +596,16 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
     cell = g.cell_volume
     values = np.zeros(len(snapshots))
     scales = np.zeros(len(snapshots))
-    # the pairings run over the half spectrum, in its order
-    half = np.zeros((3,) + g.xi_sq.shape, dtype=complex)
     for i, snap in enumerate(snapshots):
         t = snap.frame.t
         theta = testfield.envelope(t)
         theta_dot = testfield.envelope_rate(t)
         if theta == 0.0 and theta_dot == 0.0:
             continue
-        c = band.scatter(snap.u_hat.coeffs, out=half)
+        c = snap.u_hat.coeffs
         u_v = float(np.vdot(weighted_v, c).real)
         gradu_gradv = float(np.vdot(weighted_xi_sq_v, c).real)
-        u = spec_to_phys(snap.u_hat.coeffs, band)
+        u = spec_to_phys(c, g)
         adv = 0.0
         uu_sq = 0.0
         for j in range(3):

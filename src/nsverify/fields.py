@@ -92,9 +92,7 @@ def _abc_samples(grid: Grid) -> np.ndarray:
 
 
 def _random_solenoidal(spec: FieldSpec, grid: Grid) -> SpectralVectorField:
-    limit = 0.95 * min(
-        grid.dealias_kmax * grid.dxi, (2.0 / 3.0) * grid.xi_nyquist
-    )
+    limit = 0.95 * (grid.dealias_kmax * grid.dxi)
     if spec.xi_cutoff > limit:
         raise ResolutionError(
             f"spectrum cutoff {spec.xi_cutoff} exceeds the resolvable radius "

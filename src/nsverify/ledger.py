@@ -18,13 +18,10 @@ enstrophy-balance identity ``int (u.grad)u . lap u = -int d_j u_k d_j u_l
 d_l u_k`` for solenoidal ``u`` (same reference), which makes the strain
 contraction ``s**3 * sum rho^2 t(rho)``.
 
-Snapshots carry the field on its grid's 2/3 band
-(:class:`~nsverify.spectral.Band`), and the ledger forms every spectrum
-there: the gradient spectra, the mode energy, the high-pass weights, the
-adjoint and the transfer, gathered onto the band by the forward transform.
-A flattened band lists its modes in the grid's order, so a shell sum over it
-adds the half spectrum's nonzero terms in the same order: bitwise the same
-sums, from 28-30 % of the entries.
+Snapshots carry the field on its grid's 2/3 band (:mod:`nsverify.spectral`),
+and the ledger forms every spectrum there: the gradient spectra, the mode
+energy, the high-pass weights, the adjoint and the transfer, which the
+forward transform truncates to the band.
 
 What stays a dealiased collocation integral is what splits the field in
 physical space: the four nonlinear splits ``sum_x a_j d_j b_k adjoint_k``
@@ -71,7 +68,7 @@ from .cutoffs import weight_tables
 from .dynamics import Snapshot
 from .errors import DomainError, FitError
 from .spectral import (
-    Band, Grid, cross, mode_energy, phys_to_spec, shell_sum, spec_to_phys,
+    Grid, cross, mode_energy, phys_to_spec, shell_sum, spec_to_phys,
 )
 
 __all__ = [
@@ -358,7 +355,7 @@ def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
     return out
 
 
-def _gradient_tensor(grad_spec: np.ndarray, grid: Grid | Band) -> np.ndarray:
+def _gradient_tensor(grad_spec: np.ndarray, grid: Grid) -> np.ndarray:
     """``grads[j, k] = d_j u_k`` of a solenoidal field from the spectra of its
     first eight components in row-major order (all but ``d_2 u_2``), eight
     transforms; the trace closes the tensor: ``d_2 u_2 = -(d_0 u_0 + d_1 u_1)``."""
@@ -370,7 +367,7 @@ def _gradient_tensor(grad_spec: np.ndarray, grid: Grid | Band) -> np.ndarray:
     return grads
 
 
-def _shell_transfer(u, grads, c, grid: Grid | Band) -> np.ndarray:
+def _shell_transfer(u, grads, c, grid: Grid) -> np.ndarray:
     """Per-shell ``-Re<F[u x omega], u_hat>`` from ``grads[j, k] = d_j u_k``.
     ``u_hat`` is solenoidal and lies inside the 2/3 band, where the product's
     aliases do not reach, so no projection or mask is needed."""
@@ -386,27 +383,26 @@ _SPLITS = ("T_split_ll", "T_split_lh", "T_split_hl", "T_split_hh")
 
 def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     g = ctx.grid
-    band = snap.u_hat.grid
-    if not isinstance(band, Band) or (band.n, band.l_box) != (g.n, g.l_box):
-        raise DomainError("the ledger reads snapshots on its grid's 2/3 band")
+    if snap.u_hat.grid != g:
+        raise DomainError("the ledger reads snapshots on its own grid")
     s = snap.frame.scale
     c = snap.u_hat.coeffs
     cell = g.cell_volume
 
-    u = spec_to_phys(c, band)
+    u = spec_to_phys(c, g)
     # d_j u_k row-major, all but d_2 u_2
-    grad_spec = np.empty((8,) + band.shape, dtype=complex)
+    grad_spec = np.empty((8,) + g.xi_sq.shape, dtype=complex)
     for i in range(8):
         j, k = divmod(i, 3)
-        np.multiply(1j * band.xi[j], c[k], out=grad_spec[i])
-    grads = _gradient_tensor(grad_spec, band)
+        np.multiply(1j * g.xi[j], c[k], out=grad_spec[i])
+    grads = _gradient_tensor(grad_spec, g)
 
     # shell energies, transfers and the energies' exact tau-derivative
     # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
     # part dropping against the radial weights)
-    rho = band.shell_radii
-    shell_e = shell_sum(mode_energy(c), band)
-    totals = {"e": shell_e, "t": _shell_transfer(u, grads, c, band)}
+    rho = g.shell_radii
+    shell_e = shell_sum(mode_energy(c), g)
+    totals = {"e": shell_e, "t": _shell_transfer(u, grads, c, g)}
     shell_edot = 2.0 * s**2 * (-(rho**2) * shell_e - totals["t"])
     r = s * rho
     tables = weight_tables(r, ctx.alpha)
@@ -424,12 +420,12 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     if high_sq[shell_e > 0].any():
         # each split sum_x a_j d_j b_k adjoint_k pairs a = u_low | u_high
         # with W_j = sum_k d_j b_k adjoint_k for b = u_high and b = u_low
-        high_sq = high_sq[band.shell_index].reshape(band.shape)  # per mode
+        high_sq = high_sq[g.shell_index].reshape(g.xi_sq.shape)  # per mode
         high = np.sqrt(high_sq)
-        u_high = spec_to_phys(high * c, band)
-        adjoint = spec_to_phys(high_sq * band.xi_sq * c, band)
+        u_high = spec_to_phys(high * c, g)
+        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
         grad_spec *= high
-        highgrads = _gradient_tensor(grad_spec, band)
+        highgrads = _gradient_tensor(grad_spec, g)
         w_high = np.einsum("jk...,k...->j...", highgrads, adjoint)
         # the low-pass side, in the spent high-pass buffers
         lowgrads = np.subtract(grads, highgrads, out=highgrads)

@@ -4,43 +4,34 @@ Conventions of the package:
 
 * collocation points ``x_j = j * l_box / n`` per axis, arrays indexed
   ``[component, ix, iy, iz]``;
-* a field on a :class:`Grid` stores its coefficients in the ``rfftn``
-  half-spectrum layout ``[component, ix, iy, iz]`` with shape
-  ``(3, n, n, n//2 + 1)``: signed integer wavenumbers
-  ``k in {-n/2, ..., n/2 - 1}`` on the first two axes and
-  ``kz in {0, ..., n/2}`` on the last, mapped to continuous frequencies
-  ``xi = k * dxi`` with ``dxi = 2*pi/l_box``. The modes with ``kz < 0`` are
-  not stored: a real field has ``coeff(-k) == conj(coeff(k))``;
+* a field on a :class:`Grid` stores its coefficients on the 2/3 band
+  ``|kx|, |ky|, kz <= K`` (``K = dealias_kmax = (n - 1) // 3``), shape
+  ``(3, 2K+1, 2K+1, K+1)``: the first two axes run over the signed integer
+  wavenumbers ``k = 0 .. K, -K .. -1`` (band index ``k mod (2K+1)``), the
+  last over ``kz = 0 .. K``, mapped to continuous frequencies ``xi = k * dxi``
+  with ``dxi = 2*pi/l_box``. The modes with ``kz < 0`` are not stored: a real
+  field has ``coeff(-k) == conj(coeff(k))``;
 * every Parseval-type sum weights a stored mode by its multiplicity
-  (:attr:`Grid.multiplicity`: 1 on the self-conjugate planes ``kz = 0`` and
-  ``kz = n/2``, 2 elsewhere), so it equals the full-lattice sum;
-* unitary normalization: ``coeffs = rfftn(samples) * l_box**1.5 / n**3`` so the
-  discrete Parseval identity ``sum m |coeffs|^2 == sum |samples|^2 * (l_box/n)^3``
-  holds without extra constants;
-* the Nyquist planes ``|k| = n/2`` are forced to zero so that derivatives of
-  real fields stay real;
+  (:attr:`Grid.multiplicity`: 1 on the self-conjugate plane ``kz = 0``, 2
+  elsewhere), so it equals the full-lattice sum;
+* unitary normalization: ``coeffs = rfftn(samples) * l_box**1.5 / n**3`` on
+  the band, so the discrete Parseval identity ``sum m |coeffs|^2 == sum
+  |samples|^2 * (l_box/n)^3`` holds without extra constants for band-limited
+  samples;
 * a quadratic functional whose weight depends on ``|xi|`` only is a sum over
   lattice shells ``|xi| = const`` (:func:`shell_sum`, :attr:`Grid.shell_radii`).
 
-A dealiased field is zero outside the 2/3 band ``|kx|, |ky|, kz <= K``
-(``K = dealias_kmax``), 28 % of the half spectrum at n=32 and 30 % at n=64.
-:attr:`Grid.band` (a :class:`Band`) holds that band as compact arrays, with
-the same frequency arrays, Parseval weights and shells as its grid, so the
-operators here run on band coefficients unchanged. Trajectories live on the
-band: the integrator's state, the snapshots it emits, and the ledger's and
-the weak form's spectra are band coefficients. Initial data, test fields
-and the reference fields of the acceptance criteria stay on the half
-spectrum, and :meth:`Band.scatter` takes band coefficients there.
-
-The inverse transform runs one component at a time: a batch of nine n=32
-components is about 2.5 MB, larger than a typical 2 MB L2 cache, while one
-component's transform stays in cache, which halves its time per component.
-Transforming a component alone gives bitwise the same samples as the batched
-call. Band coefficients are scattered into a zeroed half spectrum, scaled on
-the way, so the transform sees bitwise the input of their grid's layout. The
-forward transform stays batched; per component it is no faster. Onto a band,
-it gathers the band out of the half spectrum, and that gather is the 2/3
-truncation.
+The band holds every mode a dealiased field can use, 28 % of the ``rfftn``
+half spectrum at n=32 and 30 % at n=64, and products of band fields are
+alias-free on it. The half spectrum exists only inside the transforms. The
+inverse scatters the scaled band coefficients into a zeroed half spectrum and
+transforms it, one component at a time: a batch of nine n=32 components is
+about 2.5 MB, larger than a typical 2 MB L2 cache, while one component's
+transform stays in cache, which halves its time per component. Transforming a
+component alone gives bitwise the same samples as the batched call. The
+forward transform stays batched, since per component it is no faster, and
+gathers the band out of ``rfftn``: that gather is the 2/3 truncation, so the
+Nyquist planes and every mode beyond ``K`` are dropped.
 """
 
 from __future__ import annotations
@@ -72,19 +63,19 @@ except (OSError, AttributeError):  # not glibc
 
 @dataclass(frozen=True)
 class Grid:
-    """Cubic periodic grid with cached frequency arrays on the half spectrum.
+    """Cubic periodic grid with cached frequency arrays on its 2/3 band.
 
-    Read-only attributes: ``wavenumbers`` and ``xi1d``, the signed integer
-    wavenumbers and frequencies of a full axis; ``xi``, broadcastable
-    ``(xi_x, xi_y, xi_z)`` with ``xi_z`` over ``kz = 0 .. n/2``; per stored
-    mode ``xi_sq``, ``xi_mag``, ``inv_xi_sq`` (zero mode mapped to 0),
-    ``dealias_mask``, ``tail_mask`` (``|xi|`` above two thirds of Nyquist),
-    ``not_nyquist`` and ``multiplicity``, the number of
-    lattice modes each stored mode stands for (1 on the ``kz = 0`` and
-    ``kz = n/2`` planes, 2 elsewhere, where the conjugate is not stored);
-    the lattice shells ``shell_radii``, the distinct ``|xi|`` values, and
-    ``shell_index``, the shell of each stored mode (flattened); ``band``, the
-    grid's 2/3 band (:class:`Band`).
+    Read-only attributes: ``dealias_kmax``, the band's reach ``K``;
+    ``wavenumbers``, the signed integer wavenumbers of a band axis in stored
+    order ``0 .. K, -K .. -1``; ``xi``, broadcastable ``(xi_x, xi_y, xi_z)``
+    with ``xi_z`` over ``kz = 0 .. K``; per stored mode ``xi_sq``, ``xi_mag``,
+    ``inv_xi_sq`` (zero mode mapped to 0), ``tail_mask`` (``|xi|`` above two
+    thirds of Nyquist) and ``multiplicity``, the number of lattice modes each
+    stored mode stands for (1 on the ``kz = 0`` plane, 2 elsewhere, where the
+    conjugate is not stored); the lattice shells ``shell_radii``, the
+    distinct ``|xi|`` values of the band, and ``shell_index``, the shell of
+    each stored mode (flattened). A flattened band visits its modes in the
+    order of the ``rfftn`` half spectrum.
     """
 
     n: int
@@ -98,48 +89,43 @@ class Grid:
             object.__setattr__(self, name, value)
 
         put("dxi", 2.0 * np.pi / self.l_box)
-        k1d = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers
-        kz = np.arange(n // 2 + 1, dtype=float)  # stored half of the last axis
-        put("wavenumbers", k1d)
-        put("xi1d", k1d * self.dxi)
+        kmax = (n - 1) // 3  # products of band fields are alias-free
+        put("dealias_kmax", kmax)
+        k = np.r_[0 : kmax + 1, -kmax:0]
+        kz = np.arange(kmax + 1)
+        put("wavenumbers", k)
+        xi1d = k * self.dxi
         xi = (
-            self.xi1d[:, None, None],
-            self.xi1d[None, :, None],
+            xi1d[:, None, None],
+            xi1d[None, :, None],
             (kz * self.dxi)[None, None, :],
         )
         put("xi", xi)
         xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
         put("xi_sq", xi_sq)
         put("xi_mag", np.sqrt(xi_sq))
-        kmax = (n - 1) // 3  # products of masked fields are alias-free
-        put("dealias_kmax", kmax)
-        keep = np.abs(k1d) <= kmax
-        put("dealias_mask",
-            keep[:, None, None] & keep[None, :, None] & (kz <= kmax)[None, None, :])
-        nyq = np.abs(k1d) == n // 2
-        not_nyq = ~(nyq[:, None, None] | nyq[None, :, None]
-                    | (kz == n // 2)[None, None, :])
-        put("not_nyquist", not_nyq)
         put("tail_mask", self.xi_mag > (2.0 / 3.0) * self.xi_nyquist)
-        put("_forward_factor", not_nyq * (self.l_box**1.5 / n**3))
-        mult = np.where((kz == 0) | (kz == n // 2), 1.0, 2.0)
+        mult = np.where(kz == 0, 1.0, 2.0)
         put("multiplicity", np.broadcast_to(mult, xi_sq.shape).copy())
         inv = np.zeros_like(xi_sq)
         nz = xi_sq > 0
         inv[nz] = 1.0 / xi_sq[nz]
         put("inv_xi_sq", inv)
         # a lattice shell is one value of the integer |k|^2
-        k_int = k1d.astype(int)
-        k_sq = (
-            (k_int**2)[:, None, None]
-            + (k_int**2)[None, :, None]
-            + (np.arange(n // 2 + 1) ** 2)[None, None, :]
-        )
+        k_sq = (k**2)[:, None, None] + (k**2)[None, :, None] + (kz**2)[None, None, :]
         present = np.zeros(k_sq.max() + 1, dtype=bool)
         present[k_sq.ravel()] = True
         put("shell_radii", np.sqrt(np.flatnonzero(present)) * self.dxi)
         put("shell_index", (np.cumsum(present) - 1)[k_sq.ravel()])
-        put("band", Band(self))
+        # (band block, half-spectrum block) pairs, per axis k >= 0 first,
+        # then k < 0; the transforms map between the two layouts with them
+        rows = ((slice(0, kmax + 1), slice(0, kmax + 1)),
+                (slice(kmax + 1, None), slice(n - kmax, n)))
+        put("_blocks", [
+            ((Ellipsis, bx, by, slice(None)),
+             (Ellipsis, hx, hy, slice(0, kmax + 1)))
+            for bx, hx in rows for by, hy in rows
+        ])
 
     @property
     def cell_volume(self) -> float:
@@ -163,73 +149,6 @@ class Grid:
         return hash((self.n, self.l_box))
 
 
-class Band:
-    """The 2/3 band ``|kx|, |ky|, kz <= K`` (``K = dealias_kmax``) of a
-    :class:`Grid`: the modes a dealiased field can hold, as compact arrays of
-    shape ``(2K+1, 2K+1, K+1)``.
-
-    The first two axes run over ``k = 0 .. K, -K .. -1``, the order in which
-    the grid stores them, and the last over ``kz = 0 .. K``, so a flattened
-    band visits its modes in the grid's order. ``xi``, ``xi_sq``,
-    ``inv_xi_sq``, ``multiplicity`` and ``shell_index`` are the grid's,
-    gathered, and ``shell_radii`` is the grid's, so :func:`leray_project`,
-    :func:`parseval_pair`, :func:`shell_sum` and the like run on band
-    coefficients as on the grid's; a shell sum adds the same terms in the
-    same order, so it is bitwise the grid's. ``n`` and ``l_box`` are the
-    grid's too; :func:`spec_to_phys` and :func:`phys_to_spec` transform band
-    coefficients on the grid's collocation points. A band is equal only to
-    itself, never to its grid, so fields of the two layouts do not mix. It
-    keeps no reference to its grid, which holds it, so a dropped grid is
-    freed at once rather than by the cycle collector.
-    """
-
-    def __init__(self, grid: Grid):
-        n, k = grid.n, grid.dealias_kmax
-        self.n, self.l_box = n, grid.l_box
-        self.shape = (2 * k + 1, 2 * k + 1, k + 1)
-        # band rows -> grid rows per axis: k >= 0 first, then k < 0
-        rows = ((slice(0, k + 1), slice(0, k + 1)),
-                (slice(k + 1, None), slice(n - k, n)))
-        self._blocks = [
-            ((Ellipsis, bx, by, slice(None)), (Ellipsis, gx, gy, slice(0, k + 1)))
-            for bx, gx in rows for by, gy in rows
-        ]
-        self._forward_scale = self.l_box**1.5 / n**3
-        axis = np.r_[0 : k + 1, n - k : n]
-        xi1d = grid.xi1d[axis]
-        self.xi = (xi1d[:, None, None], xi1d[None, :, None], grid.xi[2][..., : k + 1])
-        self.xi_sq = self.gather(grid.xi_sq)
-        self.inv_xi_sq = self.gather(grid.inv_xi_sq)
-        self.multiplicity = self.gather(grid.multiplicity)
-        self.shell_radii = grid.shell_radii
-        self.shell_index = grid.shell_index.reshape(grid.xi_sq.shape)[
-            np.ix_(axis, axis, np.arange(k + 1))].ravel()
-
-    def gather(self, half: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """The band entries of ``half`` (``(..., n, n, n//2 + 1)``, the
-        grid's layout), times ``scale``."""
-        out = np.empty(half.shape[:-3] + self.shape, dtype=half.dtype)
-        for b, g in self._blocks:
-            np.multiply(half[g], scale, out=out[b])
-        return out
-
-    def scatter(
-        self, coeffs: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Band coefficients times ``scale`` in the grid's layout, zero
-        outside the band. Given ``out``, only its band entries are written:
-        it must be zero outside the band already."""
-        n = self.n
-        if out is None:
-            out = np.zeros(coeffs.shape[:-3] + (n, n, n // 2 + 1), dtype=coeffs.dtype)
-        # scaling the contiguous band, then copying, beats scaling into the
-        # strided blocks
-        scaled = coeffs * scale
-        for b, g in self._blocks:
-            out[g] = scaled[b]
-        return out
-
-
 def build_grid(n: int, l_box: float) -> Grid:
     """Validate parameters and construct a :class:`Grid`.
 
@@ -248,8 +167,8 @@ def build_grid(n: int, l_box: float) -> Grid:
 class SpectralVectorField:
     """Three-component real vector field stored as Fourier coefficients."""
 
-    grid: Grid  # or a Band, whose fields have (3,) + band.shape coefficients
-    # (3, n, n, n//2 + 1) complex128: rfftn half spectrum, modes with kz < 0
+    grid: Grid
+    # (3, 2K+1, 2K+1, K+1) complex128: the 2/3 band, modes with kz < 0
     # implied by conjugate symmetry; Parseval sums weight by grid.multiplicity
     coeffs: np.ndarray
 
@@ -276,25 +195,26 @@ class RealVectorField:
             )
 
 
-# -- transforms (real fields, rfftn half spectrum) ---------------------------
+# -- transforms (real fields, 2/3 band) ----------------------------------------
 
 
-def phys_to_spec(samples: np.ndarray, grid: Grid | Band) -> np.ndarray:
-    """Real samples (..., n, n, n) to unitary half-spectrum coefficients, or
-    onto a :class:`Band` to its coefficients: the 2/3 truncation."""
+def phys_to_spec(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples (..., n, n, n) to unitary band coefficients: ``rfftn``,
+    then the band gathered out of its half spectrum, which is the 2/3
+    truncation."""
     half = _fft.rfftn(samples, axes=(-3, -2, -1), workers=_WORKERS)
-    if isinstance(grid, Band):
-        return grid.gather(half, grid._forward_scale)
-    half *= grid._forward_factor  # l_box**1.5 / n**3, zero on Nyquist planes
-    return half
+    out = np.empty(samples.shape[:-3] + grid.xi_sq.shape, dtype=complex)
+    scale = grid.l_box**1.5 / grid.n**3
+    for b, h in grid._blocks:
+        np.multiply(half[h], scale, out=out[b])
+    return out
 
 
 def spec_to_phys(
-    coeffs: np.ndarray, grid: Grid | Band, out: np.ndarray | None = None
+    coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unitary coefficients of real fields, half spectrum (..., n, n,
-    n//2 + 1) or band, back to samples (..., n, n, n), one component at a
-    time.
+    """Unitary band coefficients of real fields (..., 2K+1, 2K+1, K+1) back
+    to samples (..., n, n, n), one component at a time.
 
     With ``out`` the samples are written into that array (any float64 view
     of shape ``coeffs.shape[:-3] + (n, n, n)``, such as the first eight
@@ -304,21 +224,21 @@ def spec_to_phys(
     n = grid.n
     if out is None:
         out = np.empty(coeffs.shape[:-3] + (n, n, n))
-    scale = n**3 / grid.l_box**1.5
-    band = isinstance(grid, Band)
-    # irfftn leaves its input as it is, so the zeros outside a band stay
-    scaled = np.zeros((n, n, n // 2 + 1), dtype=complex)
+    # scaling the contiguous band, then copying, beats scaling into the
+    # strided blocks of the half spectrum
+    scaled = coeffs * (n**3 / grid.l_box**1.5)
+    # irfftn leaves its input as it is, so the zeros outside the band stay
+    half = np.zeros((n, n, n // 2 + 1), dtype=complex)
     for idx in np.ndindex(coeffs.shape[:-3]):
-        if band:
-            grid.scatter(coeffs[idx], scale, out=scaled)
-        else:
-            np.multiply(coeffs[idx], scale, out=scaled)
-        out[idx] = _fft.irfftn(scaled, s=(n, n, n), workers=_WORKERS)
+        component = scaled[idx]
+        for b, h in grid._blocks:
+            half[h] = component[b]
+        out[idx] = _fft.irfftn(half, s=(n, n, n), workers=_WORKERS)
     return out
 
 
 def transform_forward(f: RealVectorField) -> SpectralVectorField:
-    """Forward transform; Nyquist planes are zeroed."""
+    """Forward transform, truncated to the 2/3 band."""
     return SpectralVectorField(f.grid, phys_to_spec(f.samples, f.grid))
 
 
@@ -332,19 +252,19 @@ def transform_inverse(w: SpectralVectorField) -> RealVectorField:
 
 def mode_sum(density: np.ndarray, grid: Grid) -> float:
     """Full-lattice sum of a per-mode density that is even in ``xi`` (such as
-    ``weight(|xi|) * |coeff|^2``), given on the stored half spectrum."""
+    ``weight(|xi|) * |coeff|^2``), given on the stored band modes."""
     return float(np.dot(grid.multiplicity.ravel(), density.ravel()))
 
 
 def parseval_pair(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Full-lattice ``Re sum conj(a) b`` of two real fields' half spectra."""
+    """Full-lattice ``Re sum conj(a) b`` of two real fields' band
+    coefficients."""
     return float(np.vdot(a, grid.multiplicity * b).real)
 
 
-def shell_sum(density: np.ndarray, grid: Grid | Band) -> np.ndarray:
+def shell_sum(density: np.ndarray, grid: Grid) -> np.ndarray:
     """Full-lattice sum of a per-mode density over each lattice shell, in the
-    order of ``grid.shell_radii``; on a band, of a density that is zero
-    outside it."""
+    order of ``grid.shell_radii``."""
     return np.bincount(
         grid.shell_index,
         weights=(grid.multiplicity * density).ravel(),

@@ -181,16 +181,18 @@ class TestApplyProfile:
 
 def single_mode_field(grid, k_index, component=2):
     """Real single-mode solenoidal field at wavenumber k_index * e1."""
-    coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
-    coeffs[component, k_index % grid.n, 0, 0] = 1.0
-    coeffs[component, (-k_index) % grid.n, 0, 0] = 1.0
+    assert abs(k_index) <= grid.dealias_kmax, "the mode lies outside the 2/3 band"
+    coeffs = np.zeros((3,) + grid.xi_sq.shape, dtype=complex)
+    rows = coeffs.shape[1]
+    coeffs[component, k_index % rows, 0, 0] = 1.0
+    coeffs[component, (-k_index) % rows, 0, 0] = 1.0
     return SpectralVectorField(grid, coeffs)
 
 
 def diagonal_mode_field(grid, k, kz):
     """Real single-mode solenoidal field at the wavevector ``(k, k, kz)``,
     ``kz > 0`` (the conjugate mode is implied), along ``(1, -1, 0)``."""
-    coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    coeffs = np.zeros((3,) + grid.xi_sq.shape, dtype=complex)
     coeffs[0, k, k, kz] = 1.0
     coeffs[1, k, k, kz] = -1.0
     return SpectralVectorField(grid, coeffs)
@@ -259,10 +261,10 @@ class TestDilationFlux:
         assert dilation_flux(band, chi) < 0.0
 
     def test_scale_matches_rescaled_radius(self, grid32):
-        w = single_mode_field(grid32, 12)  # |xi| = 3
-        # at scale 0.5 the effective radius is 1.5; the sum carries 1/scale
-        expected = profile("phi").flux_kernel(1.5) * l2_norm_sq(w) / 0.5
-        assert dilation_flux(w, profile("phi"), scale=0.5) == pytest.approx(
+        w = single_mode_field(grid32, 8)  # |xi| = 2
+        # at scale 0.75 the effective radius is 1.5; the sum carries 1/scale
+        expected = profile("phi").flux_kernel(1.5) * l2_norm_sq(w) / 0.75
+        assert dilation_flux(w, profile("phi"), scale=0.75) == pytest.approx(
             expected, rel=1e-13
         )
 

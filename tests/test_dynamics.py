@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nsverify import dynamics
 from nsverify.dynamics import (
@@ -35,6 +36,7 @@ from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import (
     SpectralVectorField,
     build_grid,
+    cross,
     l2_norm,
     l2_norm_sq,
     leray_project,
@@ -45,7 +47,15 @@ from nsverify.spectral import (
     transform_inverse,
 )
 
-from conftest import random_solenoidal, small_run, zero_field
+from conftest import (
+    gather,
+    half_shape,
+    half_wavenumbers,
+    random_solenoidal,
+    scatter,
+    small_run,
+    zero_field,
+)
 from test_cutoffs import single_mode_field
 
 
@@ -82,16 +92,55 @@ def step_spans(snaps, cfg):
 MIXED_TAUS = np.arange(0.0, 2.5 + 1e-9, 0.1)
 
 
+# An IF-RK4 reference on the full rfftn half spectrum, built here: its
+# frequencies, transforms, product and projection are the test's own, in the
+# package's arithmetic order, so each band mode sees the same operations.
+
+
+def half_frequencies(grid):
+    """``xi``, ``|xi|^2`` and ``1/|xi|^2`` (0 at the zero mode) of the half
+    spectrum, and its 2/3 band mask."""
+    k = half_wavenumbers(grid)
+    xi = tuple(kk * grid.dxi for kk in k)
+    xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+    inv = np.zeros_like(xi_sq)
+    inv[xi_sq > 0] = 1.0 / xi_sq[xi_sq > 0]
+    kmax = grid.dealias_kmax
+    band = (np.abs(k[0]) <= kmax) & (np.abs(k[1]) <= kmax) & (k[2] <= kmax)
+    return xi, xi_sq, inv, band
+
+
+def cube_tendency(c, grid):
+    """Projected rotational tendency ``P[F[u x curl u]]`` of half-spectrum
+    coefficients, the product truncated to the 2/3 band by its mask."""
+    n, l_box = grid.n, grid.l_box
+    xi, _, inv, band = half_frequencies(grid)
+    vort = np.empty_like(c)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        vort[i] = xi[j] * c[k] - xi[k] * c[j]
+        vort[i] *= 1j
+
+    def inverse(a):
+        return scipy.fft.irfftn(a * (n**3 / l_box**1.5), s=(n, n, n),
+                                axes=(-3, -2, -1))
+
+    product = scipy.fft.rfftn(cross(inverse(c), inverse(vort)), axes=(-3, -2, -1))
+    product = product * (l_box**1.5 / n**3) * band
+    div = xi[0] * product[0] + xi[1] * product[1] + xi[2] * product[2]
+    div *= inv
+    return np.stack([product[i] - xi[i] * div for i in range(3)])
+
+
 def cube_ifrk4(c, dt, grid, nonlinear):
     """Reference IF-RK4 step on the full half spectrum: the end state and
     the four stage tendencies (``None`` for linear dynamics)."""
-    half = np.exp(grid.xi_sq * (-dt / 2.0))
+    half = np.exp(half_frequencies(grid)[1] * (-dt / 2.0))
     full = half * half
     if not nonlinear:
         return c * full, None
 
     def tendency(coeffs):
-        return _nonlinear_tendency(SpectralVectorField(grid, coeffs))
+        return cube_tendency(coeffs, grid)
 
     a = tendency(c)
     b = tendency((a * (dt / 2.0) + c) * half)
@@ -106,7 +155,8 @@ def cube_ifrk4(c, dt, grid, nonlinear):
 def cube_dense_output(c0, stages, h, theta, grid):
     """Reference RK4 dense output on the full half spectrum, its exponents
     taken on the 2/3 band."""
-    xs = grid.xi_sq * grid.dealias_mask
+    _, xi_sq, _, band = half_frequencies(grid)
+    xs = xi_sq * band
     decay = np.exp(xs * (-theta * h))
     if stages is None:
         return decay * c0
@@ -125,16 +175,17 @@ def cube_dense_output(c0, stages, h, theta, grid):
 
 def cube_trajectory(u0, cfg):
     """Reference for :func:`simulate`: its step schedule, stepped by
-    :func:`cube_ifrk4` and sampled by :func:`cube_dense_output`; the
+    :func:`cube_ifrk4` and sampled by :func:`cube_dense_output` from the
+    prepared initial state in the half spectrum; the half-spectrum
     coefficients of every sample."""
     grid = u0.grid
-    c = _prepare_initial(u0, cfg).coeffs
+    c = scatter(_prepare_initial(u0, cfg).coeffs, grid)
     times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
     samples, t, i = [], 0.0, 0
     while i < len(times):
         span = times[i] - t
         if span > 1e-15:
-            cap = _cfl_cap(SpectralVectorField(grid, c), cfg)
+            cap = _cfl_cap(SpectralVectorField(grid, gather(c, grid)), cfg)
             if span > cap:
                 nsteps = math.ceil(span / cap)
                 for _ in range(nsteps):
@@ -276,7 +327,7 @@ class TestSimulate:
         worst = 0.0
         for snap in simulate(u0, cfg):
             exact = u0.coeffs * math.exp(-2.0 * snap.frame.t)
-            got = grid16.band.scatter(snap.u_hat.coeffs)
+            got = snap.u_hat.coeffs
             worst = max(worst, np.abs(got - exact).max() / np.abs(exact).max())
         assert worst <= 1e-6
 
@@ -306,8 +357,7 @@ class TestSimulate:
             [
                 float(
                     (grid32.multiplicity * grid32.xi_sq
-                     * (np.abs(grid32.band.scatter(s.u_hat.coeffs)) ** 2).sum(axis=0)
-                     ).sum()
+                     * (np.abs(s.u_hat.coeffs) ** 2).sum(axis=0)).sum()
                 )
                 for s in snaps
             ]
@@ -366,8 +416,7 @@ class TestSimulate:
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.004)
         snaps = list(simulate(u0, cfg))
-        band = grid32.band
-        u_hat = SpectralVectorField(grid32, band.scatter(snaps[0].u_hat.coeffs))
+        u_hat = snaps[0].u_hat
         most = 0
         for prev, snap in zip(snaps, snaps[1:]):
             span = snap.frame.t - prev.frame.t
@@ -377,7 +426,7 @@ class TestSimulate:
             for _ in range(nsteps):
                 state = step(state, span / nsteps, cfg)
             u_hat = state.u_hat
-            assert np.array_equal(u_hat.coeffs, band.scatter(snap.u_hat.coeffs))
+            assert np.array_equal(u_hat.coeffs, snap.u_hat.coeffs)
         assert most > 1
 
     def test_step_ends_equal_chained_steps(self, grid32):
@@ -387,15 +436,12 @@ class TestSimulate:
         spans = step_spans(snaps, cfg)
         assert any(end - start > 1 for start, end, _ in spans)
         assert any(nsteps > 1 for _, _, nsteps in spans)
-        band = grid32.band
         for start, end, nsteps in spans:
-            u_hat = SpectralVectorField(grid32, band.scatter(snaps[start].u_hat.coeffs))
-            state = SimState(snaps[start].frame.t, u_hat)
+            state = SimState(snaps[start].frame.t, snaps[start].u_hat)
             dt = (snaps[end].frame.t - snaps[start].frame.t) / nsteps
             for _ in range(nsteps):
                 state = step(state, dt, cfg)
-            assert np.array_equal(
-                state.u_hat.coeffs, band.scatter(snaps[end].u_hat.coeffs))
+            assert np.array_equal(state.u_hat.coeffs, snaps[end].u_hat.coeffs)
 
     def test_tendency_count(self, grid32, monkeypatch):
         # every step evaluates its four stages, and emitting a sample
@@ -420,7 +466,8 @@ class TestSimulate:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_band_integrator_equals_the_cube_reference(self, grid32, nonlinear):
         # bitwise: every band entry goes through the arithmetic of its mode
-        # in the full half spectrum, and the modes outside the band stay 0
+        # in the test's own half-spectrum integrator, and the modes outside
+        # the band stay 0 there
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(
             grid32, dt_max=0.04, sample_taus=MIXED_TAUS, nonlinear=nonlinear
@@ -432,12 +479,12 @@ class TestSimulate:
         reference = cube_trajectory(u0, cfg)
         assert len(reference) == len(snaps)
         for snap, expected in zip(snaps, reference):
-            assert np.array_equal(grid32.band.scatter(snap.u_hat.coeffs), expected)
+            assert np.array_equal(scatter(snap.u_hat.coeffs, grid32), expected)
 
     def test_sample_energy_and_tail_are_the_fields(self, grid32):
         _, snaps = small_run(grid32, seed=2, tau_max=0.2)
         for snap in snaps:
-            u = SpectralVectorField(grid32, grid32.band.scatter(snap.u_hat.coeffs))
+            u = snap.u_hat
             assert snap.energy == l2_norm_sq(u)
             assert snap.tail_fraction == tail_fraction(mode_energy(u.coeffs), grid32)
 
@@ -480,10 +527,9 @@ class TestSimulate:
         spans = step_spans(clean, cfg)
         assert any(end - start > 1 for start, end, _ in spans)
         assert any(nsteps > 1 for _, _, nsteps in spans)
-        band = grid16.band
         for snap, ref in zip(simulate(u0, cfg), clean):
-            assert snap.u_hat.grid is band
-            assert snap.u_hat.coeffs.shape == (3,) + band.shape
+            assert snap.u_hat.grid == grid16
+            assert snap.u_hat.coeffs.shape == (3,) + grid16.xi_sq.shape
             assert np.array_equal(snap.u_hat.coeffs, ref.u_hat.coeffs)
             assert snap.energy == ref.energy
             snap.u_hat.coeffs[...] = np.nan
@@ -502,7 +548,7 @@ class TestSimulate:
         snaps = list(simulate(u0, cfg))
         assert all(s.u_hat.coeffs.base is None for s in snaps)
         held = sum(s.u_hat.coeffs.nbytes for s in snaps)
-        half = len(snaps) * np.zeros((3,) + grid.xi_sq.shape, dtype=complex).nbytes
+        half = len(snaps) * np.zeros((3,) + half_shape(grid), dtype=complex).nbytes
         assert held <= 0.3 * half
 
     def test_interpolated_linear_decay_is_exact(self, grid32):
@@ -512,11 +558,10 @@ class TestSimulate:
         )
         snaps = list(simulate(u0, cfg))
         assert any(end - start > 1 for start, end, _ in step_spans(snaps, cfg))
-        band = grid32.band
-        c0 = band.scatter(snaps[0].u_hat.coeffs)
+        c0 = snaps[0].u_hat.coeffs
         for snap in snaps:
             exact = np.exp(-grid32.xi_sq * snap.frame.t) * c0
-            err = np.abs(band.scatter(snap.u_hat.coeffs) - exact).max()
+            err = np.abs(snap.u_hat.coeffs - exact).max()
             assert err <= 1e-14 * np.abs(exact).max()
 
     def test_dense_output_is_fourth_order(self, grid32):
@@ -540,7 +585,7 @@ class TestSimulate:
         errors = []
         for h, k in ((0.04, 32), (0.02, 16), (0.01, 8)):
             taus = [-math.log1p(-h / 2), -math.log1p(-h)]
-            mid = grid32.band.scatter(list(simulate(u0, config(taus)))[0].u_hat.coeffs)
+            mid = list(simulate(u0, config(taus)))[0].u_hat.coeffs
             errors.append(np.abs(mid - reference[k]).max())
         assert errors[0] >= 12.0 * errors[1] >= 144.0 * errors[2]
 
@@ -585,6 +630,14 @@ class TestRescale:
         with pytest.raises(RescaleError):
             rescale_data(u, 4)
 
+    def test_content_leaving_the_band_rejected(self, grid16):
+        # n = 16 keeps |k| <= K = 5: k = 3 goes to 6, which the half
+        # spectrum (|k| < 8) could hold but the band cannot
+        with pytest.raises(RescaleError):
+            rescale_data(single_mode_field(grid16, 3), 2)
+        out = rescale_data(single_mode_field(grid16, 2), 2)
+        assert out.coeffs[2, 4, 0, 0] == 2.0 and out.coeffs[2, -4, 0, 0] == 2.0
+
     def test_non_integer_rejected(self, grid32):
         u = random_solenoidal(grid32, 12)
         with pytest.raises(RescaleError):
@@ -608,9 +661,8 @@ class TestRescale:
             n=32, l_box=8 * math.pi, t_horizon=1.0, dt_max=0.005, cfl=0.4,
             sample_taus=[-math.log(1 - t_a)], delta=delta, alpha=0.1,
         )
-        def final(u0, cfg):  # on the half spectrum, where the dilation acts
-            coeffs = list(simulate(u0, cfg))[-1].u_hat.coeffs
-            return SpectralVectorField(grid, grid.band.scatter(coeffs))
+        def final(u0, cfg):
+            return list(simulate(u0, cfg))[-1].u_hat
 
         ref = rescale_data(final(u0, cfg_a), 2)
         cfg_b = TrajectoryConfig(
@@ -690,17 +742,17 @@ class TestWeakForm:
 
     def test_exact_trajectory_residual_golden(self, grid16):
         # 17 digits: the trajectory and every pairing of the residual are
-        # bitwise reproducible, so a change that moves it shows here
+        # bitwise reproducible, so a change that moves it shows here;
+        # recorded with every field and pairing on the 2/3 band
         snaps = self._tg_snapshots(grid16)
         t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
-        assert weak_residual(snaps, tf) == -1.7173368890948994e-06
+        assert weak_residual(snaps, tf) == -1.7173368890930533e-06
 
     def test_random_run_residual_golden(self, random_weak_run):
-        # recorded when every sample was transformed and paired, those
-        # outside the support included
+        # recorded with every field and pairing on the 2/3 band
         snaps, tf = random_weak_run
-        assert weak_residual(snaps, tf) == 1.8721440083637893e-05
+        assert weak_residual(snaps, tf) == 1.8721440083646956e-05
 
     def test_transforms_only_the_support(self, random_weak_run, monkeypatch):
         # the test field takes 10 transforms (v and its nine derivatives),
@@ -736,7 +788,7 @@ class TestWeakForm:
         clean = abs(weak_residual(snaps, tf))
         k = len(snaps) // 2
         corrupted = list(snaps)
-        bad = SpectralVectorField(grid16.band, corrupted[k].u_hat.coeffs * 1.1)
+        bad = SpectralVectorField(grid16, corrupted[k].u_hat.coeffs * 1.1)
         corrupted[k] = type(snaps[k])(
             frame=snaps[k].frame, u_hat=bad,
             tail_fraction=snaps[k].tail_fraction,
@@ -749,7 +801,7 @@ class TestWeakForm:
         snaps = self._tg_snapshots(grid16)
         tf = make_test_field(grid16, 2, 0.2, 0.8)
         tf.spatial.coeffs[0, 1, 0, 0] += 0.5  # break divergence-freeness
-        tf.spatial.coeffs[0, 15, 0, 0] += 0.5
+        tf.spatial.coeffs[0, -1, 0, 0] += 0.5  # k = -1
         with pytest.raises(DomainError):
             weak_residual(snaps, tf)
 
@@ -759,12 +811,13 @@ class TestWeakForm:
         with pytest.raises(DomainError):
             weak_residual(snaps, tf)
 
-    def test_half_spectrum_snapshots_rejected(self, random_weak_run, grid16):
+    def test_snapshots_of_another_grid_rejected(self, random_weak_run, grid16):
         snaps, tf = random_weak_run
-        half = [replace(s, u_hat=SpectralVectorField(
-            grid16, grid16.band.scatter(s.u_hat.coeffs))) for s in snaps]
+        other = build_grid(16, 2.0 * grid16.l_box)
+        moved = [replace(s, u_hat=SpectralVectorField(other, s.u_hat.coeffs))
+                 for s in snaps]
         with pytest.raises(DomainError):
-            weak_residual(half, tf)
+            weak_residual(moved, tf)
 
 
 def test_initial_from_snapshot(tmp_path, grid32):

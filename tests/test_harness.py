@@ -23,7 +23,7 @@ from conftest import SMALL_SCENARIO
 def test_spectral_infrastructure_criterion_passes():
     result = criterion_spectral_infrastructure(count=4, n=16)
     assert result.passed, result.detail
-    assert "nyquist=" in result.detail
+    assert "truncation=" in result.detail
 
 
 def detail_values(detail):

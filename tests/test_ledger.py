@@ -193,16 +193,12 @@ def test_splits_vanish_with_the_high_pass_weight(long_series):
 def test_shell_transfer_is_the_convective_transfer(grid32, nonlinear):
     # the rotational form from u and grad u equals the shell sums of
     # Re<F[(u.grad)u], u_hat> from the convective product
-    # on the half spectrum; the ledger takes it on the band
     _, snaps = small_run(grid32, seed=3, tau_max=0.3, nonlinear=nonlinear)
-    band = grid32.band
     for snap in snaps:
-        b = snap.u_hat.coeffs
-        grads = np.stack([spec_to_phys(1j * band.xi[j] * b, band) for j in range(3)])
-        got = _shell_transfer(spec_to_phys(b, band), grads, b, band)
-        c = band.scatter(b)
-        u_hat = SpectralVectorField(grid32, c)
-        density = (convective_term(u_hat).coeffs * np.conj(c)).real
+        c = snap.u_hat.coeffs
+        grads = np.stack([spec_to_phys(1j * grid32.xi[j] * c, grid32) for j in range(3)])
+        got = _shell_transfer(spec_to_phys(c, grid32), grads, c, grid32)
+        density = (convective_term(snap.u_hat).coeffs * np.conj(c)).real
         expected = shell_sum(density.sum(axis=0), grid32)
         scale = np.abs(expected).max()
         assert scale > 0
@@ -217,7 +213,8 @@ def early_run(grid32):
 
 
 # Every record column of ``early_run`` at every sample as ``float.hex``,
-# recorded when the snapshots and the ledger's spectra were half spectra.
+# recorded when every field, the initial data included, was held on the 2/3
+# band.
 EARLY_RECORDS = json.loads(
     (Path(__file__).parent / "golden" / "early_run_records.json").read_text())
 
@@ -259,7 +256,7 @@ def test_t_grad_is_the_strain_contraction(grid32, early_run):
     # agree to the rounding of those terms (measured 6.5e-18 of them)
     series, snaps = early_run
     for snap, value in zip(snaps, series.column("T_grad")):
-        c = grid32.band.scatter(snap.u_hat.coeffs)
+        c = snap.u_hat.coeffs
         grads = spec_to_phys(gradient_spectra(c, grid32), grid32).reshape(
             (3, 3) + (grid32.n,) * 3)
         factor = snap.frame.scale**3 * grid32.cell_volume
@@ -271,11 +268,10 @@ def test_trace_closes_the_gradient_tensor(grid32, early_run):
     # the first eight slots are their own transforms; d_2 u_2 is -(d_0 u_0 +
     # d_1 u_1), which equals its transform up to rounding for solenoidal u
     _, snaps = early_run
-    band = grid32.band
     for snap in snaps[::5]:
-        spectra = gradient_spectra(snap.u_hat.coeffs, band)
-        full = spec_to_phys(spectra, band)
-        closed = _gradient_tensor(spectra[:8], band).reshape(full.shape)
+        spectra = gradient_spectra(snap.u_hat.coeffs, grid32)
+        full = spec_to_phys(spectra, grid32)
+        closed = _gradient_tensor(spectra[:8], grid32).reshape(full.shape)
         assert np.array_equal(closed[:8], full[:8])
         assert np.abs(closed[8] - full[8]).max() <= 1e-14 * np.abs(full).max()
 
@@ -312,18 +308,17 @@ MODE_COLUMNS = {
 
 
 def test_shell_columns_are_mode_sums(grid32, early_run):
-    # mode by mode on the half spectrum, against the ledger's shell sums;
-    # the energy density is |u_hat|^2, the transfer density
-    # Re<F[(u.grad)u], u_hat> from the convective product
+    # mode by mode, against the ledger's shell sums; the energy density is
+    # |u_hat|^2, the transfer density Re<F[(u.grad)u], u_hat> from the
+    # convective product
     series, snaps = early_run
     snap, rec = snaps[-1], series.records[-1]
     g, s = grid32, snap.frame.scale
     assert s < 0.9
-    c = g.band.scatter(snap.u_hat.coeffs)
+    c = snap.u_hat.coeffs
     density = {
         "e": mode_energy(c),
-        "t": (convective_term(SpectralVectorField(g, c)).coeffs
-              * np.conj(c)).real.sum(axis=0),
+        "t": (convective_term(snap.u_hat).coeffs * np.conj(c)).real.sum(axis=0),
     }
     assert set(MODE_COLUMNS) == set(ledger._SHELL_TERMS)
     for name, (kind, j, profile, flux) in MODE_COLUMNS.items():
@@ -350,7 +345,7 @@ def test_splits_are_the_direct_pairings(grid32, early_run):
     direct = {name: [] for name in SPLITS}
     for snap in snaps:
         s = snap.frame.scale
-        c = g.band.scatter(snap.u_hat.coeffs)
+        c = snap.u_hat.coeffs
         high_sq = weight_tables(s * g.shell_radii, series.ctx.alpha)[
             "one_minus_phi"][0][g.shell_index].reshape(c.shape[1:])
         high = np.sqrt(high_sq)
@@ -390,12 +385,12 @@ def ledger_components(snap, grid, monkeypatch):
     return rec, counts
 
 
-def test_ledger_reads_band_snapshots_only(grid32, early_run):
-    # a half-spectrum field, or a band of another grid, is refused
+def test_ledger_reads_its_own_grid_only(grid32, early_run):
+    # a snapshot of another grid is refused, of the same size or not
     snap = early_run[1][0]
-    half = SpectralVectorField(grid32, grid32.band.scatter(snap.u_hat.coeffs))
-    other = build_grid(32, 4.0 * math.pi).band
-    for u_hat in (half, SpectralVectorField(other, snap.u_hat.coeffs)):
+    for other in (build_grid(32, 4.0 * math.pi), build_grid(16, grid32.l_box)):
+        u_hat = SpectralVectorField(
+            other, np.zeros((3,) + other.xi_sq.shape, dtype=complex))
         with pytest.raises(DomainError):
             RecordsBuilder(LedgerContext(grid32, 0.1, 0.05)).feed(
                 replace(snap, u_hat=u_hat))

@@ -119,6 +119,48 @@ def test_no_public_definitions_that_only_tests_reach():
     assert set(unused(definitions, name_uses(trees))) == UNREACHED_PUBLIC
 
 
+def half_spectrum_uses(tree):
+    """Lines where a module reaches an FFT module (``scipy.fft``,
+    ``numpy.fft``) or spells the half-spectrum length ``n // 2 + 1``."""
+    fft_modules = ("scipy.fft", "numpy.fft")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names.append(node.module or "")
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name)):
+            names = [f"{node.value.id}.fft".replace("np.", "numpy.")]
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+              and isinstance(node.left, ast.BinOp)
+              and isinstance(node.left.op, ast.FloorDiv)):
+            operand = node.left.left
+            n = getattr(operand, "id", getattr(operand, "attr", None))
+            if n == "n" and ast.literal_eval(node.left.right) == 2 \
+                    and ast.literal_eval(node.right) == 1:
+                lines.append(node.lineno)
+            continue
+        else:
+            continue
+        if any(name == m or name.startswith(m + ".") for name in names
+               for m in fft_modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_half_spectrum_stays_inside_the_transforms():
+    """Fields live on the 2/3 band; only ``spectral.py`` transforms, and
+    only its transforms know the ``rfftn`` half spectrum."""
+    found = {}
+    for path in ROOT.glob("*.py"):
+        lines = half_spectrum_uses(ast.parse(path.read_text()))
+        if lines:
+            found[path.name] = lines
+    assert set(found) == {"spectral.py"}, found
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy.integrate drags in scipy.optimize, scipy.linalg and scipy.sparse
     code = "import sys, nsverify.cli; print('scipy.integrate' in sys.modules)"

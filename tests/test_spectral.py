@@ -9,7 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsverify.errors import ConfigurationError, GridMismatchError
-from nsverify.dynamics import _amplitude_bound
+from nsverify.dynamics import (
+    SimState,
+    TrajectoryConfig,
+    _amplitude_bound,
+    initial_from_snapshot,
+    make_test_field,
+    nse_rhs,
+    rescale_data,
+    simulate,
+    step,
+)
+from nsverify.fields import FieldSpec, generate
+from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import (
     RealVectorField,
     SpectralVectorField,
@@ -27,15 +39,24 @@ from nsverify.spectral import (
     transform_inverse,
 )
 
-from conftest import derivative, random_band_limited, zero_field
+from conftest import (
+    derivative,
+    gather,
+    half_shape,
+    half_wavenumbers,
+    random_band_limited,
+    scatter,
+    zero_field,
+)
 
 
 def plane_hermitian_error(w):
     """Max deviation from ``coeff(-kx, -ky, 0) == conj(coeff(kx, ky, 0))``.
 
-    The half spectrum stores each mode with ``kz > 0`` once, so conjugate
-    symmetry is structural there; the ``kz = 0`` plane holds both members of
-    each pair and is the one place it can fail.
+    The band stores each mode with ``kz > 0`` once, so conjugate symmetry is
+    structural there; the ``kz = 0`` plane holds both members of each pair
+    and is the one place it can fail. A band axis stores ``k`` at index
+    ``k mod (2K+1)``, so reversing it and rolling by one maps ``k`` to ``-k``.
     """
     plane = w.coeffs[..., 0]
     rev = np.roll(plane[:, ::-1, ::-1], (1, 1), axis=(1, 2))
@@ -46,12 +67,14 @@ class TestBuildGrid:
     def test_frequency_spacing_unit_box(self):
         g = build_grid(8, 2.0 * math.pi)
         assert g.dxi == pytest.approx(1.0)
-        assert set(g.wavenumbers.astype(int)) == set(range(-4, 4))
+        assert g.dealias_kmax == 2
+        assert list(g.wavenumbers) == [0, 1, 2, -2, -1]
 
     def test_wide_box(self):
         g = build_grid(64, 16.0 * math.pi)
         assert g.dxi == pytest.approx(1.0 / 8.0)
-        assert np.max(np.abs(g.xi1d)) == pytest.approx(4.0)
+        assert g.xi_nyquist == pytest.approx(4.0)
+        assert np.max(np.abs(g.xi[0])) == pytest.approx(21.0 / 8.0)
 
     @pytest.mark.parametrize("n", [7, 6, 9, 0])
     def test_bad_sizes(self, n):
@@ -79,8 +102,9 @@ class TestTransforms:
         assert len(nz) == 2
         mags = [abs(w.coeffs[tuple(i)]) for i in nz]
         assert mags[0] == pytest.approx(mags[1], rel=1e-14)
-        # entries sit at k = +-e1 of the first component
-        assert {tuple(i) for i in nz} == {(0, 1, 0, 0), (0, 15, 0, 0)}
+        # entries sit at k = +-e1 of the first component; the band axis
+        # holds k = -1 at index 2K+1 - 1 = 10
+        assert {tuple(i) for i in nz} == {(0, 1, 0, 0), (0, 10, 0, 0)}
 
     def test_round_trip(self, grid16):
         f = random_band_limited(grid16, 3)
@@ -97,12 +121,15 @@ class TestTransforms:
             assert phys == pytest.approx(l2_norm_sq(w), rel=1e-12)
 
     def test_nyquist_forced_zero(self, grid16):
-        rng = np.random.default_rng(0)
-        w = transform_forward(
-            RealVectorField(grid16, rng.standard_normal((3, 16, 16, 16)))
-        )
-        assert np.all(w.coeffs[:, 8, :, :] == 0)
-        assert np.all(w.coeffs[:, :, :, 8] == 0)
+        # (-1)^j along an axis lives on its Nyquist plane only, which the
+        # band does not hold
+        j = np.arange(16)
+        samples = np.zeros((3, 16, 16, 16))
+        samples[0] = ((-1.0) ** j)[:, None, None]
+        samples[1] = ((-1.0) ** j)[None, None, :]
+        samples[2] = ((-1.0) ** j)[None, :, None] * np.cos(grid16.axes()[0])
+        w = transform_forward(RealVectorField(grid16, samples))
+        assert np.all(w.coeffs == 0)
 
     def test_hermitian_symmetry(self, grid16):
         w = transform_forward(random_band_limited(grid16, 5))
@@ -116,7 +143,8 @@ class TestTransforms:
         shape = (batch,) + grid.xi_sq.shape
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         batched = scipy.fft.irfftn(
-            coeffs * (n**3 / grid.l_box**1.5), s=(n, n, n), axes=(-3, -2, -1)
+            scatter(coeffs, grid) * (n**3 / grid.l_box**1.5), s=(n, n, n),
+            axes=(-3, -2, -1),
         )
         assert np.array_equal(spec_to_phys(coeffs, grid), batched)
 
@@ -132,85 +160,123 @@ class TestTransforms:
         assert np.array_equal(slots, spec_to_phys(coeffs, grid16))
         assert np.isnan(tensor[2, 2]).all()
 
-    def test_half_spectrum_shape(self, grid16):
+    def test_band_shape(self, grid16):
+        # K = 5 at n = 16: 11 rows per axis and kz = 0 .. 5
         w = transform_forward(random_band_limited(grid16, 5))
-        assert w.coeffs.shape == (3, 16, 16, 9)
-        assert grid16.multiplicity.shape == (16, 16, 9)
-        assert set(np.unique(grid16.multiplicity[:, :, [0, 8]])) == {1.0}
-        assert set(np.unique(grid16.multiplicity[:, :, 1:8])) == {2.0}
+        assert w.coeffs.shape == (3, 11, 11, 6)
+        assert grid16.multiplicity.shape == (11, 11, 6)
+        assert set(np.unique(grid16.multiplicity[:, :, 0])) == {1.0}
+        assert set(np.unique(grid16.multiplicity[:, :, 1:])) == {2.0}
 
 
 def random_band(grid, seed):
     rng = np.random.default_rng(seed)
-    shape = (3,) + grid.band.shape
+    shape = (3,) + grid.xi_sq.shape
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestBand:
+    """The grid's 2/3 band against the ``rfftn`` half spectrum, which the
+    tests build themselves."""
+
     @pytest.mark.parametrize("n, entries", [(32, 4851), (64, 40678)])
     def test_holds_the_dealiased_modes(self, n, entries):
         grid = build_grid(n, 8.0 * math.pi)
         k = grid.dealias_kmax
-        assert grid.band.shape == (2 * k + 1, 2 * k + 1, k + 1)
-        assert grid.band.xi_sq.size == entries == grid.dealias_mask.sum()
-
-    def test_scatter_inverts_gather(self, grid16):
-        c = transform_forward(random_band_limited(grid16, 1)).coeffs
-        c *= grid16.dealias_mask
-        band = grid16.band
-        assert np.array_equal(band.scatter(band.gather(c)), c)
-        b = random_band(grid16, 2)
-        spread = band.scatter(b)
-        assert np.all(spread[:, ~grid16.dealias_mask] == 0.0)
-        assert np.array_equal(band.gather(spread), b)
+        kx, ky, kz = half_wavenumbers(grid)
+        inside = (np.abs(kx) <= k) & (np.abs(ky) <= k) & (kz <= k)
+        assert grid.xi_sq.shape == (2 * k + 1, 2 * k + 1, k + 1)
+        assert grid.xi_sq.size == entries == inside.sum()
 
     def test_frequencies_and_weights_are_the_grids(self, grid16):
-        band = grid16.band
-        for name in ("xi_sq", "inv_xi_sq", "multiplicity"):
-            assert np.array_equal(
-                band.scatter(getattr(band, name)),
-                getattr(grid16, name) * grid16.dealias_mask,
-            )
+        # the band's entries of the half spectrum's arrays, bitwise
+        kx, ky, kz = half_wavenumbers(grid16)
+        xi = [np.broadcast_to(k * grid16.dxi, half_shape(grid16)) for k in (kx, ky, kz)]
+        xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+        mult = np.where((kz == 0) | (kz == grid16.n // 2), 1.0, 2.0)
         for axis in range(3):
-            xi = np.broadcast_to(band.xi[axis], band.shape)
-            full = np.broadcast_to(grid16.xi[axis], grid16.xi_sq.shape)
-            assert np.array_equal(band.gather(full), xi)
+            band_xi = np.broadcast_to(grid16.xi[axis], grid16.xi_sq.shape)
+            assert np.array_equal(band_xi, gather(xi[axis], grid16))
+        assert np.array_equal(grid16.xi_sq, gather(xi_sq, grid16))
+        assert np.array_equal(
+            grid16.multiplicity,
+            gather(np.broadcast_to(mult, half_shape(grid16)), grid16))
+        inv = gather(xi_sq, grid16)
+        inv[0, 0, 0] = np.inf
+        assert np.array_equal(grid16.inv_xi_sq, 1.0 / inv)
 
     def test_transforms_equal_the_grids(self, grid16):
-        # bitwise: the inverse sees the zero-padded half spectrum, and the
-        # forward gather is the masked half spectrum's band
-        band = grid16.band
+        # bitwise: the inverse transforms the scaled, zero-padded half
+        # spectrum, and the forward gathers the band out of the scaled one,
+        # dropping the Nyquist planes and every mode beyond K
         b = random_band(grid16, 3)
-        samples = spec_to_phys(b, band)
-        assert np.array_equal(samples, spec_to_phys(band.scatter(b), grid16))
-        half = phys_to_spec(samples**2, grid16) * grid16.dealias_mask
-        assert np.array_equal(phys_to_spec(samples**2, band), band.gather(half))
+        scale = grid16.n**3 / grid16.l_box**1.5
+        samples = scipy.fft.irfftn(
+            scatter(b, grid16) * scale, s=(16, 16, 16), axes=(-3, -2, -1))
+        assert np.array_equal(spec_to_phys(b, grid16), samples)
+        half = scipy.fft.rfftn(samples**2, axes=(-3, -2, -1))
+        expected = gather(half, grid16) * (grid16.l_box**1.5 / grid16.n**3)
+        assert np.array_equal(phys_to_spec(samples**2, grid16), expected)
 
     def test_operators_run_on_band_fields(self, grid16):
-        band = grid16.band
+        # the projection and the Parseval pairing on the band equal their
+        # half-spectrum forms on the zero-padded coefficients
         b = random_band(grid16, 4)
-        c = band.scatter(b)
-        projected = leray_project(SpectralVectorField(band, b)).coeffs
-        full = leray_project(SpectralVectorField(grid16, c)).coeffs
-        assert np.array_equal(band.scatter(projected), full)
-        assert parseval_pair(b, b, band) == pytest.approx(
-            parseval_pair(c, c, grid16), rel=1e-14
+        c = scatter(b, grid16)
+        kx, ky, kz = half_wavenumbers(grid16)
+        xi = [k * grid16.dxi for k in (kx, ky, kz)]
+        xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+        inv = np.zeros_like(xi_sq)
+        inv[xi_sq > 0] = 1.0 / xi_sq[xi_sq > 0]
+        div = (xi[0] * c[0] + xi[1] * c[1] + xi[2] * c[2]) * inv
+        full = np.stack([c[i] - xi[i] * div for i in range(3)])
+        projected = leray_project(SpectralVectorField(grid16, b)).coeffs
+        assert np.array_equal(scatter(projected, grid16), full)
+        mult = np.where((kz == 0) | (kz == grid16.n // 2), 1.0, 2.0)
+        assert parseval_pair(b, b, grid16) == pytest.approx(
+            float((mult * np.abs(c) ** 2).sum()), rel=1e-14
         )
 
-    def test_a_band_is_not_its_grid(self, grid16):
-        assert grid16.band != grid16
-        assert grid16 != grid16.band
-        assert build_grid(16, grid16.l_box).band is not grid16.band
-
     def test_a_dropped_grid_is_freed_at_once(self):
-        # no reference cycle through the band: each pipeline run builds a
-        # grid, and one left to the cycle collector stays resident
+        # no reference cycle in a grid: each pipeline run builds one, and
+        # one left to the cycle collector stays resident
         gc.disable()
         try:
             grid = weakref.ref(build_grid(16, 2.0 * math.pi))
             assert grid() is None
         finally:
             gc.enable()
+
+
+class TestLayoutContract:
+    """Every public producer of coefficients returns them on the band."""
+
+    def test_every_producer_returns_band_coefficients(self, grid16, tmp_path):
+        shape = (3,) + grid16.xi_sq.shape
+        u = generate(FieldSpec("random_solenoidal", seed=1, l2_norm_target=0.05,
+                               xi_cutoff=2.0), grid16)
+        cfg = TrajectoryConfig(n=16, l_box=grid16.l_box, sample_taus=[0.0, 0.02],
+                               delta=0.05, alpha=0.1)
+        write_snapshot(tmp_path / "u.nsvf", transform_inverse(u), t=0.0)
+        produced = {
+            "generate": u,
+            "transform_forward": transform_forward(random_band_limited(grid16, 1)),
+            "leray_project": leray_project(u),
+            "nse_rhs": nse_rhs(u),
+            "step": step(SimState(0.0, u), 0.01, cfg).u_hat,
+            "make_test_field": make_test_field(grid16, 0, 0.1, 0.2).spatial,
+            "rescale_data": rescale_data(u, 2),  # |k| <= 2 goes to |k| <= 4
+            "initial_from_snapshot": initial_from_snapshot(tmp_path / "u.nsvf")[0],
+        }
+        produced.update(
+            (f"snapshot {i}", snap.u_hat) for i, snap in enumerate(simulate(u, cfg)))
+        for name, field in produced.items():
+            assert field.grid == grid16, name
+            assert field.coeffs.shape == shape, name
+
+    def test_half_spectrum_array_is_rejected(self, grid16):
+        with pytest.raises(ConfigurationError):
+            SpectralVectorField(grid16, np.zeros((3,) + half_shape(grid16), complex))
 
 
 class TestDerivative:
@@ -370,7 +436,7 @@ class TestShells:
     def test_shell_sum_is_the_full_lattice_sum_per_shell(self, grid16):
         # counting modes: shells |k|^2 = 0, 1, 2, 3 hold 1, 6, 12, 8 modes
         counts = shell_sum(np.ones(grid16.xi_sq.shape), grid16)
-        assert counts.sum() == grid16.n**3
+        assert counts.sum() == (2 * grid16.dealias_kmax + 1) ** 3
         assert list(counts[:4]) == [1.0, 6.0, 12.0, 8.0]
         w = transform_forward(random_band_limited(grid16, 2))
         energy = shell_sum((np.abs(w.coeffs) ** 2).sum(axis=0), grid16)
