@@ -11,7 +11,7 @@ product over shells, with the radial weights read from
 from the rotational form ``(u.grad)u = grad |u|^2/2 - u x omega`` (Canuto,
 Hussaini, Quarteroni & Zang, Spectral Methods): the gradient pairs to zero
 against the solenoidal ``u_hat``, so the density is ``-Re<F[u x omega],
-u_hat>``, formed from ``u`` and ``grad u`` in physical space. The cubic
+u_hat>``, formed from ``u`` and ``omega`` in physical space. The cubic
 terms that pair the whole field with itself are shell sums of it too:
 ``T_lap``, ``T_low``, ``T_chi``, ``T_grad_high``, and ``T_grad`` by the
 enstrophy-balance identity ``int (u.grad)u . lap u = -int d_j u_k d_j u_l
@@ -20,23 +20,24 @@ contraction ``s**3 * sum rho^2 t(rho)``.
 
 Snapshots carry the field on its grid's 2/3 band (:mod:`nsverify.spectral`),
 and the ledger forms every spectrum there: the gradient spectra, the mode
-energy, the high-pass weights, the adjoint and the transfer, which the
-forward transform truncates to the band.
+energy, the block weights and the transfer, which the forward transform
+truncates to the band.
 
-What stays a dealiased collocation integral is what splits the field in
-physical space: the four nonlinear splits ``sum_x a_j d_j b_k adjoint_k``
-with ``a, b`` the low- or high-pass part, and the sup and L4 norms of the low
-block. The ledger inverse-transforms ``u`` and its gradient tensor, and on the
-high-pass side ``u_high`` (weight ``1 - phi(s|xi|)``), its gradient tensor
-and the adjoint ``(1 - phi)^2 |xi|^2 u_hat``; the low-pass side is the
-difference. A gradient tensor takes eight transforms: the trace closes it,
-``d_2 u_2 = -(d_0 u_0 + d_1 u_1)``. The splits pair ``u_low`` and ``u_high``
-with two contracted fields, ``W_high_j = sum_k d_j u_high,k adjoint_k`` and
-``W_low`` alike from ``u_low``. So a sample transforms 25 components back and
-3 forward (``u x omega``). Once ``1 - phi(s r)`` is exactly 0 on every shell
-that carries energy (late tau, when the low block takes in the whole
-dealiased band), the high-pass side is exactly zero: its 14 transforms are
-skipped and the four splits are exactly 0.
+What the ledger reads in physical space is the transfer's product ``u x
+omega`` and the sup and L4 norms. It splits the field at the low-pass weight
+``phi(s|xi|)``. The low block ``u_low = F^-1[phi c]`` takes 3 inverse
+transforms and its gradient tensor 8: the trace closes the tensor, ``d_2 u_2
+= -(d_0 u_0 + d_1 u_1)``, and ``omega_low`` is its differences. While ``1 -
+phi(s r)`` is nonzero on some shell that carries energy, one more call
+transforms the high block's velocity ``F^-1[(1 - phi) c]`` and vorticity
+``F^-1[i xi x (1 - phi) c]`` (6 components), and ``u`` and ``omega`` are the
+sums of the two blocks'. Once it is exactly 0 on every such shell (late tau,
+when the low block takes in the whole dealiased band), the low block is the
+field itself and the ledger transforms ``c`` and its gradient tensor only.
+So a high-pass sample transforms 17 components back, a low-pass one 11, and
+each 3 forward (``u x omega``). The ``T_*`` columns read the transfer,
+``sup_norm_w`` reads ``|u|``, ``sup_w_low`` and ``l4_w_low`` read
+``|u_low|``, and ``sup_grad_w_low`` reads ``|grad u_low|``.
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -149,10 +150,6 @@ class EnergyRecord:
     T_low: float
     T_chi: float
     T_grad_high: float
-    T_split_ll: float
-    T_split_lh: float
-    T_split_hl: float
-    T_split_hh: float
     flux_phi: float
     flux_chi: float
     flux_one_minus_phi: float
@@ -355,11 +352,19 @@ def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
     return out
 
 
-def _gradient_tensor(grad_spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """``grads[j, k] = d_j u_k`` of a solenoidal field from the spectra of its
-    first eight components in row-major order (all but ``d_2 u_2``), eight
-    transforms; the trace closes the tensor: ``d_2 u_2 = -(d_0 u_0 + d_1 u_1)``."""
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _gradient_tensor(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """``grads[j, k] = d_j u_k`` of a solenoidal field from its band
+    coefficients: its first eight components in row-major order (all but
+    ``d_2 u_2``) take eight transforms, and the trace closes the tensor:
+    ``d_2 u_2 = -(d_0 u_0 + d_1 u_1)``."""
     n = grid.n
+    grad_spec = np.empty((8,) + grid.xi_sq.shape, dtype=complex)
+    for i in range(8):
+        j, k = divmod(i, 3)
+        np.multiply(1j * grid.xi[j], coeffs[k], out=grad_spec[i])
     grads = np.empty((3, 3, n, n, n))
     spec_to_phys(grad_spec, grid, out=grads.reshape(9, n, n, n)[:8])
     np.add(grads[0, 0], grads[1, 1], out=grads[2, 2])
@@ -367,18 +372,12 @@ def _gradient_tensor(grad_spec: np.ndarray, grid: Grid) -> np.ndarray:
     return grads
 
 
-def _shell_transfer(u, grads, c, grid: Grid) -> np.ndarray:
-    """Per-shell ``-Re<F[u x omega], u_hat>`` from ``grads[j, k] = d_j u_k``.
-    ``u_hat`` is solenoidal and lies inside the 2/3 band, where the product's
-    aliases do not reach, so no projection or mask is needed."""
-    vort = np.empty_like(u)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.subtract(grads[j, k], grads[k, j], out=vort[i])
+def _shell_transfer(u, vort, c, grid: Grid) -> np.ndarray:
+    """Per-shell ``-Re<F[u x omega], u_hat>`` from the samples of ``u`` and
+    ``omega``. ``u_hat`` is solenoidal and lies inside the 2/3 band, where
+    the product's aliases do not reach, so no projection or mask is needed."""
     lamb = phys_to_spec(cross(u, vort), grid)
     return shell_sum(-(lamb * np.conj(c)).real.sum(axis=0), grid)
-
-
-_SPLITS = ("T_split_ll", "T_split_lh", "T_split_hl", "T_split_hh")
 
 
 def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
@@ -387,25 +386,46 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
         raise DomainError("the ledger reads snapshots on its own grid")
     s = snap.frame.scale
     c = snap.u_hat.coeffs
-    cell = g.cell_volume
+    rho = g.shell_radii
+    r = s * rho
+    tables = weight_tables(r, ctx.alpha)
+    shell_e = shell_sum(mode_energy(c), g)
 
-    u = spec_to_phys(c, g)
-    # d_j u_k row-major, all but d_2 u_2
-    grad_spec = np.empty((8,) + g.xi_sq.shape, dtype=complex)
-    for i in range(8):
-        j, k = divmod(i, 3)
-        np.multiply(1j * g.xi[j], c[k], out=grad_spec[i])
-    grads = _gradient_tensor(grad_spec, g)
+    # the low block phi(s|xi|) c; once 1 - phi(s r) is exactly 0 on every
+    # shell that carries energy, that is c itself and the high block is zero
+    high_sq = tables["one_minus_phi"][0]  # (1 - phi(s r))^2 per shell
+    high_pass = bool(high_sq[shell_e > 0].any())
+
+    def per_mode(shell_weight):
+        return np.sqrt(shell_weight)[g.shell_index].reshape(g.xi_sq.shape)
+
+    low = per_mode(tables["phi"][0]) * c if high_pass else c
+    u_low = spec_to_phys(low, g)
+    lowgrads = _gradient_tensor(low, g)
+    vort_low = np.empty_like(u_low)  # omega_i = d_j u_k - d_k u_j, cyclic
+    for i, j, k in _CYCLIC:
+        np.subtract(lowgrads[j, k], lowgrads[k, j], out=vort_low[i])
+    lowmag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
+    lowgrad2 = np.einsum("jk...,jk...->...", lowgrads, lowgrads)
+    if high_pass:
+        # the high block's velocity and vorticity in one call; u and omega
+        # are the sums of the two blocks'
+        spec = np.empty((6,) + g.xi_sq.shape, dtype=complex)
+        np.multiply(per_mode(high_sq), c, out=spec[:3])
+        for i, j, k in _CYCLIC:
+            spec[3 + i] = 1j * (g.xi[j] * spec[k] - g.xi[k] * spec[j])
+        high = spec_to_phys(spec, g)
+        u = np.add(u_low, high[:3], out=high[:3])
+        vort = np.add(vort_low, high[3:], out=high[3:])
+        umag2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+    else:
+        u, vort, umag2 = u_low, vort_low, lowmag2
 
     # shell energies, transfers and the energies' exact tau-derivative
     # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
     # part dropping against the radial weights)
-    rho = g.shell_radii
-    shell_e = shell_sum(mode_energy(c), g)
-    totals = {"e": shell_e, "t": _shell_transfer(u, grads, c, g)}
+    totals = {"e": shell_e, "t": _shell_transfer(u, vort, c, g)}
     shell_edot = 2.0 * s**2 * (-(rho**2) * shell_e - totals["t"])
-    r = s * rho
-    tables = weight_tables(r, ctx.alpha)
     values = {}
     fdots = {}
     for name, (density, p, j, weight) in _SHELL_TERMS.items():
@@ -416,41 +436,13 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
             rate = _tau_rate(p, m, rm, shell_e, shell_edot)
             fdots[name] = float(np.dot(scale, rate))
 
-    high_sq = tables["one_minus_phi"][0]  # (1 - phi(s r))^2 per shell
-    if high_sq[shell_e > 0].any():
-        # each split sum_x a_j d_j b_k adjoint_k pairs a = u_low | u_high
-        # with W_j = sum_k d_j b_k adjoint_k for b = u_high and b = u_low
-        high_sq = high_sq[g.shell_index].reshape(g.xi_sq.shape)  # per mode
-        high = np.sqrt(high_sq)
-        u_high = spec_to_phys(high * c, g)
-        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
-        grad_spec *= high
-        highgrads = _gradient_tensor(grad_spec, g)
-        w_high = np.einsum("jk...,k...->j...", highgrads, adjoint)
-        # the low-pass side, in the spent high-pass buffers
-        lowgrads = np.subtract(grads, highgrads, out=highgrads)
-        w_low = np.einsum("jk...,k...->j...", lowgrads, adjoint)
-        u_low = np.subtract(u, u_high, out=adjoint)
-        splits = dict(zip(_SPLITS, (
-            s**3 * cell * float(np.vdot(a, w))
-            for a, w in ((u_low, w_low), (u_low, w_high),
-                         (u_high, w_low), (u_high, w_high))
-        )))
-    else:  # the high-pass side is exactly zero
-        u_low, lowgrads = u, grads
-        splits = dict.fromkeys(_SPLITS, 0.0)
-
-    umag2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
-    lowmag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
-    lowgrad2 = np.einsum("jk...,jk...->...", lowgrads, lowgrads)
     rec = EnergyRecord(
         tau=snap.frame.tau,
         sup_norm_w=s * math.sqrt(umag2.max()),
         sup_w_low=s * math.sqrt(lowmag2.max()),
         sup_grad_w_low=s**2 * math.sqrt(lowgrad2.max()),
-        l4_w_low=float((s * cell * (lowmag2**2).sum()) ** 0.25),
+        l4_w_low=float((s * g.cell_volume * (lowmag2**2).sum()) ** 0.25),
         tail_fraction=snap.tail_fraction,
-        **splits,
         **values,
     )
     return rec, values, fdots, (shell_e, shell_edot)
@@ -600,6 +592,11 @@ def _lemma4_2(name, series, tolerance_scale) -> list:
 
 
 def _eq3_13_14(name, series, tolerance_scale) -> list:
+    """The low block's sup and L4 norms at the last sample are at most half
+    their values at FIT_START; each report carries its budget ``max / delta``.
+    A third report carries the gradient budget ``max(sup_grad_w_low) /
+    delta`` with residual -inf, so it always passes. It comes last, so it is
+    the constant :func:`summarize_reports` gives for this check."""
     delta = series.ctx.delta
     end = series.taus[-1]
     start = min(int(np.searchsorted(series.taus, FIT_START)), len(series) - 2)
@@ -665,7 +662,7 @@ CHECKS = {
         _prop3_2, fitted=True,
     ),
     "eq4.4": Check(
-        "high-block gradient-energy inequality with reported nonlinear split",
+        "high-block gradient-energy inequality with its cubic transfer term",
         _eq4_4,
     ),
     "lemma4.2": Check(

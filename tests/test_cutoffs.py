@@ -11,10 +11,12 @@ from nsverify.cutoffs import (
     make_profile,
     weight_tables,
 )
+from nsverify.dynamics import convective_term
 from nsverify.errors import DomainError
 from nsverify.spectral import (
     SpectralVectorField,
     l2_norm_sq,
+    shell_sum,
     solenoidal_error,
     spec_to_phys,
 )
@@ -205,7 +207,6 @@ class TestDecompose:
         rec = ledger_record(single_mode_field(grid32, 2), 0.0)  # |xi| = 0.5
         assert rec.E0_low == rec.E0 > 0.0
         assert rec.E0_high == rec.E0_tilde == 0.0
-        assert rec.T_split_lh == rec.T_split_hl == rec.T_split_hh == 0.0
         assert rec.sup_w_low == rec.sup_norm_w
 
     def test_high_mode(self, grid32):
@@ -221,20 +222,20 @@ class TestDecompose:
             assert abs(rec.E0 - rec.E0_low - rec.E0_tilde) <= 1e-10 * rec.E0
 
     def test_reconstruction(self, grid32):
-        # low + high = u: the four splits add up to the unsplit pairing
-        # sum_x u_j d_j u_k adjoint_k, adjoint = F^-1[(1 - phi)^2 |xi|^2 u_hat]
+        # low + high = u: the two blocks' sum gives the unsplit field's sup
+        # and the unsplit transfer sum_shells |xi|^2 Re<F[(u.grad)u], u_hat>
         w = random_solenoidal(grid32, 9)
         rec = ledger_record(w, 0.0)
         g, c = grid32, w.coeffs
-        high_sq = weight_tables(g.xi_mag, 0.1)["one_minus_phi"][0]
+        assert rec.E0_high > 0.0
         u = spec_to_phys(c, g)
-        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
-        terms = [u[j] * spec_to_phys(1j * g.xi[j] * c[k], g) * adjoint[k]
-                 for j in range(3) for k in range(3)]
-        expected = sum(float(t.sum()) for t in terms)
-        magnitude = sum(float(np.abs(t).sum()) for t in terms)
-        splits = rec.T_split_ll + rec.T_split_lh + rec.T_split_hl + rec.T_split_hh
-        assert abs(splits - g.cell_volume * expected) <= 1e-13 * g.cell_volume * magnitude
+        sup = math.sqrt(float((u**2).sum(axis=0).max()))
+        assert abs(rec.sup_norm_w - sup) <= 1e-13 * sup
+        density = (convective_term(w).coeffs * np.conj(c)).real
+        shell_t = g.shell_radii**2 * shell_sum(density.sum(axis=0), g)
+        magnitude = float(np.abs(shell_t).sum())
+        assert magnitude > 0.0
+        assert abs(rec.T_grad - float(shell_t.sum())) <= 1e-13 * magnitude
 
     def test_alpha_validation(self, grid32):
         with pytest.raises(DomainError):

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,18 +65,6 @@ GOLDEN = {
     "T_grad_high": (
         2.4898451842376542e-09, 3.4916521424747146e-11, -5.0596205867217661e-15
     ),
-    "T_split_ll": (
-        1.3079214889952564e-09, 2.9603834976675307e-11, -8.455620544794907e-15
-    ),
-    "T_split_lh": (
-        1.8721294884870177e-10, 1.9417452310467593e-12, 1.1822094169358316e-15
-    ),
-    "T_split_hl": (
-        9.3783595135350498e-10, 2.997498001517219e-12, 2.1834933700689272e-15
-    ),
-    "T_split_hh": (
-        5.6874795040190478e-11, 3.7344321550786363e-13, 3.029717106834411e-17
-    ),
     "flux_phi": (
         -0.0013463534778063381, -0.00023751811454430201, -1.3744040614524479e-05
     ),
@@ -124,14 +115,10 @@ GOLDEN = {
 }
 
 # Values of ``long_series`` (as ``small_series``, tau in [0, 5]) at tau = 3, 4
-# and 5 for the columns of the cubic high/low split and the transfer. From
-# tau = 2.88 on, 1 - phi(s |xi|) is 0 on every shell that carries energy.
+# and 5 for the low-block norms and the transfer. From tau = 2.88 on,
+# 1 - phi(s |xi|) is 0 on every shell that carries energy.
 LONG_GOLDEN_TAUS = (3.0, 4.0, 5.0)
 LONG_GOLDEN = {
-    "T_split_ll": (0.0, 0.0, 0.0),
-    "T_split_lh": (0.0, 0.0, 0.0),
-    "T_split_hl": (0.0, 0.0, 0.0),
-    "T_split_hh": (0.0, 0.0, 0.0),
     "sup_w_low": (
         4.649629027315994e-05, 2.7255273711597227e-05, 1.6326714646557703e-05
     ),
@@ -145,7 +132,6 @@ LONG_GOLDEN = {
     "T_chi": (2.341044768351929e-13, 5.5772926121272624e-14, 1.5379392925000926e-14),
     "T_grad_high": (0.0, 0.0, 0.0),
 }
-SPLITS = ("T_split_ll", "T_split_lh", "T_split_hl", "T_split_hh")
 
 EQUALITY_CHECKS = (
     "lemma2.1", "lemma2.2-grad", "lemma2.2-lap", "eq3.7-identity", "eq3.21-chi"
@@ -175,29 +161,38 @@ def test_long_golden_record_values(long_series, name):
     assert_golden(long_series, name, LONG_GOLDEN_TAUS, LONG_GOLDEN[name])
 
 
+HIGH_COLUMNS = ("E0_high", "E1_high", "E2_high", "T_grad_high")
+
+
 def test_splits_vanish_with_the_high_pass_weight(long_series):
-    # E0_high sums (1 - phi)^2 times nonnegative shell energies, so it is
-    # exactly 0 where the high-pass weight vanishes on every energy shell
+    # the high side of the low/high split sums (1 - phi)^2 times shell
+    # energies or transfers, so it is exactly 0 where the high-pass weight
+    # vanishes on every energy shell: there the ledger takes the low-pass branch
     vanished = long_series.column("E0_high") == 0.0
     assert vanished.sum() > 100
     assert vanished[-1] and not vanished[0]
-    for name in SPLITS:
-        assert np.all(long_series.column(name)[vanished] == 0.0)
-    # before that the high-pass side is small but not zero, so these splits
-    # are not either (T_split_hh, of higher order in it, underflows to 0)
-    for name in ("T_split_ll", "T_split_lh", "T_split_hl"):
-        assert np.all(long_series.column(name)[~vanished] != 0.0)
+    for name in HIGH_COLUMNS:
+        assert np.all(long_series.column(name)[vanished] == 0.0), name
+    # before that the high-pass side is small but not zero
+    for name in HIGH_COLUMNS:
+        assert np.all(long_series.column(name)[~vanished] != 0.0), name
+
+
+def curl_spectra(c, grid):
+    """``1j xi x c``, the vorticity's band coefficients."""
+    return np.stack([1j * (grid.xi[j] * c[k] - grid.xi[k] * c[j])
+                     for j, k in ((1, 2), (2, 0), (0, 1))])
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_shell_transfer_is_the_convective_transfer(grid32, nonlinear):
-    # the rotational form from u and grad u equals the shell sums of
+    # the rotational form from u and omega equals the shell sums of
     # Re<F[(u.grad)u], u_hat> from the convective product
     _, snaps = small_run(grid32, seed=3, tau_max=0.3, nonlinear=nonlinear)
     for snap in snaps:
         c = snap.u_hat.coeffs
-        grads = np.stack([spec_to_phys(1j * grid32.xi[j] * c, grid32) for j in range(3)])
-        got = _shell_transfer(spec_to_phys(c, grid32), grads, c, grid32)
+        vort = spec_to_phys(curl_spectra(c, grid32), grid32)
+        got = _shell_transfer(spec_to_phys(c, grid32), vort, c, grid32)
         density = (convective_term(snap.u_hat).coeffs * np.conj(c)).real
         expected = shell_sum(density.sum(axis=0), grid32)
         scale = np.abs(expected).max()
@@ -227,6 +222,38 @@ def test_early_run_records_are_bitwise_golden(early_run):
         assert got == EARLY_RECORDS[name], name
 
 
+EARLY_RUN_SCRIPT = """
+import json, math
+from conftest import small_run
+from nsverify.ledger import RECORD_FIELDS
+from nsverify.spectral import build_grid
+series, _ = small_run(build_grid(32, 8.0 * math.pi), seed=3, tau_max=0.3)
+print(json.dumps({name: [float(v).hex() for v in series.column(name)]
+                  for name in RECORD_FIELDS}))
+"""
+
+
+def test_early_run_records_do_not_depend_on_the_thread_count():
+    # the BLAS and FFT thread counts are read at import, so each setting
+    # runs in its own interpreter
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", EARLY_RUN_SCRIPT], stdout=subprocess.PIPE,
+            text=True, cwd=tests,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                 "NSVERIFY_FFT_WORKERS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    one, two = (json.loads(out) for out in outputs)
+    assert one == two
+    assert one == EARLY_RECORDS
+
+
 def gradient_spectra(c, grid):
     """``1j xi_j c_k`` for all nine ``(j, k)``, row-major."""
     return np.stack([1j * grid.xi[j] * c[k]
@@ -240,12 +267,6 @@ def strain_cubic(grads):
              for j, k, l in itertools.product(range(3), repeat=3)]
     return (sum(float(t.sum()) for t in terms),
             sum(float(np.abs(t).sum()) for t in terms))
-
-
-def advected_pairing(a, gb, adjoint):
-    """``sum_x sum_jk a_j gb[j, k] adjoint_k``, one product at a time."""
-    return sum(float((a[j] * gb[j, k] * adjoint[k]).sum())
-               for j, k in itertools.product(range(3), repeat=2))
 
 
 def test_t_grad_is_the_strain_contraction(grid32, early_run):
@@ -271,7 +292,7 @@ def test_trace_closes_the_gradient_tensor(grid32, early_run):
     for snap in snaps[::5]:
         spectra = gradient_spectra(snap.u_hat.coeffs, grid32)
         full = spec_to_phys(spectra, grid32)
-        closed = _gradient_tensor(spectra[:8], grid32).reshape(full.shape)
+        closed = _gradient_tensor(snap.u_hat.coeffs, grid32).reshape(full.shape)
         assert np.array_equal(closed[:8], full[:8])
         assert np.abs(closed[8] - full[8]).max() <= 1e-14 * np.abs(full).max()
 
@@ -336,35 +357,31 @@ def test_shell_columns_are_mode_sums(grid32, early_run):
         assert abs(getattr(rec, name) - expected) <= 1e-12 * magnitude, name
 
 
-def test_splits_are_the_direct_pairings(grid32, early_run):
-    # the four splits from the contracted fields W equal the pairings
-    # sum_x a_j d_j b_k adjoint_k with a, b = u_low | u_high formed directly
+def test_norms_are_the_direct_norms(grid32, early_run):
+    # sup_norm_w from F^-1[c], and the low-block norms from F^-1[phi c] and
+    # its nine-transform gradient, formed directly at every sample
     series, snaps = early_run
     g = grid32
-    shape = (3, 3) + (g.n,) * 3
-    direct = {name: [] for name in SPLITS}
+    columns = ("sup_norm_w", "sup_w_low", "l4_w_low", "sup_grad_w_low")
+    direct = {name: [] for name in columns}
     for snap in snaps:
         s = snap.frame.scale
         c = snap.u_hat.coeffs
-        high_sq = weight_tables(s * g.shell_radii, series.ctx.alpha)[
-            "one_minus_phi"][0][g.shell_index].reshape(c.shape[1:])
-        high = np.sqrt(high_sq)
+        phi = np.sqrt(weight_tables(s * g.xi_mag, series.ctx.alpha)["phi"][0])
         u = spec_to_phys(c, g)
-        grads = spec_to_phys(gradient_spectra(c, g), g).reshape(shape)
-        u_high = spec_to_phys(high * c, g)
-        highgrads = spec_to_phys(high * gradient_spectra(c, g), g).reshape(shape)
-        adjoint = spec_to_phys(high_sq * g.xi_sq * c, g)
-        u_low, lowgrads = u - u_high, grads - highgrads
-        pairs = ((u_low, lowgrads), (u_low, highgrads),
-                 (u_high, lowgrads), (u_high, highgrads))
-        for name, (a, gb) in zip(SPLITS, pairs):
-            direct[name].append(
-                s**3 * g.cell_volume * advected_pairing(a, gb, adjoint))
-    for name in SPLITS:
+        u_low = spec_to_phys(phi * c, g)
+        lowgrads = spec_to_phys(gradient_spectra(phi * c, g), g)
+        lowmag2 = (u_low**2).sum(axis=0)
+        direct["sup_norm_w"].append(s * np.sqrt((u**2).sum(axis=0).max()))
+        direct["sup_w_low"].append(s * np.sqrt(lowmag2.max()))
+        direct["l4_w_low"].append((s * g.cell_volume * (lowmag2**2).sum()) ** 0.25)
+        direct["sup_grad_w_low"].append(
+            s**2 * np.sqrt((lowgrads**2).sum(axis=0).max()))
+    for name in columns:
         expected = np.array(direct[name])
-        assert np.all(expected != 0.0)
-        scale = np.abs(expected).max()
-        assert np.abs(series.column(name) - expected).max() <= 1e-13 * scale
+        assert np.all(expected > 0.0), name
+        scale = expected.max()
+        assert np.abs(series.column(name) - expected).max() <= 1e-13 * scale, name
 
 
 def ledger_components(snap, grid, monkeypatch):
@@ -396,21 +413,45 @@ def test_ledger_reads_its_own_grid_only(grid32, early_run):
                 replace(snap, u_hat=u_hat))
 
 
-def test_ledger_transform_count(grid32, monkeypatch):
-    # a high-pass sample transforms u (3), grad u (8), u_high (3),
-    # grad u_high (8) and the adjoint (3) back, and u x omega (3) forward; a
-    # low-pass one only u and grad u back
-    _, snaps = small_run(grid32, tau_max=0.0)
+def high_and_low_pass(grid):
+    """One snapshot twice: at tau = 0, where it has a high block, and in the
+    tau = 5 frame, where s |xi| is inside the low block on every shell the
+    field occupies."""
+    _, snaps = small_run(grid, tau_max=0.0)
     high = snaps[0]  # small_series and long_series at tau = 0
-    # the same field at tau = 5, where s |xi| is inside the low block on
-    # every shell the field occupies
-    low = replace(high, frame=frame(t_of_tau(5.0, 1.0), 1.0))
+    return high, replace(high, frame=frame(t_of_tau(5.0, 1.0), 1.0))
+
+
+def test_ledger_transform_count(grid32, monkeypatch):
+    # a high-pass sample transforms u_low (3), grad u_low (8) and the high
+    # block's velocity and vorticity (6) back, and u x omega (3) forward; a
+    # low-pass one only u and grad u back
+    high, low = high_and_low_pass(grid32)
     rec, counts = ledger_components(high, grid32, monkeypatch)
     assert rec.E0_high > 0.0
-    assert counts == {"inverse": 25, "forward": 3}
+    assert counts == {"inverse": 17, "forward": 3}
     rec, counts = ledger_components(low, grid32, monkeypatch)
     assert rec.E0_high == 0.0
     assert counts == {"inverse": 11, "forward": 3}
+
+
+def test_both_branches_give_one_shell_transfer(grid32, monkeypatch):
+    # the transfer does not depend on the frame: from the two blocks' sum on
+    # the high-pass branch, and from u itself on the low-pass one
+    snaps = high_and_low_pass(grid32)
+    transfers = []
+
+    def recorded(*args):
+        transfers.append(_shell_transfer(*args))
+        return transfers[-1]
+
+    monkeypatch.setattr(ledger, "_shell_transfer", recorded)
+    for snap in snaps:
+        RecordsBuilder(LedgerContext(grid32, 0.1, 0.05)).feed(snap)
+    high, low = transfers
+    scale = np.abs(low).max()
+    assert scale > 0.0
+    assert np.abs(high - low).max() <= 1e-13 * scale
 
 
 def test_fit_window_message_shows_plain_floats(small_series):
@@ -458,6 +499,15 @@ def test_fitted_and_budget_checks_pass(long_series, name):
 def test_fitted_constants_pinned(long_series, name):
     constant = check_inequality(name, long_series)[-1].empirical_constant
     assert constant == pytest.approx(FITTED_CONSTANTS[name], rel=1e-6)
+
+
+def test_eq3_13_14_reports_the_gradient_budget(long_series):
+    # summarize_reports takes a check's last constant, and for eq3.13-3.14
+    # that is the gradient budget max(sup_grad_w_low) / delta
+    reports = check_inequality("eq3.13-3.14", long_series)
+    (entry,) = summarize_reports({"eq3.13-3.14": reports})
+    budget = long_series.column("sup_grad_w_low").max() / long_series.ctx.delta
+    assert entry["empirical_constant"] == budget
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
