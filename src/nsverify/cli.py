@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cutoffs import export_profile_table, make_profile
+from .cutoffs import profile_csvs
 from .errors import ConfigurationError, DomainError
 from .harness import (
     SUITES,
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             return 2
     elif args.command == "profiles":
         try:
-            chi = make_profile("chi", args.alpha)
+            tables = profile_csvs(args.alpha)
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -101,9 +101,8 @@ def main(argv=None) -> int:
             return 2
         return code
 
-    for kind in ("phi", "one_minus_phi", "tilde"):
-        export_profile_table(make_profile(kind), out / f"{kind}.csv")
-    export_profile_table(chi, out / f"chi_alpha{args.alpha:g}.csv")
+    for name, text in tables.items():
+        (out / name).write_text(text)
     print(f"profile tables written to {out}")
     return 0
 

@@ -17,23 +17,24 @@ All four come from one table: each kind writes ``psi^2`` as ``c(r) * B(phi)``
 with ``B`` a quadratic in ``phi`` and ``c`` either 1 or chi's cap power
 ``min(r, 1/2 + a)**(1+4a)``. The chain rule through ``phi, phi', phi''`` gives
 ``psi^2`` and its first two radial derivatives, and every other quantity is
-read from those: ``psi = sqrt(psi^2)``, its slope, the dilation kernel
-``r * d(psi^2)/dr`` and that kernel's slope, which back the dilation-flux
-quadratures of the energy checks. :func:`weight_tables` evaluates the table
-for every kind at once; the ledger calls it on the lattice shell radii.
+read from those: the dilation kernel ``r * d(psi^2)/dr`` and that kernel's
+slope, which back the dilation-flux quadratures of the energy checks, and
+``psi = sqrt(psi^2)`` with its slope for the exported CSV tables.
+
+:func:`weight_tables` is the way to read the table: it evaluates every kind
+at once at given radii. The ledger calls it on the lattice shell radii, and
+the flux, the balance integrand and the harness's per-shell checks read it
+the same way.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DomainError
-from .spectral import SpectralVectorField, mode_energy, mode_sum
+from .spectral import SpectralVectorField, mode_energy, shell_sum
 
-DEFAULT_ALPHA = 0.1
 ALPHA_MAX = 0.125
 
 
@@ -42,20 +43,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < ALPHA_MAX:
         raise DomainError(f"alpha must lie in (0, 1/8), got {alpha}")
     return alpha
-
-
-def _radial(fn):
-    """Wrap an array kernel so scalars go in and floats come out."""
-
-    def wrapped(r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError("radial argument must be nonnegative")
-        flat = np.atleast_1d(arr)
-        out = fn(flat)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-    return wrapped
 
 
 # -- smooth step phi and its derivatives ------------------------------------
@@ -133,64 +120,11 @@ def _sq_pieces(kind, r, alpha, phi_pieces=None):
     return c * b, c1 * b + c * db, c2 * b + 2.0 * c1 * db + c * ddb
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Radial multiplier symbol with analytic radial derivatives.
-
-    Every method is a column of the profile table: ``psi = sqrt(psi^2)``, and
-    the derivatives follow from ``psi^2, (psi^2)', (psi^2)''``.
-    """
-
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _TABLE:
-            raise DomainError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "chi":
-            if self.alpha is None:
-                raise DomainError("chi profile requires alpha")
-            _check_alpha(self.alpha)
-
-    def _column(self, r, column):
-        """``column(r, psi^2, (psi^2)', (psi^2)'')`` at radius ``r``."""
-
-        def kernel(rr):
-            return column(rr, *_sq_pieces(self.kind, rr, self.alpha))
-
-        return _radial(kernel)(r)
-
-    def eval(self, r):
-        return self._column(r, lambda rr, p, p1, p2: np.sqrt(p))
-
-    def radial_slope(self, r):
-        """d(psi)/dr, reported as 0 where ``psi = 0``: at chi's origin (the
-        true slope diverges like ``r**(2*alpha - 1/2)`` but every flux kernel
-        built from it stays finite) and on tilde's plateau.
-        """
-
-        def slope(rr, p, p1, p2):
-            psi = np.sqrt(p)
-            return np.divide(p1, 2.0 * psi, out=np.zeros_like(p), where=psi > 0)
-
-        return self._column(r, slope)
-
-    def flux_kernel(self, r):
-        """The dilation kernel ``r * d(psi^2)/dr``."""
-        return self._column(r, lambda rr, p, p1, p2: rr * p1)
-
-
-def make_profile(kind: str, alpha: float | None = None) -> CutoffProfile:
-    if kind == "chi" and alpha is None:
-        alpha = DEFAULT_ALPHA
-    return CutoffProfile(kind, alpha if kind == "chi" else None)
-
-
 def weight_tables(r: np.ndarray, alpha: float) -> dict:
     """The profile table at radii ``r``, from one step evaluation.
 
     Maps every kind to ``(psi^2, r d(psi^2)/dr, d/dr of that kernel)``; the
-    middle column is :meth:`CutoffProfile.flux_kernel`.
+    middle column is the dilation kernel.
     """
     alpha = _check_alpha(alpha)
     pieces = _phi_pieces(r)
@@ -204,22 +138,15 @@ def weight_tables(r: np.ndarray, alpha: float) -> dict:
 # -- operators ---------------------------------------------------------------
 
 
-def dilation_flux(
-    w: SpectralVectorField, psi: CutoffProfile, scale: float = 1.0
-) -> float:
-    """Discrete dilation flux ``sum r * d(psi^2)/dr (r) * |w_hat|^2`` over the
-    full lattice.
-
-    With ``scale = s`` the kernel is evaluated at ``r = s|xi|`` and the sum is
-    premultiplied by ``1/s``, which is the similarity-variable flux expressed
-    through physical-frequency data.
-    """
+def dilation_flux(w: SpectralVectorField, kind: str, alpha: float) -> float:
+    """Discrete dilation flux ``sum r * d(psi^2)/dr (r) * |w_hat|^2`` at
+    ``r = |xi|``, as the ledger forms it: a sum over lattice shells."""
     g = w.grid
-    kern = psi.flux_kernel(scale * g.xi_mag)
-    return mode_sum(kern * mode_energy(w.coeffs), g) / scale
+    kern = weight_tables(g.shell_radii, alpha)[kind][1]
+    return float(np.dot(kern, shell_sum(mode_energy(w.coeffs), g)))
 
 
-def balance_shell_integrand(r, alpha: float):
+def balance_shell_integrand(r: np.ndarray, alpha: float) -> np.ndarray:
     """``r/4 * d(phi^2 - chi^2)/dr - (r^2 - 1/4 - alpha) * chi^2``, the shell
     weight of the weighted low+band energy balance; nonpositive for every
     valid alpha, which makes the weighted low+band energy dissipative.
@@ -229,21 +156,26 @@ def balance_shell_integrand(r, alpha: float):
     ``cap = 1/2 + alpha``, so it is ``(1 - cap^(1+4a))/4 * r d(phi^2)/dr -
     (r^2 - 1/4 - alpha) cap^(1+4a) phi^2``, both summands nonpositive.
     """
+    w = weight_tables(r, alpha)
+    return 0.25 * (w["phi"][1] - w["chi"][1]) - (r**2 - 0.25 - alpha) * w["chi"][0]
+
+
+def profile_csvs(alpha: float) -> dict[str, str]:
+    """CSV tables ``r, psi(r), dpsi/dr`` of every kind on ``r`` in [0, 3],
+    by file name. The slope ``(psi^2)' / (2 psi)`` is reported as 0 where
+    ``psi = 0``: at chi's origin (the true slope diverges like
+    ``r**(2*alpha - 1/2)``, but every flux kernel built from it stays finite)
+    and where a profile is flat at 0.
+    """
     alpha = _check_alpha(alpha)
-
-    def kernel(rr):
-        w = weight_tables(rr, alpha)
-        return 0.25 * (w["phi"][1] - w["chi"][1]) - (rr**2 - 0.25 - alpha) * w["chi"][0]
-
-    return _radial(kernel)(r)
-
-
-def export_profile_table(psi: CutoffProfile, path, r_max: float = 3.0, num: int = 3001):
-    """Write a CSV table ``r, psi(r), dpsi/dr`` for plotting."""
-    r = np.linspace(0.0, r_max, num)
-    vals = psi.eval(r)
-    slopes = psi.radial_slope(r)
-    with open(path, "w") as fh:
-        fh.write("r,psi,dpsi_dr\n")
-        for ri, vi, si in zip(r, vals, slopes):
-            fh.write(f"{ri:.17g},{vi:.17g},{si:.17g}\n")
+    r = np.linspace(0.0, 3.0, 3001)
+    pieces = _phi_pieces(r)
+    out = {}
+    for kind in _TABLE:
+        p, p1, _ = _sq_pieces(kind, r, alpha, pieces)
+        psi = np.sqrt(p)
+        slope = np.divide(p1, 2.0 * psi, out=np.zeros_like(p), where=psi > 0)
+        name = f"chi_alpha{alpha:g}.csv" if kind == "chi" else f"{kind}.csv"
+        rows = (f"{ri:.17g},{vi:.17g},{si:.17g}\n" for ri, vi, si in zip(r, psi, slope))
+        out[name] = "r,psi,dpsi_dr\n" + "".join(rows)
+    return out

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -358,7 +358,6 @@ def initial_from_snapshot(path) -> tuple[SpectralVectorField, float]:
 def simulate(
     u0: SpectralVectorField,
     cfg: TrajectoryConfig,
-    on_snapshot: Callable[[Snapshot], None] | None = None,
 ) -> Iterator[Snapshot]:
     """Integrate from ``t = 0`` and yield a snapshot at every sample tau.
 
@@ -407,8 +406,6 @@ def simulate(
             nonlinear_orthogonality=worst_orth,
             energy=energy,
         )
-        if on_snapshot is not None:
-            on_snapshot(snap)
         return snap
 
     i = 0
@@ -524,22 +521,18 @@ class TestField:
         return 4.0 * math.pi / width * sin**3 * math.cos(math.pi * z)
 
 
-def make_test_field(
-    grid: Grid, seed: int, t_start: float, t_end: float, xi_cutoff: float | None = None
-) -> TestField:
+def make_test_field(grid: Grid, seed: int, t_start: float, t_end: float) -> TestField:
     """Random band-limited solenoidal test field with the C^3 ``sin^4`` time
-    envelope of :class:`TestField`, supported on ``[t_start, t_end]``."""
+    envelope of :class:`TestField`, supported on ``[t_start, t_end]``; its
+    spectrum fills 0.9 of the 2/3 band's radius."""
     from .fields import FieldSpec, generate
 
-    cutoff = xi_cutoff
-    if cutoff is None:
-        cutoff = 0.9 * (grid.dealias_kmax * grid.dxi)
     spec = FieldSpec(
         "random_solenoidal",
         seed=seed,
         spectrum_slope=1.0,
         l2_norm_target=1.0,
-        xi_cutoff=cutoff,
+        xi_cutoff=0.9 * (grid.dealias_kmax * grid.dxi),
     )
     return TestField(generate(spec, grid), t_start, t_end)
 

@@ -21,7 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import ledger as lg
-from .cutoffs import balance_shell_integrand, dilation_flux, make_profile
+from .cutoffs import balance_shell_integrand, dilation_flux, weight_tables
 from .dynamics import (
     TrajectoryConfig,
     initial_from_snapshot,
@@ -42,8 +42,6 @@ from .spectral import (
     l2_norm,
     l2_norm_sq,
     leray_project,
-    mode_energy,
-    mode_sum,
     phys_to_spec,
     spec_to_phys,
     transform_forward,
@@ -403,39 +401,27 @@ def criterion_spectral_infrastructure(
     return CriterionResult("spectral-infrastructure", passed, detail)
 
 
-@_timed
-def criterion_decomposition(count: int = 100, seed: int = 7) -> CriterionResult:
-    """Energy split exactness and the high-block derivative domination."""
-    grid = build_grid(32, 8.0 * math.pi)
-    betas = [
-        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-    ]
-    from .cutoffs import weight_tables
+def _fact_radii() -> np.ndarray:
+    """Radii at which the per-shell cutoff facts are checked: dense on
+    [0, 3] and the lattice shells of n=32, l_box=8 pi. The last radius is the
+    middle of the step's transition, where each fact must hold strictly."""
+    shells = build_grid(32, 8.0 * math.pi).shell_radii
+    return np.concatenate([np.linspace(0.0, 3.0, 3001), shells, [1.5]])
 
-    w = weight_tables(grid.xi_mag, 0.1)
-    split_worst = 0.0
-    domination_worst = -math.inf
-    for k in range(count):
-        spec = FieldSpec("random_solenoidal", seed=seed + k, xi_cutoff=2.3)
-        fld = generate(spec, grid)
-        abs2 = mode_energy(fld.coeffs)
-        total = mode_sum(abs2, grid)
-        low = mode_sum(w["phi"][0] * abs2, grid)
-        tilde = mode_sum(w["tilde"][0] * abs2, grid)
-        split_worst = max(split_worst, abs(total - low - tilde) / total)
-        for beta in betas:
-            weight = np.ones_like(grid.xi_sq)
-            for axis, b in enumerate(beta):
-                if b:
-                    weight = weight * grid.xi[axis] ** (2 * b)
-            high_norm = math.sqrt(mode_sum(w["one_minus_phi"][0] * weight * abs2, grid))
-            band_norm = math.sqrt(mode_sum(w["tilde"][0] * weight * abs2, grid))
-            domination_worst = max(domination_worst, high_norm - band_norm)
-    passed = split_worst <= 1e-10 and domination_worst <= 1e-12
+
+@_timed
+def criterion_decomposition() -> CriterionResult:
+    """Energy split exactness and the high-block derivative domination, per
+    shell on the profile table: ``phi^2 + tilde^2 = 1``, and ``(1-phi)^2 <=
+    tilde^2``, so that every Fourier-weighted norm of the high block is at
+    most the band's."""
+    w = weight_tables(_fact_radii(), 0.1)
+    split = np.abs(w["phi"][0] + w["tilde"][0] - 1.0)
+    excess = w["one_minus_phi"][0] - w["tilde"][0]
+    passed = split.max() <= 1e-10 and excess.max() <= 0.0 and excess[-1] < 0.0
     detail = (
-        f"energy-split={split_worst:.2e}, worst high-vs-band excess="
-        f"{domination_worst:.2e}"
+        f"energy-split={split.max():.2e}, worst high-vs-band excess="
+        f"{excess.max():.2e}, excess at radius 1.5={excess[-1]:.2e}"
     )
     return CriterionResult("decomposition-exactness", passed, detail)
 
@@ -444,46 +430,44 @@ def criterion_decomposition(count: int = 100, seed: int = 7) -> CriterionResult:
 def criterion_sign_claims(
     alphas=(0.02, 0.06, 0.1), count: int = 20, seed: int = 11
 ) -> CriterionResult:
-    """Dilation-flux signs plus pointwise shell nonpositivity of the weighted
-    balance integrands, on random solenoidal fields."""
+    """Dilation-flux signs and pointwise shell nonpositivity of the weighted
+    balance integrands. The phi and 1-phi fluxes have the sign of their
+    kernels ``r d(psi^2)/dr``, checked on the profile table; the chi flux
+    changes sign with the radius, so it is checked on random solenoidal
+    fields."""
     grid = build_grid(32, 8.0 * math.pi)
-    phi = make_profile("phi")
-    onemphi = make_profile("one_minus_phi")
     radii = grid.shell_radii
-    worst = {"flux_phi": -math.inf, "flux_chi": -math.inf,
-             "flux_one_minus_phi": math.inf, "shell": -math.inf}
+    w = weight_tables(_fact_radii(), alphas[0])  # these two kernels ignore alpha
+    phi_kern, onemphi_kern = w["phi"][1], w["one_minus_phi"][1]
+    fields = [
+        generate(FieldSpec("random_solenoidal", seed=seed + k, xi_cutoff=2.3), grid)
+        for k in range(count)
+    ]
+    worst = {"flux_chi": -math.inf, "shell": -math.inf}
     for alpha in alphas:
-        chi = make_profile("chi", alpha)
         # the low block r <= 1 and the transition band 1 <= r <= 2
         for shells in (radii[radii <= 1.0], radii[(radii >= 1.0) & (radii <= 2.0)]):
             if shells.size:
                 worst["shell"] = max(
                     worst["shell"], float(np.max(balance_shell_integrand(shells, alpha)))
                 )
-        for k in range(count):
-            fld = generate(
-                FieldSpec("random_solenoidal", seed=seed + k, xi_cutoff=2.3), grid
-            )
-            scale = l2_norm_sq(fld)
-            worst["flux_phi"] = max(
-                worst["flux_phi"], dilation_flux(fld, phi) / scale
-            )
+        for fld in fields:
             worst["flux_chi"] = max(
-                worst["flux_chi"], dilation_flux(fld, chi) / scale
+                worst["flux_chi"], dilation_flux(fld, "chi", alpha) / l2_norm_sq(fld)
             )
-            worst["flux_one_minus_phi"] = min(
-                worst["flux_one_minus_phi"], dilation_flux(fld, onemphi) / scale
-            )
-    slack = 1e-12
     passed = (
-        worst["flux_phi"] <= slack
-        and worst["flux_chi"] <= slack
-        and worst["flux_one_minus_phi"] >= -slack
+        phi_kern.max() <= 0.0
+        and phi_kern[-1] < 0.0
+        and onemphi_kern.min() >= 0.0
+        and onemphi_kern[-1] > 0.0
+        and worst["flux_chi"] <= 1e-12
         and worst["shell"] <= 1e-14
     )
     detail = (
-        f"max flux_phi={worst['flux_phi']:.2e}, max flux_chi={worst['flux_chi']:.2e}, "
-        f"min flux_1mphi={worst['flux_one_minus_phi']:.2e}, "
+        f"max phi kernel={phi_kern.max():.2e}, phi kernel at radius 1.5={phi_kern[-1]:.2e}, "
+        f"min 1mphi kernel={onemphi_kern.min():.2e}, "
+        f"1mphi kernel at radius 1.5={onemphi_kern[-1]:.2e}, "
+        f"max flux_chi={worst['flux_chi']:.2e}, "
         f"max shell integrand={worst['shell']:.2e}"
     )
     return CriterionResult("sign-claims", passed, detail)

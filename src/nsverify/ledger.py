@@ -206,16 +206,14 @@ class RecordsBuilder:
     def __init__(self, ctx: LedgerContext):
         self.ctx = ctx
         self.records: list[EnergyRecord] = []
-        self._quad_f = {name: [] for name in _CUMULATED}
         self._quad_fdot = {name: [] for name in _CUMULATED}
         self._shell_e: list[np.ndarray] = []
         self._shell_edot: list[np.ndarray] = []
 
     def feed(self, snap: Snapshot) -> EnergyRecord:
-        rec, fvals, fdots, shells = _evaluate_sample(snap, self.ctx)
+        rec, fdots, shells = _evaluate_sample(snap, self.ctx)
         self.records.append(rec)
         for name in _CUMULATED:
-            self._quad_f[name].append(fvals[name])
             self._quad_fdot[name].append(fdots[name])
         self._shell_e.append(shells[0])
         self._shell_edot.append(shells[1])
@@ -231,7 +229,7 @@ class RecordsBuilder:
             self.ctx.alpha,
         )
         for name in _CUMULATED:
-            f = np.asarray(self._quad_f[name])
+            f = np.array([getattr(rec, name) for rec in self.records])
             fd = np.asarray(self._quad_fdot[name])
             cum = _corrected_trapezoid(taus, f, fd)
             if name in corrections:
@@ -445,7 +443,7 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
         tail_fraction=snap.tail_fraction,
         **values,
     )
-    return rec, values, fdots, (shell_e, shell_edot)
+    return rec, fdots, (shell_e, shell_edot)
 
 
 # -- checks ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nsverify.cli import main
-from nsverify.cutoffs import make_profile
+from nsverify.cutoffs import weight_tables
 from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import transform_inverse
 
@@ -102,15 +104,33 @@ def test_unresolvable_cutoff_exits_3(tmp_path):
 def test_profiles_match_eval(tmp_path):
     assert main(["profiles", "--alpha", "0.1", "--out-dir", str(tmp_path)]) == 0
     files = {
-        "phi.csv": make_profile("phi"),
-        "one_minus_phi.csv": make_profile("one_minus_phi"),
-        "tilde.csv": make_profile("tilde"),
-        "chi_alpha0.1.csv": make_profile("chi", 0.1),
+        "phi.csv": "phi",
+        "one_minus_phi.csv": "one_minus_phi",
+        "tilde.csv": "tilde",
+        "chi_alpha0.1.csv": "chi",
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
-    for name, psi in files.items():
+    for name, kind in files.items():
         table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
-        assert np.array_equal(table[:, 1], psi.eval(table[:, 0]))
+        psi_sq = weight_tables(table[:, 0], 0.1)[kind][0]
+        assert np.array_equal(table[:, 1], np.sqrt(psi_sq))
+
+
+# sha256 of the tables at alpha = 0.1: a change of any profile formula, of the
+# radii or of the number format shows here
+PROFILE_SHA256 = {
+    "phi.csv": "a03e0b542b2e9946218e2c41f17f470235a9581b7065bf88a1a6f95f6a620c45",
+    "one_minus_phi.csv": "8caacd3dc6df2980c0283ff69b7bc7f1bf66e9336770a21468a5309fae7b5cd9",
+    "tilde.csv": "c419eae41e50a6de60ac9208d42a20815dda31acd2fb759ddc66b335135a3570",
+    "chi_alpha0.1.csv": "bc20a737cf143daab61bd137ecb52d1a3580c0557af55510ad19c5f2e47d8c3e",
+}
+
+
+def test_profiles_are_byte_stable(tmp_path):
+    assert main(["profiles", "--alpha", "0.1", "--out-dir", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == PROFILE_SHA256
 
 
 def test_profiles_reject_alpha_before_writing(tmp_path, capsys):

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from nsverify.cutoffs import (
-    CutoffProfile,
     balance_shell_integrand,
     dilation_flux,
-    export_profile_table,
-    make_profile,
+    profile_csvs,
     weight_tables,
 )
 from nsverify.dynamics import convective_term
 from nsverify.errors import DomainError
 from nsverify.spectral import (
     SpectralVectorField,
-    l2_norm_sq,
     shell_sum,
     solenoidal_error,
     spec_to_phys,
@@ -24,18 +21,23 @@ from nsverify.spectral import (
 from conftest import derivative, ledger_record, random_solenoidal
 
 ALL_KINDS = ["phi", "one_minus_phi", "tilde", "chi"]
+CSV_NAMES = {"phi": "phi.csv", "one_minus_phi": "one_minus_phi.csv",
+             "tilde": "tilde.csv", "chi": "chi_alpha0.1.csv"}
 
 
-def profile(kind):
-    return make_profile(kind, 0.1 if kind == "chi" else None)
+def psi_eval(kind, r, alpha=0.1):
+    """``psi(r) = sqrt(psi^2)`` from the table; a scalar for a scalar ``r``."""
+    r = np.asarray(r, dtype=float)
+    sq = weight_tables(np.atleast_1d(r), alpha)[kind][0]
+    return np.sqrt(sq).reshape(r.shape)[()]
 
 
 def phi_eval(r):
-    return make_profile("phi").eval(r)
+    return psi_eval("phi", r)
 
 
 def chi_eval(r, alpha):
-    return make_profile("chi", alpha).eval(r)
+    return psi_eval("chi", r, alpha)
 
 
 def sq_columns(kind, r, alpha=0.1):
@@ -57,20 +59,16 @@ class TestPhi:
         assert 0.0 < phi_eval(1.5) < 1.0
         assert phi_eval(1.5) >= phi_eval(1.6)
 
-    def test_negative_radius(self):
-        with pytest.raises(DomainError):
-            phi_eval(-0.1)
-
     def test_tilde_partition(self):
         r = np.linspace(0.0, 3.0, 1000)
-        phi = profile("phi").eval(r)
-        tilde = profile("tilde").eval(r)
+        phi = psi_eval("phi", r)
+        tilde = psi_eval("tilde", r)
         assert np.abs(phi**2 + tilde**2 - 1.0).max() < 1e-14
 
     def test_values_in_unit_interval(self):
         r = np.linspace(0.0, 4.0, 2000)
         for kind in ALL_KINDS:
-            vals = profile(kind).eval(r)
+            vals = psi_eval(kind, r)
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
@@ -97,25 +95,23 @@ class TestChi:
         with pytest.raises(DomainError):
             chi_eval(1.0, alpha)
 
-    def test_profile_requires_alpha(self):
-        with pytest.raises(DomainError):
-            CutoffProfile("chi", None)
-
 
 class TestSlopes:
     """Analytic radial derivatives against central finite differences."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_radial_slope(self, kind):
-        psi = profile(kind)
-        r = np.concatenate(
-            [np.linspace(0.05, 0.55, 40), np.linspace(0.65, 0.95, 30),
-             np.linspace(1.05, 1.95, 60), np.linspace(2.05, 2.5, 10)]
-        )
-        h = 1e-6
-        fd = (psi.eval(r + h) - psi.eval(r - h)) / (2 * h)
-        scale = np.abs(fd).max() + 1.0
-        assert np.abs(psi.radial_slope(r) - fd).max() < 5e-5 * scale
+        # the exported dpsi_dr column against central differences of its psi
+        # column, clear of chi's origin and cap kink and of the step's ends
+        text = profile_csvs(0.1)[CSV_NAMES[kind]]
+        r, psi, slope = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1).T
+        h = r[1] - r[0]
+        fd = (psi[2:] - psi[:-2]) / (2 * h)
+        mid = r[1:-1]
+        keep = ((mid >= 0.05) & (mid <= 0.55) | (mid >= 0.65) & (mid <= 0.95)
+                | (mid >= 1.05) & (mid <= 1.95) | (mid >= 2.05) & (mid <= 2.5))
+        scale = np.abs(fd[keep]).max() + 1.0
+        assert np.abs(slope[1:-1][keep] - fd[keep]).max() < 5e-5 * scale
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sq_slope(self, kind):
@@ -137,22 +133,13 @@ class TestSlopes:
             np.abs(fd).max() + 1
         )
 
-    def test_weight_tables_match_profiles(self):
-        r = np.linspace(0.0, 3.0, 4001)
-        alpha = 0.07
-        w = weight_tables(r, alpha)
-        for kind in ALL_KINDS:
-            psi = make_profile(kind, alpha)
-            assert np.abs(w[kind][0] - psi.eval(r) ** 2).max() <= 1e-15
-            assert np.array_equal(w[kind][1], psi.flux_kernel(r))
-
 
 class TestApplyProfile:
     """A profile as the Fourier multiplier ``psi(|xi|)`` on the lattice."""
 
     @staticmethod
     def apply(w, kind):
-        return SpectralVectorField(w.grid, w.coeffs * profile(kind).eval(w.grid.xi_mag))
+        return SpectralVectorField(w.grid, w.coeffs * psi_eval(kind, w.grid.xi_mag))
 
     def test_plateau_identity(self, grid32):
         w = random_solenoidal(grid32, 0, cutoff=0.9)
@@ -245,29 +232,20 @@ class TestDecompose:
 class TestDilationFlux:
     def test_plateau_zero(self, grid32):
         w = single_mode_field(grid32, 3)  # |xi| = 0.75 inside the plateau
-        assert dilation_flux(w, profile("phi")) == 0.0
+        assert dilation_flux(w, "phi", 0.1) == 0.0
 
     def test_transition_band_signs(self, grid32):
         w = single_mode_field(grid32, 6)  # |xi| = 1.5
-        assert dilation_flux(w, profile("phi")) < 0.0
-        assert dilation_flux(w, profile("one_minus_phi")) > 0.0
+        assert dilation_flux(w, "phi", 0.1) < 0.0
+        assert dilation_flux(w, "one_minus_phi", 0.1) > 0.0
 
     def test_chi_sign_is_radius_dependent(self, grid32):
         # below the cap the fractional weight increases, so its flux is
         # positive there and negative across the step transition
-        chi = profile("chi")
         low = single_mode_field(grid32, 2)  # |xi| = 0.5 < cap
         band = single_mode_field(grid32, 6)  # |xi| = 1.5
-        assert dilation_flux(low, chi) > 0.0
-        assert dilation_flux(band, chi) < 0.0
-
-    def test_scale_matches_rescaled_radius(self, grid32):
-        w = single_mode_field(grid32, 8)  # |xi| = 2
-        # at scale 0.75 the effective radius is 1.5; the sum carries 1/scale
-        expected = profile("phi").flux_kernel(1.5) * l2_norm_sq(w) / 0.75
-        assert dilation_flux(w, profile("phi"), scale=0.75) == pytest.approx(
-            expected, rel=1e-13
-        )
+        assert dilation_flux(low, "chi", 0.1) > 0.0
+        assert dilation_flux(band, "chi", 0.1) < 0.0
 
 
 class TestBalanceIntegrands:
@@ -286,18 +264,18 @@ class TestBalanceIntegrands:
         # r * d/dr (phi^2 - chi^2) <= 0 everywhere: the true signed
         # combination behind the flux comparison
         r = np.linspace(0.0, 2.5, 3000)
-        phi = make_profile("phi")
-        chi = make_profile("chi", alpha)
-        combined = phi.flux_kernel(r) - chi.flux_kernel(r)
+        w = weight_tables(r, alpha)
+        combined = w["phi"][1] - w["chi"][1]
         assert combined.max() <= 1e-15
 
 
-def test_export_profile_table(tmp_path):
-    path = tmp_path / "phi.csv"
-    export_profile_table(profile("phi"), path, r_max=2.5, num=251)
-    lines = path.read_text().splitlines()
+def test_export_profile_table():
+    tables = profile_csvs(0.1)
+    assert list(tables) == list(CSV_NAMES.values())
+    lines = tables["phi.csv"].splitlines()
     assert lines[0] == "r,psi,dpsi_dr"
-    assert len(lines) == 252
+    assert len(lines) == 3002
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+    assert float(lines[-1].split(",")[0]) == 3.0

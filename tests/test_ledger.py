@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nsverify import ledger
-from nsverify.cutoffs import make_profile, weight_tables
+from nsverify.cutoffs import weight_tables
 from nsverify.dynamics import convective_term
 from nsverify.errors import DomainError, FitError
 from nsverify.harness import format_summary_table
@@ -346,9 +346,8 @@ def test_shell_columns_are_mode_sums(grid32, early_run):
         if profile is None:
             m = 1.0
         else:
-            psi = make_profile(profile, series.ctx.alpha)
-            r = s * g.xi_mag
-            m = psi.flux_kernel(r) if flux else psi.eval(r) ** 2
+            sq, kern, _ = weight_tables(s * g.xi_mag, series.ctx.alpha)[profile]
+            m = kern if flux else sq
         p = 2 * j - 1 if kind == "e" else 2 * j + 1
         terms = s**p * m * g.xi_sq**j * density[kind]
         expected = mode_sum(terms, g)

@@ -119,6 +119,40 @@ def test_no_public_definitions_that_only_tests_reach():
     assert set(unused(definitions, name_uses(trees))) == UNREACHED_PUBLIC
 
 
+def bench_module_reads():
+    """``(module, attr)`` of every ``x.attr`` in ``bench/*.py`` where ``x``
+    came from ``from nsverify import x``, once per use. A patched attribute
+    counts too: patching a name the module no longer has would silently
+    measure nothing."""
+    reads = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "nsverify"
+            for alias in node.names
+        }
+        reads += [
+            (bound[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+        ]
+    return reads
+
+
+def test_the_benchmark_reads_resolve():
+    """A name the benchmark reads or patches on a package module exists, so
+    deleting one (say ``cutoffs.weight_tables``) fails here, not only in the
+    benchmark."""
+    reads = bench_module_reads()
+    assert len(reads) >= 46
+    missing = sorted(f"{module}.{attr}" for module, attr in reads
+                     if not hasattr(importlib.import_module(f"nsverify.{module}"), attr))
+    assert missing == []
+
+
 def half_spectrum_uses(tree):
     """Lines where a module reaches an FFT module (``scipy.fft``,
     ``numpy.fft``) or spells the half-spectrum length ``n // 2 + 1``."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsverify.cutoffs import make_profile
+from nsverify.cutoffs import weight_tables
 from nsverify.errors import HorizonError
 from nsverify.similarity import frame, t_of_tau
 from nsverify.spectral import SpectralVectorField, l2_norm_sq, spec_to_phys
@@ -103,11 +103,10 @@ class TestFilteredEnergy:
 
     def test_consistency_with_filter_norm(self, grid32):
         u = random_solenoidal(grid32, 6)
-        tilde = make_profile("tilde")
         for t in (0.0, 0.5, 0.9):
             s = frame(t, 1.0).scale
-            filtered = SpectralVectorField(
-                grid32, u.coeffs * tilde.eval(s * grid32.xi_mag))
+            tilde_sq = weight_tables(s * grid32.xi_mag, 0.1)["tilde"][0]
+            filtered = SpectralVectorField(grid32, u.coeffs * np.sqrt(tilde_sq))
             assert ledger_record(u, t).E0_tilde == pytest.approx(
                 l2_norm_sq(filtered) / s, rel=1e-12
             )
@@ -115,11 +114,11 @@ class TestFilteredEnergy:
     def test_scaling_law_between_frames(self, grid32):
         # both sides of the frame identity evaluated at two scales
         u = random_solenoidal(grid32, 7)
-        psi = make_profile("phi")
         for t in (0.3, 0.84):
             s = frame(t, 1.0).scale
+            phi_sq = weight_tables(s * grid32.xi_mag, 0.1)["phi"][0]
             direct = float(
-                (grid32.multiplicity * psi.eval(s * grid32.xi_mag) ** 2
+                (grid32.multiplicity * phi_sq
                  * (np.abs(u.coeffs) ** 2).sum(axis=0)).sum() / s
             )
             assert ledger_record(u, t).E0_low == pytest.approx(direct, rel=1e-13)
