@@ -10,8 +10,7 @@ Subcommands:
 Exit codes of ``run``, ``suite`` and ``profiles``: 0 pass, 1 check failure,
 2 invalid configuration or argument, 3 resolution guard.
 
-``NSVERIFY_FFT_WORKERS`` sets the FFT thread count; by default it is the
-number of CPUs the process may run on (its affinity mask).
+``NSVERIFY_FFT_WORKERS`` sets the FFT thread count; by default it is 1.
 """
 
 from __future__ import annotations

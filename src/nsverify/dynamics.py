@@ -10,11 +10,10 @@ convolution. Time stepping is classical RK4 on the integrating-factor
 transform ``v = exp(|xi|^2 t) u_hat``: the viscous factor is treated exactly,
 so the linear problem is integrated without error regardless of step size.
 
-The public tendency uses the convective product. The inner loop of
-:func:`simulate` evaluates the same projected tendency through the rotational
-product ``P[F[u x curl u]]``, which costs six fewer transforms; on the
-dealiased grid the two agree to rounding because their difference is an exact
-gradient.
+The quadratic term takes the rotational form ``(u.grad)u = grad |u|^2/2 -
+u x curl u`` (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods, 2006,
+3.4), whose gradient the projection removes, and :func:`rotational_product`,
+the package's one quadratic product, forms ``F[u x curl u]``.
 
 :func:`simulate` steps on the integrator's schedule, not the sampler's.
 Samples uniform in ``tau`` crowd together in ``t``, so from each step end it
@@ -34,7 +33,8 @@ and tail fraction summed over the same band.
 The integrator computes nothing for the ledger: a nonlinear trajectory costs
 exactly four tendency evaluations per step, and a snapshot carries the field
 and the run's diagnostics only. The ledger forms the energy transfer from its
-own physical-space fields (:mod:`nsverify.ledger`).
+own samples of ``u`` and ``omega`` with :func:`rotational_product`
+(:mod:`nsverify.ledger`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .similarity import SimilarityFrame, frame, t_of_tau
 from .spectral import (
     Grid,
     SpectralVectorField,
-    cross,
+    curl,
     l2_norm,
     leray_project,
     mode_energy,
@@ -74,8 +74,8 @@ __all__ = [
     "SimState",
     "TrajectoryConfig",
     "Snapshot",
-    "convective_term",
     "nse_rhs",
+    "rotational_product",
     "step",
     "simulate",
     "rescale_data",
@@ -144,63 +144,46 @@ class TrajectoryConfig:
 # -- tendencies ---------------------------------------------------------------
 
 
-def convective_term(u_hat: SpectralVectorField) -> SpectralVectorField:
-    """Dealiased coefficients of ``(u . grad) u`` (no projection applied)."""
-    g = u_hat.grid
-    u = spec_to_phys(u_hat.coeffs, g)
+def rotational_product(u: np.ndarray, vort: np.ndarray, grid: Grid) -> np.ndarray:
+    """Band coefficients of ``u x omega`` from the samples of ``u`` and
+    ``omega``. The forward transform truncates the product to the 2/3 band,
+    where every retained mode is an exact Galerkin convolution."""
     out = np.empty_like(u)
-    for k in range(3):
-        acc = u[0] * spec_to_phys(1j * g.xi[0] * u_hat.coeffs[k], g)
-        acc += u[1] * spec_to_phys(1j * g.xi[1] * u_hat.coeffs[k], g)
-        acc += u[2] * spec_to_phys(1j * g.xi[2] * u_hat.coeffs[k], g)
-        out[k] = acc
-    return SpectralVectorField(g, phys_to_spec(out, g))
+    term = np.empty_like(u[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[j], vort[k], out=out[i])
+        np.multiply(u[k], vort[j], out=term)
+        out[i] -= term
+    return phys_to_spec(out, grid)
 
 
-def _rotational_product(u_hat: SpectralVectorField) -> np.ndarray:
-    """Dealiased coefficients of ``u x curl u``, before projection."""
+def _nonlinear_tendency(u_hat: SpectralVectorField) -> tuple[np.ndarray, np.ndarray]:
+    """Projected nonlinear tendency ``-P[(u.grad)u] = P[F[u x curl u]]``, and
+    the product ``F[u x curl u]`` before projection."""
     g = u_hat.grid
     c = u_hat.coeffs
-    vort = np.empty_like(c)
-    term = np.empty_like(c[0])
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(g.xi[j], c[k], out=vort[i])
-        np.multiply(g.xi[k], c[j], out=term)
-        vort[i] -= term
-        vort[i] *= 1j
-    u = spec_to_phys(c, g)
-    return phys_to_spec(cross(u, spec_to_phys(vort, g)), g)
-
-
-def _nonlinear_tendency(
-    u_hat: SpectralVectorField, form: str = "rotational", with_product: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Projected nonlinear tendency ``-P[(u.grad)u]``: ``P[F[u x curl u]]``
-    in the rotational form, ``-P[F[(u.grad)u]]`` in the convective one. With
-    ``with_product`` also the dealiased product before projection, with the
-    tendency's sign."""
-    if form == "rotational":
-        product = _rotational_product(u_hat)
-    elif form == "convective":
-        product = -convective_term(u_hat).coeffs
-    else:
-        raise ConfigurationError(f"unknown advection form {form!r}")
-    tendency = leray_project(SpectralVectorField(u_hat.grid, product)).coeffs
-    return (tendency, product) if with_product else tendency
+    product = rotational_product(
+        spec_to_phys(c, g), spec_to_phys(curl(c, g), g), g
+    )
+    tendency = leray_project(SpectralVectorField(g, product)).coeffs
+    return tendency, product
 
 
 def nse_rhs(
-    u_hat: SpectralVectorField, nonlinear: bool = True, form: str = "convective"
+    u_hat: SpectralVectorField, nonlinear: bool = True, form: str = "rotational"
 ) -> SpectralVectorField:
     """Full tendency ``-P[F[(u.grad)u]] - |xi|^2 u_hat``.
 
     The projected quadratic term is orthogonal to the field, so it moves no
-    energy; with ``nonlinear=False`` only the viscous part remains.
+    energy; with ``nonlinear=False`` only the viscous part remains. ``form``
+    names the quadratic term's form; ``"rotational"`` is the only one.
     """
+    if form != "rotational":
+        raise ConfigurationError(f"unknown advection form {form!r}")
     g = u_hat.grid
     out = -g.xi_sq * u_hat.coeffs
     if nonlinear:
-        out = out + _nonlinear_tendency(u_hat, form)
+        out = out + _nonlinear_tendency(u_hat)[0]
     return SpectralVectorField(g, out)
 
 
@@ -251,11 +234,9 @@ def _ifrk4(
         return SpectralVectorField(g, c * full), 0.0, None
 
     def nonlin(coeffs):
-        return _nonlinear_tendency(SpectralVectorField(g, coeffs))
+        return _nonlinear_tendency(SpectralVectorField(g, coeffs))[0]
 
-    a, product = _nonlinear_tendency(
-        SpectralVectorField(g, c), with_product=True
-    )
+    a, product = _nonlinear_tendency(SpectralVectorField(g, c))
     pairing = abs(parseval_pair(a, c, g))
     denom = math.sqrt(parseval_pair(product, product, g) * parseval_pair(c, c, g))
     orth = pairing / denom if denom > 0 else 0.0

@@ -279,8 +279,9 @@ def run_scenario(
             fitted["curvature_energy"] = lg.decay_rate(series, series.column("E2"))
         except FitError:
             pass
-    ratio = series.column("sup_norm_w")
-    fitted["sup_ratio_final_over_initial"] = float(ratio[-1] / ratio[0])
+    sup = series.column("sup_norm_w")
+    if sup[0] > 0.0:  # the zero field has no ratio
+        fitted["sup_ratio_final_over_initial"] = float(sup[-1] / sup[0])
 
     summaries = lg.summarize_reports(reports_by_name)
     artifacts = []
@@ -719,7 +720,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, out_dir=None, verbose: bool = True):
+def run_suite(name: str, out_dir=None):
     """Run one named criteria group; returns (exit_code, results). The
     verdict goes into ``out_dir``, an existing directory, unless it is None."""
     if name not in SUITES:
@@ -730,8 +731,7 @@ def run_suite(name: str, out_dir=None, verbose: bool = True):
     for criterion in SUITES[name]:
         result = criterion()
         results.append(result)
-        if verbose:
-            print(result.summary_line())
+        print(result.summary_line())
     extras = {}
     if name == "decay":
         extras = delta_sweep_report()

@@ -11,7 +11,9 @@ product over shells, with the radial weights read from
 from the rotational form ``(u.grad)u = grad |u|^2/2 - u x omega`` (Canuto,
 Hussaini, Quarteroni & Zang, Spectral Methods): the gradient pairs to zero
 against the solenoidal ``u_hat``, so the density is ``-Re<F[u x omega],
-u_hat>``, formed from ``u`` and ``omega`` in physical space. The cubic
+u_hat>``, with ``F[u x omega]`` formed from the samples of ``u`` and
+``omega`` by the integrator's own product,
+:func:`nsverify.dynamics.rotational_product`. The cubic
 terms that pair the whole field with itself are shell sums of it too:
 ``T_lap``, ``T_low``, ``T_chi``, ``T_grad_high``, and ``T_grad`` by the
 enstrophy-balance identity ``int (u.grad)u . lap u = -int d_j u_k d_j u_l
@@ -66,11 +68,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cutoffs import weight_tables
-from .dynamics import Snapshot
+from .dynamics import Snapshot, rotational_product
 from .errors import DomainError, FitError
-from .spectral import (
-    Grid, cross, mode_energy, phys_to_spec, shell_sum, spec_to_phys,
-)
+from .spectral import Grid, curl, mode_energy, shell_sum, spec_to_phys
 
 __all__ = [
     "EnergyRecord",
@@ -374,7 +374,7 @@ def _shell_transfer(u, vort, c, grid: Grid) -> np.ndarray:
     """Per-shell ``-Re<F[u x omega], u_hat>`` from the samples of ``u`` and
     ``omega``. ``u_hat`` is solenoidal and lies inside the 2/3 band, where
     the product's aliases do not reach, so no projection or mask is needed."""
-    lamb = phys_to_spec(cross(u, vort), grid)
+    lamb = rotational_product(u, vort, grid)
     return shell_sum(-(lamb * np.conj(c)).real.sum(axis=0), grid)
 
 
@@ -408,11 +408,8 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     if high_pass:
         # the high block's velocity and vorticity in one call; u and omega
         # are the sums of the two blocks'
-        spec = np.empty((6,) + g.xi_sq.shape, dtype=complex)
-        np.multiply(per_mode(high_sq), c, out=spec[:3])
-        for i, j, k in _CYCLIC:
-            spec[3 + i] = 1j * (g.xi[j] * spec[k] - g.xi[k] * spec[j])
-        high = spec_to_phys(spec, g)
+        hc = per_mode(high_sq) * c
+        high = spec_to_phys(np.concatenate([hc, curl(hc, g)]), g)
         u = np.add(u_low, high[:3], out=high[:3])
         vort = np.add(vort_low, high[3:], out=high[3:])
         umag2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
@@ -581,7 +578,8 @@ def _lemma4_2(name, series, tolerance_scale) -> list:
     e1_0, E1 = E1[start], E1[start + 1:]
     decayed = np.array([math.exp(-0.5 * (t - taus[start])) for t in taus[start + 1:]])
     denom = 2.0 * delta1 * (1.0 - decayed)
-    c_req = ((E1 - decayed * e1_0) / denom)[denom > 0]
+    positive = denom > 0
+    c_req = (E1 - decayed * e1_0)[positive] / denom[positive]
     c_emp = max(c_req) if c_req.size else 0.0
     rhs = decayed * e1_0 + 2.0 * c_emp * delta1 * (1.0 - decayed)
     scale = np.max([E1, np.abs(rhs), e1_0 * decayed], axis=0)

@@ -45,10 +45,8 @@ import scipy.fft as _fft
 
 from .errors import ConfigurationError, GridMismatchError
 
-# NSVERIFY_FFT_WORKERS overrides; the default is every CPU this process may use
-_WORKERS = int(os.environ.get("NSVERIFY_FFT_WORKERS", "0")) or len(
-    os.sched_getaffinity(0)
-)
+# FFT threads: one unless NSVERIFY_FFT_WORKERS says otherwise
+_WORKERS = int(os.environ.get("NSVERIFY_FFT_WORKERS", "1"))
 
 # Fixed glibc malloc thresholds: blocks up to 32 MB come from the heap, and the
 # heap gives memory back only past 64 MB free at its top. With the dynamic
@@ -277,18 +275,19 @@ def mode_energy(coeffs: np.ndarray) -> np.ndarray:
     return np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2 + np.abs(coeffs[2]) ** 2
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise cross product ``a x b`` of two vector fields' samples."""
-    out = np.empty_like(a)
-    term = np.empty_like(a[0])
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        np.multiply(a[k], b[j], out=term)
-        out[i] -= term
-    return out
-
-
 # -- operators ---------------------------------------------------------------
+
+
+def curl(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Band coefficients ``i xi x c`` of the curl of a vector field."""
+    out = np.empty_like(coeffs)
+    term = np.empty_like(coeffs[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(grid.xi[j], coeffs[k], out=out[i])
+        np.multiply(grid.xi[k], coeffs[j], out=term)
+        out[i] -= term
+    out *= 1j
+    return out
 
 
 def leray_project(w: SpectralVectorField) -> SpectralVectorField:

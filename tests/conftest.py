@@ -11,6 +11,8 @@ from nsverify.spectral import (
     RealVectorField,
     SpectralVectorField,
     build_grid,
+    phys_to_spec,
+    spec_to_phys,
     transform_forward,
 )
 
@@ -69,6 +71,22 @@ def scatter(coeffs, grid):
     out = np.zeros(coeffs.shape[:-3] + half_shape(grid), dtype=coeffs.dtype)
     out[(Ellipsis,) + np.ix_(rows, rows, rows_z)] = coeffs
     return out
+
+
+def convective_term(u_hat):
+    """Band coefficients of ``(u . grad) u`` from 12 inverse transforms, no
+    projection applied: the convective form, an oracle independent of the
+    package's rotational product. On the band the two differ by an exact
+    gradient."""
+    g = u_hat.grid
+    u = spec_to_phys(u_hat.coeffs, g)
+    out = np.empty_like(u)
+    for k in range(3):
+        acc = u[0] * spec_to_phys(1j * g.xi[0] * u_hat.coeffs[k], g)
+        acc += u[1] * spec_to_phys(1j * g.xi[1] * u_hat.coeffs[k], g)
+        acc += u[2] * spec_to_phys(1j * g.xi[2] * u_hat.coeffs[k], g)
+        out[k] = acc
+    return SpectralVectorField(g, phys_to_spec(out, g))
 
 
 def zero_field(grid):

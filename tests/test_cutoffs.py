@@ -9,7 +9,6 @@ from nsverify.cutoffs import (
     profile_csvs,
     weight_tables,
 )
-from nsverify.dynamics import convective_term
 from nsverify.errors import DomainError
 from nsverify.spectral import (
     SpectralVectorField,
@@ -18,7 +17,7 @@ from nsverify.spectral import (
     spec_to_phys,
 )
 
-from conftest import derivative, ledger_record, random_solenoidal
+from conftest import convective_term, derivative, ledger_record, random_solenoidal
 
 ALL_KINDS = ["phi", "one_minus_phi", "tilde", "chi"]
 CSV_NAMES = {"phi": "phi.csv", "one_minus_phi": "one_minus_phi.csv",

@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 
 from nsverify import dynamics, harness, ledger
+from nsverify.snapshot_io import write_snapshot
+from nsverify.spectral import RealVectorField, build_grid
 from nsverify.harness import (
     CriterionResult,
     criterion_decomposition,
@@ -66,12 +69,13 @@ def test_ode_trapping_criterion_passes():
     assert result.detail.endswith("worked values ok: True")
 
 
-def test_suite_verdict_accepts_numpy_bool(monkeypatch, tmp_path):
+def test_suite_verdict_accepts_numpy_bool(monkeypatch, tmp_path, capsys):
     def criterion():
         return CriterionResult("numpy-verdict", np.bool_(True), "ok")
 
     monkeypatch.setitem(harness.SUITES, "probe", (criterion,))
-    code, _ = run_suite("probe", out_dir=tmp_path, verbose=False)
+    code, results = run_suite("probe", out_dir=tmp_path)
+    assert capsys.readouterr().out == results[0].summary_line() + "\n"
     verdict = json.loads((tmp_path / "verdict_probe.json").read_text())
     assert code == 0
     assert verdict["pass"] is True
@@ -106,3 +110,27 @@ def test_raising_check_is_named_once(monkeypatch):
     result = run_scenario(parse_scenario_text(SMALL_SCENARIO))
     assert result.exit_code == 1
     assert result.message == "failed: lemma2.1: boom"
+
+
+def test_zero_initial_field_writes_a_valid_report(tmp_path):
+    # the decay fits fail on the zero trajectory, and so does the run; its
+    # report stays strict JSON, without a 0/0 ratio or a warning
+    cfg = parse_scenario_text(SMALL_SCENARIO)
+    grid = build_grid(cfg.n, cfg.l_box)
+    path = tmp_path / "zero.nsvf"
+    write_snapshot(path, RealVectorField(grid, np.zeros((3,) + (grid.n,) * 3)), t=0.0)
+    text = (SMALL_SCENARIO.replace("tau_max = 0.2", "tau_max = 2.0")
+            .replace("checks = lemma2.1", "checks = all")
+            + f"initial_file = {path}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_scenario(parse_scenario_text(text), out_dir=tmp_path)
+    assert [w.message for w in caught] == []
+    assert result.exit_code == 1
+    assert "sup_ratio_final_over_initial" not in result.fitted_rates
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = (tmp_path / f"report_{result.scenario}.json").read_text()
+    assert json.loads(report, parse_constant=refuse)["fitted_rates"] == {}

@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsverify import ledger
+from nsverify import dynamics, ledger
 from nsverify.cutoffs import weight_tables
-from nsverify.dynamics import convective_term
 from nsverify.errors import DomainError, FitError
 from nsverify.harness import format_summary_table
 from nsverify.ledger import (
@@ -31,7 +30,7 @@ from nsverify.spectral import (
     SpectralVectorField, build_grid, mode_energy, mode_sum, shell_sum, spec_to_phys,
 )
 
-from conftest import small_run
+from conftest import convective_term, small_run
 
 # Record values of ``small_series`` (n=32, l_box=8*pi, seed 0, delta 0.05,
 # alpha 0.1, tau in [0, 1] at 0.02) at tau = 0.2, 0.6 and 1.0, for every
@@ -385,7 +384,8 @@ def test_norms_are_the_direct_norms(grid32, early_run):
 
 def ledger_components(snap, grid, monkeypatch):
     """Inverse and forward components the ledger transforms for one sample,
-    counted at its own bindings of the transforms."""
+    counted at its own binding of the inverse and at the forward binding
+    that its transfer's product, :func:`dynamics.rotational_product`, calls."""
     counts = {"inverse": 0, "forward": 0}
 
     def counted(kind, fn):
@@ -396,7 +396,7 @@ def ledger_components(snap, grid, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ledger, "spec_to_phys", counted("inverse", ledger.spec_to_phys))
-        patch.setattr(ledger, "phys_to_spec", counted("forward", ledger.phys_to_spec))
+        patch.setattr(dynamics, "phys_to_spec", counted("forward", dynamics.phys_to_spec))
         rec = RecordsBuilder(LedgerContext(grid, 0.1, 0.05)).feed(snap)
     return rec, counts
 

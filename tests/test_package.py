@@ -153,6 +153,30 @@ def test_the_benchmark_reads_resolve():
     assert missing == []
 
 
+def callers(tree, name):
+    """Top-level functions of a module whose bodies call ``name``."""
+    return {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+    }
+
+
+def test_one_quadratic_product_kernel():
+    """``dynamics.rotational_product`` is the one function that transforms a
+    pointwise product forward: in ``dynamics`` only it calls the forward
+    transform, the ledger's transfer calls it and the ledger imports no
+    forward transform, and ``spectral`` defines no cross product."""
+    trees = {path.name: ast.parse(path.read_text()) for path in ROOT.glob("*.py")}
+    assert callers(trees["dynamics.py"], "phys_to_spec") == {"rotational_product"}
+    assert callers(trees["ledger.py"], "rotational_product") == {"_shell_transfer"}
+    ledger_imports = {alias.name for node in ast.walk(trees["ledger.py"])
+                      if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "phys_to_spec" not in ledger_imports
+    spectral = top_level_definitions({"spectral.py": trees["spectral.py"]})
+    assert "cross" not in {name for _, name, _ in spectral}
+
+
 def half_spectrum_uses(tree):
     """Lines where a module reaches an FFT module (``scipy.fft``,
     ``numpy.fft``) or spells the half-spectrum length ``n // 2 + 1``."""
