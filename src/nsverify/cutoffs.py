@@ -143,7 +143,7 @@ def dilation_flux(w: SpectralVectorField, kind: str, alpha: float) -> float:
     ``r = |xi|``, as the ledger forms it: a sum over lattice shells."""
     g = w.grid
     kern = weight_tables(g.shell_radii, alpha)[kind][1]
-    return float(np.dot(kern, shell_sum(mode_energy(w.coeffs), g)))
+    return float((kern * shell_sum(mode_energy(w.coeffs), g)).sum())
 
 
 def balance_shell_integrand(r: np.ndarray, alpha: float) -> np.ndarray:

@@ -26,15 +26,14 @@ there too and the local error is O(h^4).
 
 Every field is held on the grid's 2/3 band (:mod:`nsverify.spectral`):
 the state, the four stages, the viscous factors and the products. The
-forward transform of a product is its truncation to the band. Snapshots
-carry a copy of the band coefficients per sample, with the sample's energy
-and tail fraction summed over the same band.
+forward transform of a product is its truncation to the band.
 
 The integrator computes nothing for the ledger: a nonlinear trajectory costs
 exactly four tendency evaluations per step, and a snapshot carries the field
-and the run's diagnostics only. The ledger forms the energy transfer from its
-own samples of ``u`` and ``omega`` with :func:`rotational_product`
-(:mod:`nsverify.ledger`).
+(a copy of its band coefficients), its energy and its tail fraction, both
+read from one :func:`~nsverify.spectral.shell_sum` of its mode energies. The
+ledger forms the energy transfer from its own samples of ``u`` and ``omega``
+with :func:`rotational_product` (:mod:`nsverify.ledger`).
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ from .spectral import (
     l2_norm,
     leray_project,
     mode_energy,
-    mode_sum,
-    parseval_pair,
     phys_to_spec,
+    shell_sum,
     spec_to_phys,
     tail_fraction,
 )
@@ -93,12 +91,12 @@ class SimState:
 
 @dataclass
 class Snapshot:
-    """One emitted sample: frame, field, and per-run diagnostics."""
+    """One emitted sample: its frame, the field on the grid's 2/3 band, and
+    the field's energy and tail fraction (:func:`spectral.tail_fraction`)."""
 
     frame: SimilarityFrame
-    u_hat: SpectralVectorField  # on the grid's 2/3 band
+    u_hat: SpectralVectorField
     tail_fraction: float
-    nonlinear_orthogonality: float  # worst |<P N, u>| / (|N| |u|) so far
     energy: float
 
 
@@ -157,16 +155,13 @@ def rotational_product(u: np.ndarray, vort: np.ndarray, grid: Grid) -> np.ndarra
     return phys_to_spec(out, grid)
 
 
-def _nonlinear_tendency(u_hat: SpectralVectorField) -> tuple[np.ndarray, np.ndarray]:
-    """Projected nonlinear tendency ``-P[(u.grad)u] = P[F[u x curl u]]``, and
-    the product ``F[u x curl u]`` before projection."""
-    g = u_hat.grid
-    c = u_hat.coeffs
+def _nonlinear_tendency(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Projected nonlinear tendency ``-P[(u.grad)u] = P[F[u x curl u]]`` of
+    the band coefficients ``c``."""
     product = rotational_product(
-        spec_to_phys(c, g), spec_to_phys(curl(c, g), g), g
+        spec_to_phys(c, grid), spec_to_phys(curl(c, grid), grid), grid
     )
-    tendency = leray_project(SpectralVectorField(g, product)).coeffs
-    return tendency, product
+    return leray_project(SpectralVectorField(grid, product)).coeffs
 
 
 def nse_rhs(
@@ -183,7 +178,7 @@ def nse_rhs(
     g = u_hat.grid
     out = -g.xi_sq * u_hat.coeffs
     if nonlinear:
-        out = out + _nonlinear_tendency(u_hat)[0]
+        out = out + _nonlinear_tendency(u_hat.coeffs, g)
     return SpectralVectorField(g, out)
 
 
@@ -192,9 +187,9 @@ def nse_rhs(
 
 def _amplitude_bound(u_hat: SpectralVectorField) -> float:
     """Cheap upper bound on ``max_x |u(x)|``: per component the full-lattice
-    ``sum |c|``, each stored mode weighted by its multiplicity."""
+    ``sum |c|``."""
     g = u_hat.grid
-    sums = np.abs(u_hat.coeffs).reshape(3, -1) @ g.multiplicity.ravel()
+    sums = np.array([shell_sum(np.abs(c), g).sum() for c in u_hat.coeffs])
     return float(np.sqrt((sums**2).sum()) / g.l_box**1.5)
 
 
@@ -216,45 +211,32 @@ def _ifrk4(
     dt: float,
     cfg: TrajectoryConfig,
     factors=None,
-) -> tuple[SpectralVectorField, float, tuple | None]:
+) -> tuple[SpectralVectorField, tuple | None]:
     """One integrating-factor RK4 step; it evaluates all four stages itself.
 
-    Returns the new field, the energy-orthogonality ratio
-    ``|<P N, u>| / (||N|| ||u||)`` of the first stage's dealiased quadratic
-    product ``N``, and the four stage tendencies ``(a, b, c, d)`` for
-    :func:`_dense_output` (``None`` for linear dynamics). The ratio is
-    normalised by the unprojected product, which stays of size ``|u|^2``
-    where the projected one vanishes (Taylor-Green), so it measures rounding
-    against the field, not rounding against rounding.
+    Returns the new field and the four stage tendencies ``(a, b, c, d)`` for
+    :func:`_dense_output` (``None`` for linear dynamics).
     """
     g = u_hat.grid
     half, full = factors if factors is not None else _viscous_factors(g, dt)
     c = u_hat.coeffs
     if not cfg.nonlinear:
-        return SpectralVectorField(g, c * full), 0.0, None
+        return SpectralVectorField(g, c * full), None
 
-    def nonlin(coeffs):
-        return _nonlinear_tendency(SpectralVectorField(g, coeffs))[0]
-
-    a, product = _nonlinear_tendency(SpectralVectorField(g, c))
-    pairing = abs(parseval_pair(a, c, g))
-    denom = math.sqrt(parseval_pair(product, product, g) * parseval_pair(c, c, g))
-    orth = pairing / denom if denom > 0 else 0.0
-    del product
-
+    a = _nonlinear_tendency(c, g)
     stage = a * (dt / 2.0)
     stage += c
     stage *= half
-    b = nonlin(stage)
+    b = _nonlinear_tendency(stage, g)
     hc = half * c
     stage = b * (dt / 2.0)
     stage += hc
-    cc = nonlin(stage)
+    cc = _nonlinear_tendency(stage, g)
     fc = half * hc
     stage = half * cc
     stage *= dt
     stage += fc
-    d = nonlin(stage)
+    d = _nonlinear_tendency(stage, g)
     acc = b + cc
     acc *= 2.0
     acc *= half
@@ -262,7 +244,7 @@ def _ifrk4(
     acc += d
     acc *= dt / 6.0
     acc += fc
-    return SpectralVectorField(g, acc), orth, (a, b, cc, d)
+    return SpectralVectorField(g, acc), (a, b, cc, d)
 
 
 def _dense_output(
@@ -310,7 +292,7 @@ def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
     cap = _cfl_cap(state.u_hat, cfg)
     if dt > cap * (1.0 + 1e-12):
         raise StepSizeError(f"step size {dt} violates the CFL cap {cap:.3e}")
-    new, _, _ = _ifrk4(state.u_hat, dt, cfg)
+    new, _ = _ifrk4(state.u_hat, dt, cfg)
     return SimState(state.t + dt, new)
 
 
@@ -358,19 +340,18 @@ def simulate(
     u = _prepare_initial(u0, cfg)
     times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
     t = 0.0
-    worst_orth = 0.0
     prev_energy = math.inf
 
     def sample(i: int, t_i: float, coeffs: np.ndarray) -> Snapshot:
         nonlocal prev_energy
-        density = mode_energy(coeffs)
-        energy = mode_sum(density, grid)
+        shell_e = shell_sum(mode_energy(coeffs), grid)
+        energy = float(shell_e.sum())
         if energy > prev_energy * (1.0 + 1e-12):
             raise EnergyIncreaseError(
                 f"energy increased between samples ({prev_energy} -> {energy})"
             )
         prev_energy = energy
-        tail = tail_fraction(density, grid)
+        tail = tail_fraction(shell_e, grid)
         if tail > cfg.resolution_threshold:
             msg = (
                 f"spectral tail fraction {tail:.3e} above "
@@ -380,14 +361,12 @@ def simulate(
                 raise ResolutionError(msg)
             if cfg.resolution_policy == "warn":
                 warnings.warn(msg, ResolutionWarning)
-        snap = Snapshot(
+        return Snapshot(
             frame=frame(t_i, cfg.t_horizon),
             u_hat=SpectralVectorField(grid, coeffs.copy()),
             tail_fraction=tail,
-            nonlinear_orthogonality=worst_orth,
             energy=energy,
         )
-        return snap
 
     i = 0
     while i < len(times):
@@ -401,15 +380,13 @@ def simulate(
                 dt = span / nsteps
                 factors = _viscous_factors(grid, dt)
                 for _ in range(nsteps):
-                    u, orth, _ = _ifrk4(u, dt, cfg, factors)
-                    worst_orth = max(worst_orth, orth)
+                    u, _ = _ifrk4(u, dt, cfg, factors)
             else:
                 j = i
                 while j + 1 < len(times) and times[j + 1] - t <= cap:
                     j += 1
                 h = times[j] - t
-                end, orth, stages = _ifrk4(u, h, cfg)
-                worst_orth = max(worst_orth, orth)
+                end, stages = _ifrk4(u, h, cfg)
                 for k in range(i, j):
                     theta = (times[k] - t) / h
                     inside = _dense_output(u.coeffs, stages, h, theta, grid)
@@ -527,9 +504,10 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
 
     normalized by the quadrature of the three terms' magnitudes. The advection
     pairing is computed by parts as ``-sum_jk <u_j u_k, d_j phi_k>``, which is
-    exact for dealiased fields. The test field's envelope is C^3 at its
-    support ends, so the quadrature is fourth order in the tau spacing and the
-    support ends need not fall on sample nodes.
+    exact for dealiased fields; the other pairings and the norms of ``u``,
+    ``v`` and their gradients are shell sums on the band. The test field's
+    envelope is C^3 at its support ends, so the quadrature is fourth order in
+    the tau spacing and the support ends need not fall on sample nodes.
 
     The test field lives on the snapshots' grid. A sample outside the support,
     where the envelope and its rate are both 0, adds exactly 0 to both
@@ -560,12 +538,11 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
     for j in range(3):
         for k in range(3):
             grad_v[j, k] = spec_to_phys(1j * g.xi[j] * v.coeffs[k], g)
-    norm_v = l2_norm(v)
-    grad_norm_v = float(np.sqrt((grad_v**2).sum() * g.cell_volume))
-    # the test field's Parseval weights, applied once: u pairs with them
-    # by vdot, and a weight of 1 or 2 scales each product exactly
-    weighted_v = g.multiplicity * v.coeffs
-    weighted_xi_sq_v = g.multiplicity * (g.xi_sq * v.coeffs)
+    rho_sq = g.shell_radii**2
+    shell_v = shell_sum(mode_energy(v.coeffs), g)
+    norm_v = math.sqrt(shell_v.sum())
+    grad_norm_v = math.sqrt((rho_sq * shell_v).sum())
+    conj_v = np.conj(v.coeffs)
 
     cell = g.cell_volume
     values = np.zeros(len(snapshots))
@@ -577,8 +554,11 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
         if theta == 0.0 and theta_dot == 0.0:
             continue
         c = snap.u_hat.coeffs
-        u_v = float(np.vdot(weighted_v, c).real)
-        gradu_gradv = float(np.vdot(weighted_xi_sq_v, c).real)
+        # <u, v> and <grad u, grad v> from one shell sum: |xi|^2 is rho^2
+        # on a shell
+        pairing = shell_sum((conj_v * c).real.sum(axis=0), g)
+        u_v = pairing.sum()
+        gradu_gradv = (rho_sq * pairing).sum()
         u = spec_to_phys(c, g)
         adv = 0.0
         uu_sq = 0.0
@@ -588,7 +568,7 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
                 adv -= float((prod * grad_v[j, k]).sum() * cell)
                 uu_sq += float((prod**2).sum() * cell)
         norm_u = math.sqrt(snap.energy)
-        grad_norm_u = math.sqrt(max(parseval_pair(g.xi_sq * c, c, g), 0.0))
+        grad_norm_u = math.sqrt((rho_sq * shell_sum(mode_energy(c), g)).sum())
         jac = snap.frame.t_horizon - t  # dt/dtau
         values[i] = jac * (-theta_dot * u_v + theta * (gradu_gradv + adv))
         scales[i] = jac * (

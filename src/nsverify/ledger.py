@@ -426,10 +426,10 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     for name, (density, p, j, weight) in _SHELL_TERMS.items():
         m, rm = _weight(tables, r, weight)
         scale = s**p * rho ** (2 * j)
-        values[name] = float(np.dot(scale * m, totals[density]))
+        values[name] = float((scale * m * totals[density]).sum())
         if name in _CUMULATED:
             rate = _tau_rate(p, m, rm, shell_e, shell_edot)
-            fdots[name] = float(np.dot(scale, rate))
+            fdots[name] = float((scale * rate).sum())
 
     rec = EnergyRecord(
         tau=snap.frame.tau,

@@ -11,15 +11,16 @@ Conventions of the package:
   last over ``kz = 0 .. K``, mapped to continuous frequencies ``xi = k * dxi``
   with ``dxi = 2*pi/l_box``. The modes with ``kz < 0`` are not stored: a real
   field has ``coeff(-k) == conj(coeff(k))``;
-* every Parseval-type sum weights a stored mode by its multiplicity
-  (:attr:`Grid.multiplicity`: 1 on the self-conjugate plane ``kz = 0``, 2
-  elsewhere), so it equals the full-lattice sum;
+* every full-lattice sum is a sum over lattice shells ``|xi| = const``
+  (:func:`shell_sum`, :attr:`Grid.shell_radii`), followed by numpy's own
+  ``sum`` where one number is wanted. :func:`shell_sum` is the one place that
+  weights a stored mode by its multiplicity (:attr:`Grid.multiplicity`: 1 on
+  the self-conjugate plane ``kz = 0``, 2 elsewhere), and it calls no BLAS, so
+  no sum depends on the BLAS thread count;
 * unitary normalization: ``coeffs = rfftn(samples) * l_box**1.5 / n**3`` on
   the band, so the discrete Parseval identity ``sum m |coeffs|^2 == sum
   |samples|^2 * (l_box/n)^3`` holds without extra constants for band-limited
-  samples;
-* a quadratic functional whose weight depends on ``|xi|`` only is a sum over
-  lattice shells ``|xi| = const`` (:func:`shell_sum`, :attr:`Grid.shell_radii`).
+  samples.
 
 The band holds every mode a dealiased field can use, 28 % of the ``rfftn``
 half spectrum at n=32 and 30 % at n=64, and products of band fields are
@@ -67,12 +68,13 @@ class Grid:
     ``wavenumbers``, the signed integer wavenumbers of a band axis in stored
     order ``0 .. K, -K .. -1``; ``xi``, broadcastable ``(xi_x, xi_y, xi_z)``
     with ``xi_z`` over ``kz = 0 .. K``; per stored mode ``xi_sq``, ``xi_mag``,
-    ``inv_xi_sq`` (zero mode mapped to 0), ``tail_mask`` (``|xi|`` above two
-    thirds of Nyquist) and ``multiplicity``, the number of lattice modes each
-    stored mode stands for (1 on the ``kz = 0`` plane, 2 elsewhere, where the
-    conjugate is not stored); the lattice shells ``shell_radii``, the
-    distinct ``|xi|`` values of the band, and ``shell_index``, the shell of
-    each stored mode (flattened). A flattened band visits its modes in the
+    ``inv_xi_sq`` (zero mode mapped to 0) and ``multiplicity``, the number
+    of lattice modes each stored mode stands for (1 on the ``kz = 0`` plane,
+    2 elsewhere, where the conjugate is not stored); the lattice shells
+    ``shell_radii``, the distinct ``|xi|`` values of the band,
+    ``shell_index``, the shell of each stored mode (flattened), and
+    ``tail_shells``, the shells above two thirds of Nyquist, ``9 |k|^2 >
+    n^2`` on the integer ``|k|^2``. A flattened band visits its modes in the
     order of the ``rfftn`` half spectrum.
     """
 
@@ -102,7 +104,6 @@ class Grid:
         xi_sq = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
         put("xi_sq", xi_sq)
         put("xi_mag", np.sqrt(xi_sq))
-        put("tail_mask", self.xi_mag > (2.0 / 3.0) * self.xi_nyquist)
         mult = np.where(kz == 0, 1.0, 2.0)
         put("multiplicity", np.broadcast_to(mult, xi_sq.shape).copy())
         inv = np.zeros_like(xi_sq)
@@ -113,8 +114,10 @@ class Grid:
         k_sq = (k**2)[:, None, None] + (k**2)[None, :, None] + (kz**2)[None, None, :]
         present = np.zeros(k_sq.max() + 1, dtype=bool)
         present[k_sq.ravel()] = True
-        put("shell_radii", np.sqrt(np.flatnonzero(present)) * self.dxi)
+        shells = np.flatnonzero(present)
+        put("shell_radii", np.sqrt(shells) * self.dxi)
         put("shell_index", (np.cumsum(present) - 1)[k_sq.ravel()])
+        put("tail_shells", 9 * shells > n * n)
         # (band block, half-spectrum block) pairs, per axis k >= 0 first,
         # then k < 0; the transforms map between the two layouts with them
         rows = ((slice(0, kmax + 1), slice(0, kmax + 1)),
@@ -128,10 +131,6 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return (self.l_box / self.n) ** 3
-
-    @property
-    def xi_nyquist(self) -> float:
-        return self.dxi * self.n / 2.0
 
     def axes(self) -> tuple:
         """Collocation coordinates per axis."""
@@ -167,7 +166,7 @@ class SpectralVectorField:
 
     grid: Grid
     # (3, 2K+1, 2K+1, K+1) complex128: the 2/3 band, modes with kz < 0
-    # implied by conjugate symmetry; Parseval sums weight by grid.multiplicity
+    # implied by conjugate symmetry; full-lattice sums go through shell_sum
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -248,26 +247,22 @@ def transform_inverse(w: SpectralVectorField) -> RealVectorField:
 # -- full-lattice sums ---------------------------------------------------------
 
 
-def mode_sum(density: np.ndarray, grid: Grid) -> float:
-    """Full-lattice sum of a per-mode density that is even in ``xi`` (such as
-    ``weight(|xi|) * |coeff|^2``), given on the stored band modes."""
-    return float(np.dot(grid.multiplicity.ravel(), density.ravel()))
-
-
-def parseval_pair(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Full-lattice ``Re sum conj(a) b`` of two real fields' band
-    coefficients."""
-    return float(np.vdot(a, grid.multiplicity * b).real)
-
-
 def shell_sum(density: np.ndarray, grid: Grid) -> np.ndarray:
     """Full-lattice sum of a per-mode density over each lattice shell, in the
-    order of ``grid.shell_radii``."""
+    order of ``grid.shell_radii``: a density even in ``xi`` (such as
+    ``weight(|xi|) * |coeff|^2``), given on the stored band modes, weighted
+    by their multiplicity and added up shell by shell in the band's order."""
     return np.bincount(
         grid.shell_index,
         weights=(grid.multiplicity * density).ravel(),
         minlength=grid.shell_radii.size,
     )
+
+
+def parseval_pair(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """Full-lattice ``Re sum_i conj(a_i) b_i`` of two real vector fields'
+    band coefficients."""
+    return float(shell_sum((np.conj(a) * b).real.sum(axis=0), grid).sum())
 
 
 def mode_energy(coeffs: np.ndarray) -> np.ndarray:
@@ -316,7 +311,7 @@ def l2_inner(a: SpectralVectorField, b: SpectralVectorField) -> float:
 
 
 def l2_norm_sq(a: SpectralVectorField) -> float:
-    return mode_sum(mode_energy(a.coeffs), a.grid)
+    return float(shell_sum(mode_energy(a.coeffs), a.grid).sum())
 
 
 def l2_norm(a: SpectralVectorField) -> float:
@@ -339,12 +334,10 @@ def solenoidal_error(w: SpectralVectorField) -> float:
     return float((dot[active] / mag[active]).max())
 
 
-def tail_fraction(density: np.ndarray, grid: Grid) -> float:
-    """Energy fraction above two thirds of Nyquist (``grid.tail_mask``) of
-    the field whose :func:`mode_energy` is ``density``."""
-    weighted = density * grid.multiplicity
-    total = weighted.sum()
+def tail_fraction(shell_energy: np.ndarray, grid: Grid) -> float:
+    """Energy fraction above two thirds of Nyquist (``grid.tail_shells``) of
+    the field whose shell energies are ``shell_energy``."""
+    total = shell_energy.sum()
     if total == 0.0:
         return 0.0
-    tail = weighted[grid.tail_mask].sum()
-    return float(tail / total)
+    return float(shell_energy[grid.tail_shells].sum() / total)

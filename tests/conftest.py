@@ -105,8 +105,7 @@ def ledger_record(u, t, alpha=0.1):
     """The ledger's record of the field ``u`` at time ``t`` below the horizon
     ``T = 1`` (``s = sqrt(1 - t)``), read from a snapshot as :func:`simulate`
     emits it."""
-    snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0,
-                    nonlinear_orthogonality=0.0, energy=0.0)
+    snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0, energy=0.0)
     return RecordsBuilder(LedgerContext(u.grid, alpha, 0.05)).feed(snap)
 
 

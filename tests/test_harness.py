@@ -83,8 +83,12 @@ def test_suite_verdict_accepts_numpy_bool(monkeypatch, tmp_path, capsys):
 
 
 def test_energy_increase_maps_to_exit_3(monkeypatch):
-    energies = itertools.count(1.0)
-    monkeypatch.setattr(dynamics, "mode_sum", lambda density, grid: next(energies))
+    # a sample's energy is the sum of shell_sum(mode_energy(c)); doubling
+    # the density at every sample makes it grow
+    factors = (2.0**k for k in itertools.count())
+    mode_energy = dynamics.mode_energy
+    monkeypatch.setattr(dynamics, "mode_energy",
+                        lambda coeffs: next(factors) * mode_energy(coeffs))
     result = run_scenario(parse_scenario_text(SMALL_SCENARIO))
     assert result.exit_code == 3
     assert "energy increased" in result.message

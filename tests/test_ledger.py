@@ -27,7 +27,7 @@ from nsverify.ledger import (
 )
 from nsverify.similarity import frame, t_of_tau
 from nsverify.spectral import (
-    SpectralVectorField, build_grid, mode_energy, mode_sum, shell_sum, spec_to_phys,
+    SpectralVectorField, build_grid, mode_energy, shell_sum, spec_to_phys,
 )
 
 from conftest import convective_term, small_run
@@ -207,8 +207,8 @@ def early_run(grid32):
 
 
 # Every record column of ``early_run`` at every sample as ``float.hex``,
-# recorded when every field, the initial data included, was held on the 2/3
-# band.
+# recorded when every field was held on the 2/3 band and every full-lattice
+# sum was a shell sum.
 EARLY_RECORDS = json.loads(
     (Path(__file__).parent / "golden" / "early_run_records.json").read_text())
 
@@ -221,26 +221,30 @@ def test_early_run_records_are_bitwise_golden(early_run):
         assert got == EARLY_RECORDS[name], name
 
 
-EARLY_RUN_SCRIPT = """
-import json, math
+THREAD_RUN_SCRIPT = """
+import json, math, sys
 from conftest import small_run
 from nsverify.ledger import RECORD_FIELDS
 from nsverify.spectral import build_grid
-series, _ = small_run(build_grid(32, 8.0 * math.pi), seed=3, tau_max=0.3)
-print(json.dumps({name: [float(v).hex() for v in series.column(name)]
-                  for name in RECORD_FIELDS}))
+grid = build_grid(int(sys.argv[1]), float(sys.argv[2]) * math.pi)
+series, snaps = small_run(grid, seed=3, tau_max=0.3)
+out = {name: [float(v).hex() for v in series.column(name)] for name in RECORD_FIELDS}
+out["energy"] = [snap.energy.hex() for snap in snaps]
+print(json.dumps(out))
 """
 
 
-def test_early_run_records_do_not_depend_on_the_thread_count():
-    # the BLAS and FFT thread counts are read at import, so each setting
-    # runs in its own interpreter
+def thread_runs(n, l_box_pi):
+    """``small_run(seed=3, tau_max=0.3)`` on ``build_grid(n, l_box_pi *
+    pi)``: every record column and snapshot energy as ``float.hex``, from
+    one interpreter with one BLAS and FFT thread and one with two. The
+    thread counts are read at import, so each setting runs on its own."""
     tests = Path(__file__).parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     runs = [
         subprocess.Popen(
-            [sys.executable, "-c", EARLY_RUN_SCRIPT], stdout=subprocess.PIPE,
-            text=True, cwd=tests,
+            [sys.executable, "-c", THREAD_RUN_SCRIPT, str(n), str(l_box_pi)],
+            stdout=subprocess.PIPE, text=True, cwd=tests,
             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
                  "NSVERIFY_FFT_WORKERS": threads},
         )
@@ -248,9 +252,22 @@ def test_early_run_records_do_not_depend_on_the_thread_count():
     ]
     outputs = [run.communicate(timeout=300)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
-    one, two = (json.loads(out) for out in outputs)
+    return [json.loads(out) for out in outputs]
+
+
+def test_early_run_records_do_not_depend_on_the_thread_count():
+    one, two = thread_runs(32, 8.0)
     assert one == two
+    del one["energy"]
     assert one == EARLY_RECORDS
+
+
+def test_n64_records_do_not_depend_on_the_thread_count():
+    # at n = 64 a BLAS dot product sums in an order set by its thread count;
+    # shell_sum and numpy's own sum do not
+    one, two = thread_runs(64, 16.0)
+    assert len(one["energy"]) == 16
+    assert one == two
 
 
 def gradient_spectra(c, grid):
@@ -349,8 +366,8 @@ def test_shell_columns_are_mode_sums(grid32, early_run):
             m = kern if flux else sq
         p = 2 * j - 1 if kind == "e" else 2 * j + 1
         terms = s**p * m * g.xi_sq**j * density[kind]
-        expected = mode_sum(terms, g)
-        magnitude = mode_sum(np.abs(terms), g)
+        expected = (g.multiplicity * terms).sum()
+        magnitude = (g.multiplicity * np.abs(terms)).sum()
         assert magnitude > 0.0, name
         assert abs(getattr(rec, name) - expected) <= 1e-12 * magnitude, name
 

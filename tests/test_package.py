@@ -119,11 +119,35 @@ def test_no_public_definitions_that_only_tests_reach():
     assert set(unused(definitions, name_uses(trees))) == UNREACHED_PUBLIC
 
 
+def getattr_table_reads(tree, bound):
+    """``(module, key)`` for every key of a module-level table of names that
+    a loop over the table reads by ``getattr(module, key)``, as
+    ``bench/spans.py`` wraps the spectral transforms."""
+    tables = {
+        target.id: [key.value for key in node.value.keys]
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and all(isinstance(key, ast.Constant) for key in node.value.keys)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    return [
+        (bound[call.args[0].id], key)
+        for loop in ast.walk(tree) if isinstance(loop, ast.For)
+        for table in ast.walk(loop.iter)
+        if isinstance(table, ast.Name) and table.id in tables
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+        and getattr(call.args[0], "id", None) in bound
+        for key in tables[table.id]
+    ]
+
+
 def bench_module_reads():
     """``(module, attr)`` of every ``x.attr`` in ``bench/*.py`` where ``x``
-    came from ``from nsverify import x``, once per use. A patched attribute
-    counts too: patching a name the module no longer has would silently
-    measure nothing."""
+    came from ``from nsverify import x``, once per use, and of every name
+    such a file reads from ``x`` by ``getattr`` over a table of names. A
+    patched attribute counts too: patching a name the module no longer has
+    would silently measure nothing."""
     reads = []
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -139,6 +163,7 @@ def bench_module_reads():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in bound
         ]
+        reads += getattr_table_reads(tree, bound)
     return reads
 
 
@@ -147,7 +172,9 @@ def test_the_benchmark_reads_resolve():
     deleting one (say ``cutoffs.weight_tables``) fails here, not only in the
     benchmark."""
     reads = bench_module_reads()
-    assert len(reads) >= 46
+    assert len(reads) >= 51
+    # read only by getattr over bench/spans.py's table of transforms
+    assert {("spectral", "transform_forward"), ("spectral", "transform_inverse")} <= set(reads)
     missing = sorted(f"{module}.{attr}" for module, attr in reads
                      if not hasattr(importlib.import_module(f"nsverify.{module}"), attr))
     assert missing == []
@@ -175,6 +202,55 @@ def test_one_quadratic_product_kernel():
     assert "phys_to_spec" not in ledger_imports
     spectral = top_level_definitions({"spectral.py": trees["spectral.py"]})
     assert "cross" not in {name for _, name, _ in spectral}
+
+
+# numpy calls that reduce through BLAS, whose summation order follows its
+# thread count
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def blas_reductions(tree):
+    """Lines of a parsed module that reduce through BLAS: a call named in
+    ``BLAS_CALLS`` (``np.dot``, a ``.dot`` method), the ``@`` operator, or an
+    ``einsum`` given ``optimize``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS or (
+                    name == "einsum"
+                    and any(k.arg == "optimize" for k in node.keywords)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_blas_reduction():
+    """Every full-lattice sum is a ``spectral.shell_sum`` and numpy's own
+    ``sum``, so no output depends on the BLAS thread count."""
+    found = {}
+    for path in ROOT.glob("*.py"):
+        lines = blas_reductions(ast.parse(path.read_text()))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+    probe = ast.parse("a @ b\nnp.dot(a, b)\nx.vdot(y)\nnp.einsum('i,i', a, b, optimize=True)")
+    assert blas_reductions(probe) == [1, 2, 3, 4]
+
+
+def test_multiplicity_is_read_by_shell_sum_only():
+    """The stored modes' multiplicity weights a sum in one place:
+    ``spectral.shell_sum``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in ROOT.glob("*.py")}
+    readers = {
+        (module, node.name)
+        for module, tree in trees.items() for node in tree.body
+        for attr in ast.walk(node)
+        if isinstance(attr, ast.Attribute) and attr.attr == "multiplicity"
+    }
+    assert readers == {("spectral.py", "shell_sum")}
 
 
 def half_spectrum_uses(tree):

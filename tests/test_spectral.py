@@ -73,7 +73,6 @@ class TestBuildGrid:
     def test_wide_box(self):
         g = build_grid(64, 16.0 * math.pi)
         assert g.dxi == pytest.approx(1.0 / 8.0)
-        assert g.xi_nyquist == pytest.approx(4.0)
         assert np.max(np.abs(g.xi[0])) == pytest.approx(21.0 / 8.0)
 
     @pytest.mark.parametrize("n", [7, 6, 9, 0])
@@ -432,6 +431,24 @@ class TestShells:
         radii = grid.shell_radii[grid.shell_index].reshape(grid.xi_mag.shape)
         assert np.abs(radii - grid.xi_mag).max() <= 1e-13 * grid.xi_mag.max()
         assert np.all(np.diff(grid.shell_radii) > 0)
+
+    @pytest.mark.parametrize("l_box_pi", [2.0, 8.0, 16.0, "n/4"])
+    def test_tail_shells_lie_beyond_two_thirds_of_nyquist(self, l_box_pi):
+        # exactly the shells with |k| > n/3, decided on the integer |k|^2, so
+        # rounding in |xi| never splits a shell on the boundary |k| = n/3
+        # (at n = 54 the shell |k|^2 = 324)
+        on_boundary = []
+        for n in range(8, 130, 2):
+            box = n / 4.0 if l_box_pi == "n/4" else l_box_pi
+            grid = build_grid(n, box * math.pi)
+            k_sq = ((grid.wavenumbers**2)[:, None, None]
+                    + (grid.wavenumbers**2)[None, :, None]
+                    + (np.arange(grid.dealias_kmax + 1) ** 2)[None, None, :])
+            tail = grid.tail_shells[grid.shell_index].reshape(k_sq.shape)
+            assert np.array_equal(tail, 9 * k_sq > n * n), n
+            if (9 * k_sq == n * n).any():
+                on_boundary.append(n)
+        assert 54 in on_boundary
 
     def test_shell_sum_is_the_full_lattice_sum_per_shell(self, grid16):
         # counting modes: shells |k|^2 = 0, 1, 2, 3 hold 1, 6, 12, 8 modes
