@@ -533,11 +533,10 @@ def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
     if dtaus.size >= 2 and np.max(np.abs(dtaus - dtaus[0])) > 1e-9 * abs(dtaus[0]):
         raise DomainError("weak-form quadrature requires uniform tau sampling")
 
-    vg = spec_to_phys(v.coeffs, g)  # physical test field
-    grad_v = np.empty((3, 3) + vg.shape[1:])
-    for j in range(3):
-        for k in range(3):
-            grad_v[j, k] = spec_to_phys(1j * g.xi[j] * v.coeffs[k], g)
+    # the nine d_j v_k in one call on the stacked 1j xi_j v_k, row-major
+    grad_spec = np.stack([1j * g.xi[j] * v.coeffs[k]
+                          for j in range(3) for k in range(3)])
+    grad_v = spec_to_phys(grad_spec, g).reshape((3, 3) + (g.n,) * 3)
     rho_sq = g.shell_radii**2
     shell_v = shell_sum(mode_energy(v.coeffs), g)
     norm_v = math.sqrt(shell_v.sum())

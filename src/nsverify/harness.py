@@ -596,23 +596,39 @@ def criterion_scaling_symmetry(n: int = 64, seed: int = 3) -> CriterionResult:
     )
 
 
+def _worst_weak_residual(
+    u0: SpectralVectorField, cfg: TrajectoryConfig, first_seed: int,
+    window: tuple[float, float],
+) -> float:
+    """Worst |weak residual| of one run against five test fields, seeds
+    ``first_seed .. first_seed + 4``, supported on ``window`` as fractions
+    of the last sample time. The run's snapshots go when this returns, so
+    the criterion holds one run in memory at a time."""
+    snaps = list(simulate(u0, cfg))
+    t_last = snaps[-1].frame.t
+    lo, hi = window
+    return max(
+        abs(weak_residual(snaps, make_test_field(u0.grid, first_seed + k,
+                                                 lo * t_last, hi * t_last)))
+        for k in range(5)
+    )
+
+
 @_timed
 def criterion_weak_form(seed: int = 5) -> CriterionResult:
-    """Weak-form residual against five solenoidal test fields on two runs."""
-    worst = 0.0
-    # planar-vortex run
+    """Weak-form residual against five solenoidal test fields on two runs:
+    the planar vortex, then random small data."""
     n = 32
     grid = build_grid(n, 2.0 * math.pi)
     u0 = generate(FieldSpec("taylor_green", l2_norm_target=1.0), grid)
     horizon = 2.0
+    # the last sample is t = 1 exactly, so the window is t in (0.15, 0.85)
     taus = np.linspace(-math.log(horizon), -math.log(horizon - 1.0), 101)
     cfg = TrajectoryConfig(
         n=n, l_box=2.0 * math.pi, t_horizon=horizon, dt_max=0.01,
         sample_taus=taus, delta=1.0, alpha=0.1,
     )
-    snaps_tg = list(simulate(u0, cfg))
-    window_tg = (0.15, 0.85)
-    # random small-data run
+    worst_tg = _worst_weak_residual(u0, cfg, 100, (0.15, 0.85))
     grid_r = build_grid(n, 8.0 * math.pi)
     u0_r = generate(
         FieldSpec("random_solenoidal", seed=seed, l2_norm_target=0.05,
@@ -624,14 +640,7 @@ def criterion_weak_form(seed: int = 5) -> CriterionResult:
         n=n, l_box=8.0 * math.pi, t_horizon=1.0, dt_max=0.01,
         sample_taus=taus_r, delta=0.05, alpha=0.1,
     )
-    snaps_r = list(simulate(u0_r, cfg_r))
-    t_last_r = snaps_r[-1].frame.t
-    window_r = (0.1 * t_last_r, 0.9 * t_last_r)
-    for k in range(5):
-        tf = make_test_field(grid, 100 + k, *window_tg)
-        worst = max(worst, abs(weak_residual(snaps_tg, tf)))
-        tf_r = make_test_field(grid_r, 200 + k, *window_r)
-        worst = max(worst, abs(weak_residual(snaps_r, tf_r)))
+    worst = max(worst_tg, _worst_weak_residual(u0_r, cfg_r, 200, (0.1, 0.9)))
     passed = worst <= 1e-4
     return CriterionResult(
         "weak-form-residual", passed, f"worst normalized residual {worst:.2e}"

@@ -780,8 +780,8 @@ class TestWeakForm:
         assert weak_residual(snaps, tf) == 1.8721440083634688e-05
 
     def test_transforms_only_the_support(self, random_weak_run, monkeypatch):
-        # the test field takes 10 transforms (v and its nine derivatives),
-        # each sample inside the support one, and the others none
+        # the test field's nine derivatives take one call, each sample
+        # inside the support one, and the others none
         snaps, tf = random_weak_run
         calls = []
         original = dynamics.spec_to_phys
@@ -792,7 +792,7 @@ class TestWeakForm:
 
         monkeypatch.setattr(dynamics, "spec_to_phys", counted)
         weak_residual(snaps, tf)
-        assert len(calls) == 10 + 11
+        assert len(calls) == 1 + 11
 
     def test_quadrature_fourth_order(self, grid16):
         # halving the tau spacing must gain at least 8x (Simpson's 16x in the

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import json
+import math
 import warnings
+import weakref
 
 import numpy as np
 
@@ -60,6 +62,49 @@ def test_taylor_green_criterion_passes():
     assert result.passed, result.detail
     error = float(result.detail.removeprefix("max relative error "))
     assert error <= 1e-13
+
+
+# criterion_weak_form(5)'s ten residuals as float.hex: the planar vortex
+# against test fields 100..104, then the random run against 200..204
+WEAK_FORM_RESIDUALS = [
+    "0x1.96eb2af6e4c48p-25", "-0x1.8f6868069ac76p-24", "-0x1.cac9facca35f8p-24",
+    "0x1.81af9b3ea6448p-23", "0x1.150f64b357929p-23",
+    "0x1.706c9dc29e68dp-27", "0x1.bd31889cde0e1p-25", "0x1.e09131f615026p-27",
+    "0x1.c731016853c51p-28", "0x1.a7fb52303ac58p-26",
+]
+
+
+def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
+    # each run's five residuals follow it, and its snapshots are freed before
+    # the next run starts; the wrappers hold weak references only
+    simulate, weak_residual = harness.simulate, harness.weak_residual
+    runs, order, residuals = [], [], []
+
+    def watched_simulate(u0, cfg):
+        alive = [sum(ref() is not None for ref in run) for run in runs]
+        order.append(("run", cfg.l_box, alive))
+        refs = []
+        runs.append(refs)
+        for snap in simulate(u0, cfg):
+            refs.append(weakref.ref(snap.u_hat.coeffs))
+            yield snap
+
+    def watched_weak_residual(snaps, tf):
+        value = weak_residual(snaps, tf)
+        order.append(("residual", tf.spatial.grid.l_box))
+        residuals.append(value.hex())
+        return value
+
+    monkeypatch.setattr(harness, "simulate", watched_simulate)
+    monkeypatch.setattr(harness, "weak_residual", watched_weak_residual)
+    result = harness.criterion_weak_form(5)
+    vortex, small = 2.0 * math.pi, 8.0 * math.pi
+    assert order == ([("run", vortex, [])] + [("residual", vortex)] * 5
+                     + [("run", small, [0])] + [("residual", small)] * 5)
+    assert [len(run) for run in runs] == [101, 101]
+    assert residuals == WEAK_FORM_RESIDUALS
+    assert result.passed
+    assert result.detail == "worst normalized residual 1.80e-07"
 
 
 def test_ode_trapping_criterion_passes():

@@ -222,7 +222,11 @@ def test_early_run_records_are_bitwise_golden(early_run):
 
 
 THREAD_RUN_SCRIPT = """
-import json, math, sys
+import json, math, os, sys
+# OpenBLAS runs no more threads than the process may use CPUs, so a run
+# pinned to one CPU widens its own affinity before numpy loads
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, range(os.cpu_count()))
 from conftest import small_run
 from nsverify.ledger import RECORD_FIELDS
 from nsverify.spectral import build_grid
