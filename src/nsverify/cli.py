@@ -10,7 +10,10 @@ Subcommands:
 Exit codes of ``run``, ``suite`` and ``profiles``: 0 pass, 1 check failure,
 2 invalid configuration or argument, 3 resolution guard.
 
-``NSVERIFY_FFT_WORKERS`` sets the FFT thread count; by default it is 1.
+No flag changes a check's tolerance or the resolution guard: they are fixed.
+
+``NSVERIFY_FFT_WORKERS`` sets the FFT thread count, a positive integer; by
+default it is 1. Any other value makes ``run`` and ``suite`` exit 2.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .harness import (
     run_scenario,
     run_suite,
 )
+from .spectral import fft_workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", type=Path)
     run_p.add_argument("--seed", type=int, default=None, help="override the seed")
     run_p.add_argument("--out-dir", type=Path, default=Path("out"))
-    run_p.add_argument("--tolerance-scale", type=float, default=None)
 
     suite_p = sub.add_parser("suite", help="run a named acceptance group")
     suite_p.add_argument("name", choices=sorted(SUITES))
@@ -58,18 +61,18 @@ def main(argv=None) -> int:
 
     # validate what the command was given, then create the output directory,
     # all before any integration
-    if args.command == "run":
+    if args.command in ("run", "suite"):
         try:
-            cfg = load_scenario(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.tolerance_scale is not None:
-                cfg.tolerance_scale = args.tolerance_scale
-            cfg.validate()
+            fft_workers()
+            if args.command == "run":
+                cfg = load_scenario(args.config)
+                if args.seed is not None:
+                    cfg.seed = args.seed
+                cfg.validate()
         except (ConfigurationError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    elif args.command == "profiles":
+    else:
         try:
             tables = profile_csvs(args.alpha)
         except DomainError as exc:

@@ -39,7 +39,6 @@ with :func:`rotational_product` (:mod:`nsverify.ledger`).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -51,7 +50,6 @@ from .errors import (
     EnergyIncreaseError,
     RescaleError,
     ResolutionError,
-    ResolutionWarning,
     StepSizeError,
 )
 from .similarity import SimilarityFrame, frame, t_of_tau
@@ -82,6 +80,10 @@ __all__ = [
     "weak_residual",
 ]
 
+# the resolution guard: a sample whose spectral tail fraction exceeds this
+# raises ResolutionError (exit code 3)
+TAIL_LIMIT = 1e-8
+
 
 @dataclass
 class SimState:
@@ -111,8 +113,6 @@ class TrajectoryConfig:
     delta: float = 0.05
     alpha: float = 0.1
     nonlinear: bool = True
-    resolution_policy: str = "error"  # "error" | "warn" | "ignore"
-    resolution_threshold: float = 1e-8
 
     def __post_init__(self):
         taus = np.asarray(self.sample_taus, dtype=float)
@@ -132,10 +132,6 @@ class TrajectoryConfig:
             raise ConfigurationError("dt_max must be positive")
         if not self.cfl > 0:
             raise ConfigurationError("cfl must be positive")
-        if self.resolution_policy not in ("error", "warn", "ignore"):
-            raise ConfigurationError(
-                f"unknown resolution policy {self.resolution_policy!r}"
-            )
         self.sample_taus = taus
 
 
@@ -352,15 +348,11 @@ def simulate(
             )
         prev_energy = energy
         tail = tail_fraction(shell_e, grid)
-        if tail > cfg.resolution_threshold:
-            msg = (
+        if tail > TAIL_LIMIT:
+            raise ResolutionError(
                 f"spectral tail fraction {tail:.3e} above "
-                f"{cfg.resolution_threshold:.1e} at tau = {cfg.sample_taus[i]:.4f}"
+                f"{TAIL_LIMIT:.1e} at tau = {cfg.sample_taus[i]:.4f}"
             )
-            if cfg.resolution_policy == "error":
-                raise ResolutionError(msg)
-            if cfg.resolution_policy == "warn":
-                warnings.warn(msg, ResolutionWarning)
         return Snapshot(
             frame=frame(t_i, cfg.t_horizon),
             u_hat=SpectralVectorField(grid, coeffs.copy()),

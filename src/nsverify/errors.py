@@ -33,10 +33,6 @@ class EnergyIncreaseError(ResolutionError):
     """Kinetic energy rose between samples: the discrete run is not resolved."""
 
 
-class ResolutionWarning(UserWarning):
-    """Spectral tail grew past the guard threshold; results suspect."""
-
-
 class NoRootError(DomainError):
     """Quadratic majorant has no real root (discriminant negative)."""
 

@@ -5,6 +5,10 @@ one simulation plus the set of checks to evaluate on it. Suites group the
 acceptance criteria into named batches and share simulated runs through an
 in-process cache so repeated criteria do not re-integrate.
 
+A scenario names the checks to run, at least one and each once, but not how
+strict they are: the tolerances are the ledger's, and a spectral tail above
+``dynamics.TAIL_LIMIT`` always ends the run with exit code 3.
+
 Exit-code contract: 0 all enabled checks pass, 1 check failure, 2 invalid
 configuration, 3 resolution guard trip.
 """
@@ -70,8 +74,6 @@ class ScenarioConfig:
     xi_cutoff: float = 2.4
     nonlinear: bool = True
     checks: tuple = lg.CHECK_NAMES
-    resolution_policy: str = "error"
-    tolerance_scale: float = 1.0
     initial_file: str = ""
 
     def sample_taus(self) -> np.ndarray:
@@ -91,7 +93,6 @@ class ScenarioConfig:
             delta=self.delta,
             alpha=self.alpha,
             nonlinear=self.nonlinear,
-            resolution_policy=self.resolution_policy,
         )
 
     def field_spec(self) -> FieldSpec:
@@ -120,6 +121,9 @@ class ScenarioConfig:
                 )
         self.trajectory_config()
         self.field_spec()
+        if not self.checks or len(set(self.checks)) < len(self.checks):
+            raise ConfigurationError(
+                f"checks must name at least one check, each once: {self.checks}")
         unknown = set(self.checks) - set(lg.CHECKS)
         if unknown:
             raise ConfigurationError(f"unknown checks: {sorted(unknown)}")
@@ -130,13 +134,11 @@ class ScenarioConfig:
                 f"{', '.join(fitted)} need two samples at tau >= {lg.FIT_START}; "
                 f"tau_max = {self.tau_max} gives {late}"
             )
-        if not self.tolerance_scale > 0:
-            raise ConfigurationError("tolerance_scale must be positive")
 
     def cache_key(self) -> tuple:
-        """Every field but the two that only the checks read."""
+        """Every field but ``checks``, which only the checks read."""
         return tuple(getattr(self, f.name) for f in dc_fields(self)
-                     if f.name not in ("checks", "tolerance_scale"))
+                     if f.name != "checks")
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
@@ -257,14 +259,10 @@ def run_scenario(
     failures = []
     for name in cfg.checks:
         try:
-            reports = lg.check_inequality(
-                name, series, tolerance_scale=cfg.tolerance_scale
-            )
+            reports = lg.check_inequality(name, series)
         except Exception as exc:  # its stand-in report fails; name it once
             failures.append(f"{name}: {exc}")
-            reports = [
-                lg.InequalityReport(name, math.nan, math.nan, math.nan, math.inf, 0.0)
-            ]
+            reports = [lg.InequalityReport(name, math.nan, math.inf, 0.0)]
         else:
             if not all(r.passed for r in reports):
                 failures.append(name)

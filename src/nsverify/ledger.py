@@ -180,8 +180,6 @@ class InequalityReport:
 
     name: str
     tau: float
-    lhs_rate: float
-    rhs_bound: float
     residual: float
     tolerance: float
     empirical_constant: float | None = None
@@ -485,16 +483,15 @@ def _bracket_mean(col: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return (col[2:] - col[:-2]) / (taus[2:] - taus[:-2])
 
 
-def _tolerance(scale, tolerance_scale: float):
-    return np.maximum(REL_TOL * tolerance_scale * scale, ABS_TOL)
+def _tolerance(scale):
+    return np.maximum(REL_TOL * scale, ABS_TOL)
 
 
-def _reports(name, taus, lhs, rhs, residual, scale, tolerance_scale, constant=None):
+def _reports(name, taus, residual, scale, constant=None):
     """One report per sample from the per-sample columns of a check."""
-    tol = _tolerance(scale, tolerance_scale)
     return [
         InequalityReport(name, *row, constant)
-        for row in zip(taus, lhs, rhs, residual, tol)
+        for row in zip(taus, residual, _tolerance(scale))
     ]
 
 
@@ -510,7 +507,7 @@ class Balance:
     quad_terms: tuple
     cubic_terms: tuple = ()
 
-    def __call__(self, name, series, tolerance_scale) -> list:
+    def __call__(self, name, series) -> list:
         taus = series.taus
         lhs = self.lhs_factor * _bracket_mean(series.column(self.lhs), taus)
         terms = [coef * _bracket_mean(series.column("cum_" + col), taus)
@@ -519,31 +516,29 @@ class Balance:
                   for coef, col in self.cubic_terms]
         rhs = sum(terms)
         scale = np.abs([lhs, *terms, rhs]).max(axis=0)
-        return _reports(name, taus[1:-1], lhs, rhs, np.abs(lhs - rhs), scale,
-                        tolerance_scale)
+        return _reports(name, taus[1:-1], np.abs(lhs - rhs), scale)
 
 
-def _decay(name, series, tolerance_scale, values, floor) -> list:
+def _decay(name, series, values, floor) -> list:
     """One report at the window's end: the rate :func:`decay_rate` fits to
     ``values`` is at least ``floor`` (signed residual ``floor - rate``)."""
     rate = decay_rate(series, values)
-    tol = max(1e-9, REL_TOL * tolerance_scale * floor)
+    tol = max(1e-9, REL_TOL * floor)
     end = _decay_window(series.taus)[1]
-    return [InequalityReport(name, end, -rate, -floor, floor - rate, tol, rate)]
+    return [InequalityReport(name, end, floor - rate, tol, rate)]
 
 
-def _prop3_2(name, series, tolerance_scale) -> list:
+def _prop3_2(name, series) -> list:
     """Prop 3.2: the weighted low+band energy decays at rate alpha or faster."""
-    return _decay(name, series, tolerance_scale,
-                  weighted_low_band_energy(series), series.ctx.alpha)
+    return _decay(name, series, weighted_low_band_energy(series), series.ctx.alpha)
 
 
-def _lemma4_3(name, series, tolerance_scale) -> list:
+def _lemma4_3(name, series) -> list:
     """Lemma 4.3: the curvature energy decays at rate LEMMA43_FLOOR or faster."""
-    return _decay(name, series, tolerance_scale, series.column("E2"), LEMMA43_FLOOR)
+    return _decay(name, series, series.column("E2"), LEMMA43_FLOOR)
 
 
-def _eq3_10(name, series, tolerance_scale) -> list:
+def _eq3_10(name, series) -> list:
     X = weighted_low_band_energy(series)
     alpha = series.ctx.alpha
     lhs = 0.5 * _bracket_mean(X, series.taus)
@@ -553,22 +548,20 @@ def _eq3_10(name, series, tolerance_scale) -> list:
     c_emp = max(c_req) if c_req else 0.0
     rhs = np.array([-alpha * x + c_emp * x**1.5 for x in xf])
     scale = np.max([np.abs(lhs), np.abs(rhs), alpha * xf], axis=0)
-    return _reports(name, series.taus[1:-1], lhs, rhs, lhs - rhs, scale,
-                    tolerance_scale, c_emp)
+    return _reports(name, series.taus[1:-1], lhs - rhs, scale, c_emp)
 
 
-def _eq4_4(name, series, tolerance_scale) -> list:
+def _eq4_4(name, series) -> list:
     E1h = series.column("E1_high")
     dissipation = _simpson3(series.column("E2_high"))
     lhs = 0.5 * _bracket_mean(E1h, series.taus)
     rhs = (-dissipation - 0.25 * _simpson3(E1h)
            + np.abs(_simpson3(series.column("T_grad_high"))))
     scale = np.max([np.abs(lhs), np.abs(rhs), dissipation], axis=0)
-    return _reports(name, series.taus[1:-1], lhs, rhs, lhs - rhs, scale,
-                    tolerance_scale)
+    return _reports(name, series.taus[1:-1], lhs - rhs, scale)
 
 
-def _lemma4_2(name, series, tolerance_scale) -> list:
+def _lemma4_2(name, series) -> list:
     taus = series.taus
     start = int(np.searchsorted(taus, FIT_START))
     if start >= len(series) - 1:
@@ -583,11 +576,10 @@ def _lemma4_2(name, series, tolerance_scale) -> list:
     c_emp = max(c_req) if c_req.size else 0.0
     rhs = decayed * e1_0 + 2.0 * c_emp * delta1 * (1.0 - decayed)
     scale = np.max([E1, np.abs(rhs), e1_0 * decayed], axis=0)
-    return _reports(name, taus[start + 1:], E1, rhs, E1 - rhs, scale,
-                    tolerance_scale, c_emp)
+    return _reports(name, taus[start + 1:], E1 - rhs, scale, c_emp)
 
 
-def _eq3_13_14(name, series, tolerance_scale) -> list:
+def _eq3_13_14(name, series) -> list:
     """The low block's sup and L4 norms at the last sample are at most half
     their values at FIT_START; each report carries its budget ``max / delta``.
     A third report carries the gradient budget ``max(sup_grad_w_low) /
@@ -601,19 +593,19 @@ def _eq3_13_14(name, series, tolerance_scale) -> list:
         vals = series.column(col)
         budget = float(vals.max()) / delta  # reported C(beta) analogue
         head, final = vals[start], vals[-1]
-        tol = _tolerance(head, tolerance_scale)
         reports.append(InequalityReport(
-            name, end, final, 0.5 * head, final - 0.5 * head, tol, budget))
+            name, end, final - 0.5 * head, _tolerance(head), budget))
     grad_budget = float(series.column("sup_grad_w_low").max()) / delta
-    reports.append(InequalityReport(
-        name, end, grad_budget, math.inf, -math.inf, 0.0, grad_budget))
+    reports.append(InequalityReport(name, end, -math.inf, 0.0, grad_budget))
     return reports
 
 
 @dataclass(frozen=True)
 class Check:
-    """One of the paper's checks. ``evaluate(name, series, tolerance_scale)``
-    returns its reports; a ``fitted`` check fits on tau >= FIT_START."""
+    """One of the paper's checks. ``evaluate(name, series)`` returns its
+    reports; a ``fitted`` check fits on tau >= FIT_START. Every tolerance is
+    fixed by the program: ``REL_TOL`` of the check's own scale, with a floor
+    (``ABS_TOL``, or 1e-9 on a fitted rate). No setting changes it."""
 
     description: str
     evaluate: Callable
@@ -675,7 +667,7 @@ CHECK_NAMES = tuple(CHECKS)
 FITTED_CHECKS = tuple(name for name, check in CHECKS.items() if check.fitted)
 
 
-def check_inequality(name: str, series: RecordSeries, tolerance_scale=1.0) -> list:
+def check_inequality(name: str, series: RecordSeries) -> list:
     """Evaluate one named balance/inequality of :data:`CHECKS` over the
     record series.
 
@@ -688,7 +680,7 @@ def check_inequality(name: str, series: RecordSeries, tolerance_scale=1.0) -> li
         raise DomainError(f"unknown inequality name {name!r}")
     if len(series) < 5:
         raise DomainError("inequality checks need at least five samples")
-    return CHECKS[name].evaluate(name, series, tolerance_scale)
+    return CHECKS[name].evaluate(name, series)
 
 
 def summarize_reports(reports_by_name: dict) -> list:

@@ -38,6 +38,7 @@ Nyquist planes and every mode beyond ``K`` are dropped.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -46,8 +47,17 @@ import scipy.fft as _fft
 
 from .errors import ConfigurationError, GridMismatchError
 
-# FFT threads: one unless NSVERIFY_FFT_WORKERS says otherwise
-_WORKERS = int(os.environ.get("NSVERIFY_FFT_WORKERS", "1"))
+
+@functools.cache
+def fft_workers() -> int:
+    """The FFT thread count ``NSVERIFY_FFT_WORKERS``, read once, 1 when unset.
+    A value that is not a positive integer raises ConfigurationError."""
+    text = os.environ.get("NSVERIFY_FFT_WORKERS", "1")
+    if text.isdigit() and int(text) > 0:
+        return int(text)
+    raise ConfigurationError(
+        f"NSVERIFY_FFT_WORKERS must be a positive integer, got {text!r}")
+
 
 # Fixed glibc malloc thresholds: blocks up to 32 MB come from the heap, and the
 # heap gives memory back only past 64 MB free at its top. With the dynamic
@@ -199,7 +209,7 @@ def phys_to_spec(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Real samples (..., n, n, n) to unitary band coefficients: ``rfftn``,
     then the band gathered out of its half spectrum, which is the 2/3
     truncation."""
-    half = _fft.rfftn(samples, axes=(-3, -2, -1), workers=_WORKERS)
+    half = _fft.rfftn(samples, axes=(-3, -2, -1), workers=fft_workers())
     out = np.empty(samples.shape[:-3] + grid.xi_sq.shape, dtype=complex)
     scale = grid.l_box**1.5 / grid.n**3
     for b, h in grid._blocks:
@@ -226,11 +236,12 @@ def spec_to_phys(
     scaled = coeffs * (n**3 / grid.l_box**1.5)
     # irfftn leaves its input as it is, so the zeros outside the band stay
     half = np.zeros((n, n, n // 2 + 1), dtype=complex)
+    workers = fft_workers()
     for idx in np.ndindex(coeffs.shape[:-3]):
         component = scaled[idx]
         for b, h in grid._blocks:
             half[h] = component[b]
-        out[idx] = _fft.irfftn(half, s=(n, n, n), workers=_WORKERS)
+        out[idx] = _fft.irfftn(half, s=(n, n, n), workers=workers)
     return out
 
 

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsverify
 from nsverify.cli import main
 from nsverify.cutoffs import weight_tables
 from nsverify.snapshot_io import write_snapshot
@@ -23,8 +28,16 @@ def test_passing_run_exits_0(tmp_path):
     assert (tmp_path / "out" / "report_small.json").is_file()
 
 
-def test_check_failure_exits_1(tmp_path):
-    assert run_cli(tmp_path, SMALL_SCENARIO, "--tolerance-scale", "1e-3") == 1
+def test_check_failure_exits_1(tmp_path, capsys):
+    # a negative control: the heat flow at delta = 1 transfers no energy
+    # between modes, but the ledger's gradient and curvature balances count
+    # the transfer of its field, so they fail (worst ratios 2.14 and 2.77);
+    # the energy balance has no such term and passes (0.058)
+    text = (SMALL_SCENARIO.replace(
+        "checks = lemma2.1", "checks = lemma2.1, lemma2.2-grad, lemma2.2-lap")
+        + "delta = 1.0\nnonlinear = false\n")
+    assert run_cli(tmp_path, text) == 1
+    assert capsys.readouterr().out.endswith("failed: lemma2.2-grad, lemma2.2-lap\n")
 
 
 @pytest.mark.parametrize(
@@ -40,10 +53,16 @@ def test_check_failure_exits_1(tmp_path):
         (SMALL_SCENARIO.replace("tau_max = 0.2", "tau_max = inf"), ()),
         (SMALL_SCENARIO.replace("tau_max = 0.2", "tau_max = nan"), ()),
         (SMALL_SCENARIO + "tau_min = inf\n", ()),
+        (SMALL_SCENARIO + "tolerance_scale = 2\n", ()),
+        (SMALL_SCENARIO + "resolution_policy = error\n", ()),
+        (SMALL_SCENARIO.replace("checks = lemma2.1", "checks ="), ()),
+        (SMALL_SCENARIO.replace("checks = lemma2.1", "checks = ,"), ()),
+        (SMALL_SCENARIO.replace("checks = lemma2.1", "checks = lemma2.1, lemma2.1"), ()),
     ],
     ids=["unknown-key", "duplicate-key", "missing-schema-version", "zero-dtau",
          "nan-dtau", "negative-seed", "negative-seed-flag", "inf-tau-max",
-         "nan-tau-max", "inf-tau-min"],
+         "nan-tau-max", "inf-tau-min", "tolerance-scale", "resolution-policy",
+         "no-checks", "empty-check-names", "repeated-check"],
 )
 def test_invalid_config_exits_2(tmp_path, capsys, text, flags):
     assert run_cli(tmp_path, text, *flags) == 2
@@ -99,6 +118,37 @@ def test_unresolvable_cutoff_exits_3(tmp_path):
     # 2/3 of the Nyquist radius is 8/3 at n=16, l_box=4*pi
     text = SMALL_SCENARIO.replace("xi_cutoff = 2.0", "xi_cutoff = 2.7")
     assert run_cli(tmp_path, text) == 3
+
+
+def test_tail_guard_exits_3(tmp_path, capsys):
+    # at delta = 5 the spectral tail passes the guard's fixed 1e-8 by the
+    # first sample after tau = 0
+    assert run_cli(tmp_path, SMALL_SCENARIO + "delta = 5.0\n") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resolution guard: spectral tail fraction")
+    assert "at tau = 0.0200" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["abc", "0"])
+@pytest.mark.parametrize("argv", [["run", "{config}"], ["suite", "ode"]],
+                         ids=["run", "suite"])
+def test_bad_fft_workers_exit_2_before_any_work(tmp_path, workers, argv):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_SCENARIO)
+    out = tmp_path / "out"
+    argv = [a.format(config=config) for a in argv]
+    env = {**os.environ, "NSVERIFY_FFT_WORKERS": workers,
+           "PYTHONPATH": str(Path(nsverify.__path__[0]).parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsverify.cli", *argv, "--out-dir", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"config error: NSVERIFY_FFT_WORKERS must be a positive integer, "
+        f"got {workers!r}\n")
+    assert not out.exists()
 
 
 def test_profiles_match_eval(tmp_path):

@@ -27,7 +27,6 @@ from nsverify.errors import (
     DomainError,
     RescaleError,
     ResolutionError,
-    ResolutionWarning,
     StepSizeError,
 )
 from nsverify.fields import FieldSpec, generate
@@ -416,17 +415,11 @@ class TestSimulate:
         assert max(orthogonality_ratio(s.u_hat) for s in snaps) <= 1e-12
 
     def test_resolution_guard_error(self, grid32):
-        u0 = random_solenoidal(grid32, 7, target=0.05)
-        cfg = base_config(grid32, resolution_threshold=1e-30)
-        with pytest.raises(ResolutionError):
-            list(simulate(u0, cfg))
-
-    def test_resolution_guard_warn(self, grid32):
-        u0 = random_solenoidal(grid32, 7, target=0.05)
-        cfg = base_config(
-            grid32, resolution_threshold=1e-30, resolution_policy="warn"
-        )
-        with pytest.warns(ResolutionWarning):
+        # at delta = 5 the tail fraction reaches 2.6e-7 by tau = 0.05, above
+        # the guard's fixed 1e-8
+        u0 = random_solenoidal(grid32, 7, target=5.0)
+        cfg = base_config(grid32, delta=5.0)
+        with pytest.raises(ResolutionError, match="above 1.0e-08 at tau = 0.0500"):
             list(simulate(u0, cfg))
 
     def test_grid_mismatch(self, grid16, grid32):
@@ -627,8 +620,6 @@ class TestSimulate:
             base_config(grid16, delta=-1.0)
         with pytest.raises(ConfigurationError):
             base_config(grid16, alpha=0.3)
-        with pytest.raises(ConfigurationError):
-            base_config(grid16, resolution_policy="maybe")
 
 
 class TestRescale:

@@ -1,4 +1,6 @@
 import ast
+import collections
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -117,6 +119,68 @@ def test_no_public_definitions_that_only_tests_reach():
         (str(path), ast.parse(path.read_text())) for path in BENCH.rglob("*.py"))
     assert len(definitions) > 100
     assert set(unused(definitions, name_uses(trees))) == UNREACHED_PUBLIC
+
+
+# dataclass fields that package code reads only in ``__post_init__`` or
+# ``validate``, and why they stay
+UNREAD_FIELDS = {
+    ("ScenarioConfig", "schema_version"):
+        "an input-format check: validate is its one reader by design",
+    ("TrajectoryConfig", "alpha"):
+        "simulate never reads it, but bench/worker.py::kernels passes "
+        "alpha=0.1; it goes once that call drops it",
+}
+
+
+def attribute_reads(tree, skipped=("__post_init__", "validate")):
+    """``(owner, name)`` of every attribute load ``x.name`` of a parsed module
+    outside the functions named in ``skipped``. ``owner`` is the class of
+    ``x`` where the code names it: ``self`` in a class body, or a parameter
+    annotated with a class in an enclosing function; otherwise None."""
+    reads = set()
+
+    def visit(node, owners):
+        if isinstance(node, ast.ClassDef):
+            owners = {**owners, "self": node.name}
+        elif isinstance(node, ast.FunctionDef):
+            if node.name in skipped:
+                return
+            owners = {**owners, **{
+                arg.arg: arg.annotation.id for arg in node.args.args
+                if isinstance(arg.annotation, ast.Name)}}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = getattr(node.value, "id", None)
+            reads.add((owners.get(receiver), node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, {})
+    return reads
+
+
+def test_every_config_and_report_field_is_read():
+    """Every field of the configuration dataclasses and of the check report
+    is read by package code outside ``__post_init__`` and ``validate``, so a
+    setting that changes nothing, or a report value nobody reads, fails here.
+    A field name that two of these classes share counts only where the code
+    names the receiver's class (``alpha`` of a trajectory is not ``alpha`` of
+    a scenario); a name that one class has counts wherever it is read."""
+    from nsverify.dynamics import TrajectoryConfig
+    from nsverify.fields import FieldSpec
+    from nsverify.harness import ScenarioConfig
+    from nsverify.ledger import InequalityReport
+
+    classes = (ScenarioConfig, TrajectoryConfig, FieldSpec, InequalityReport)
+    reads = set().union(*(attribute_reads(ast.parse(path.read_text()))
+                          for path in ROOT.glob("*.py")))
+    owners = collections.Counter(f.name for cls in classes
+                                 for f in dataclasses.fields(cls))
+    unread = {
+        (cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)
+        if (cls.__name__, f.name) not in reads
+        and not (owners[f.name] == 1 and any(name == f.name for _, name in reads))
+    }
+    assert unread == set(UNREAD_FIELDS)
 
 
 def getattr_table_reads(tree, bound):
