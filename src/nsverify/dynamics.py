@@ -33,7 +33,8 @@ exactly four tendency evaluations per step, and a snapshot carries the field
 (a copy of its band coefficients), its energy and its tail fraction, both
 read from one :func:`~nsverify.spectral.shell_sum` of its mode energies. The
 ledger forms the energy transfer from its own samples of ``u`` and ``omega``
-with :func:`rotational_product` (:mod:`nsverify.ledger`).
+with :func:`rotational_product` (:mod:`nsverify.ledger`), and so does the weak
+form's advection pairing (:func:`weak_integrands`).
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ from .spectral import (
     l2_norm,
     leray_project,
     mode_energy,
+    parseval_pair,
     phys_to_spec,
     shell_sum,
+    solenoidal_error,
     spec_to_phys,
     tail_fraction,
 )
@@ -77,6 +80,7 @@ __all__ = [
     "rescale_data",
     "TestField",
     "make_test_field",
+    "weak_integrands",
     "weak_residual",
 ]
 
@@ -487,91 +491,87 @@ def make_test_field(grid: Grid, seed: int, t_start: float, t_end: float) -> Test
     return TestField(generate(spec, grid), t_start, t_end)
 
 
-def weak_residual(snapshots: Sequence[Snapshot], testfield: TestField) -> float:
-    """Space-time weak-form residual against one solenoidal test field.
+def weak_integrands(
+    snapshots: Sequence[Snapshot], testfields: Sequence[TestField]
+) -> list:
+    """Per solenoidal test field, ``(taus, values, scales)``: the weak-form
+    integrand ``int { -u . dphi/dt + grad u . grad phi + ((u.grad)u) . phi }
+    dx`` and its scale, the sum of the three terms' Cauchy-Schwarz bounds,
+    each times dt/dtau, at every sample tau, from one pass over the run.
 
-    Quadrature (composite Simpson in tau) of
-
-        int int { -u . dphi/dt + grad u . grad phi + ((u.grad)u) . phi } dx dt
-
-    normalized by the quadrature of the three terms' magnitudes. The advection
-    pairing is computed by parts as ``-sum_jk <u_j u_k, d_j phi_k>``, which is
-    exact for dealiased fields; the other pairings and the norms of ``u``,
-    ``v`` and their gradients are shell sums on the band. The test field's
-    envelope is C^3 at its support ends, so the quadrature is fourth order in
-    the tau spacing and the support ends need not fall on sample nodes.
-
-    The test field lives on the snapshots' grid. A sample outside the support,
-    where the envelope and its rate are both 0, adds exactly 0 to both
-    quadratures, so it is not transformed.
+    Every term is a pairing on the 2/3 band: ``<u, v>`` and ``<grad u, grad
+    v>`` from one shell sum, and, ``v`` being solenoidal, the advection term
+    as ``-<u x omega, v>`` with ``F[u x omega]`` from
+    :func:`rotational_product`. The cubic bound reads ``sum_jk ||u_j
+    u_k||^2`` as ``|| |u|^2 ||^2``. A snapshot inside any field's support is
+    transformed once for all the fields (6 inverse and 3 forward components);
+    one outside every support, where each envelope and its rate are 0, and
+    the test fields are not transformed.
     """
     if len(snapshots) < 3:
         raise DomainError("weak-form quadrature needs at least three snapshots")
-    v = testfield.spatial
-    g = v.grid
-    if snapshots[0].u_hat.grid != g:
-        raise DomainError("test field lives on a different grid")
-    from .spectral import solenoidal_error
-
-    if solenoidal_error(v) > 1e-10:
-        raise DomainError("test field is not solenoidal")
-    t_first = snapshots[0].frame.t
-    t_last = snapshots[-1].frame.t
-    if testfield.t_start < t_first - 1e-12 or testfield.t_end > t_last + 1e-12:
-        raise DomainError("test-field support exceeds the sampled time window")
+    g = snapshots[0].u_hat.grid
+    t_first, t_last = snapshots[0].frame.t, snapshots[-1].frame.t
+    for tf in testfields:
+        if tf.spatial.grid != g:
+            raise DomainError("test field lives on a different grid")
+        if solenoidal_error(tf.spatial) > 1e-10:
+            raise DomainError("test field is not solenoidal")
+        if tf.t_start < t_first - 1e-12 or tf.t_end > t_last + 1e-12:
+            raise DomainError("test-field support exceeds the sampled time window")
 
     taus = np.array([s.frame.tau for s in snapshots])
     dtaus = np.diff(taus)
     if dtaus.size >= 2 and np.max(np.abs(dtaus - dtaus[0])) > 1e-9 * abs(dtaus[0]):
         raise DomainError("weak-form quadrature requires uniform tau sampling")
 
-    # the nine d_j v_k in one call on the stacked 1j xi_j v_k, row-major
-    grad_spec = np.stack([1j * g.xi[j] * v.coeffs[k]
-                          for j in range(3) for k in range(3)])
-    grad_v = spec_to_phys(grad_spec, g).reshape((3, 3) + (g.n,) * 3)
     rho_sq = g.shell_radii**2
-    shell_v = shell_sum(mode_energy(v.coeffs), g)
-    norm_v = math.sqrt(shell_v.sum())
-    grad_norm_v = math.sqrt((rho_sq * shell_v).sum())
-    conj_v = np.conj(v.coeffs)
-
+    shells_v = [shell_sum(mode_energy(tf.spatial.coeffs), g) for tf in testfields]
+    norms_v = [(math.sqrt(s.sum()), math.sqrt((rho_sq * s).sum())) for s in shells_v]
     cell = g.cell_volume
-    values = np.zeros(len(snapshots))
-    scales = np.zeros(len(snapshots))
+    samples = np.empty((6,) + (g.n,) * 3)  # u, then omega
+    values = np.zeros((len(testfields), len(snapshots)))
+    scales = np.zeros_like(values)
     for i, snap in enumerate(snapshots):
         t = snap.frame.t
-        theta = testfield.envelope(t)
-        theta_dot = testfield.envelope_rate(t)
-        if theta == 0.0 and theta_dot == 0.0:
+        rates = [(tf.envelope(t), tf.envelope_rate(t)) for tf in testfields]
+        if all(rate == (0.0, 0.0) for rate in rates):
             continue
         c = snap.u_hat.coeffs
-        # <u, v> and <grad u, grad v> from one shell sum: |xi|^2 is rho^2
-        # on a shell
-        pairing = shell_sum((conj_v * c).real.sum(axis=0), g)
-        u_v = pairing.sum()
-        gradu_gradv = (rho_sq * pairing).sum()
-        u = spec_to_phys(c, g)
-        adv = 0.0
-        uu_sq = 0.0
-        for j in range(3):
-            for k in range(3):
-                prod = u[j] * u[k]
-                adv -= float((prod * grad_v[j, k]).sum() * cell)
-                uu_sq += float((prod**2).sum() * cell)
+        spec_to_phys(np.concatenate((c, curl(c, g))), g, out=samples)
+        u_cross_omega = rotational_product(samples[:3], samples[3:], g)
+        u_sq = samples[0] ** 2 + samples[1] ** 2 + samples[2] ** 2
+        quartic = math.sqrt(float((u_sq**2).sum() * cell))
         norm_u = math.sqrt(snap.energy)
         grad_norm_u = math.sqrt((rho_sq * shell_sum(mode_energy(c), g)).sum())
         jac = snap.frame.t_horizon - t  # dt/dtau
-        values[i] = jac * (-theta_dot * u_v + theta * (gradu_gradv + adv))
-        scales[i] = jac * (
-            abs(theta_dot) * norm_u * norm_v
-            + theta * grad_norm_u * grad_norm_v
-            + theta * math.sqrt(uu_sq) * grad_norm_v
-        )
-    residual = _simpson(values, taus)
+        for f, (tf, (theta, theta_dot), (norm_v, grad_norm_v)) in enumerate(
+                zip(testfields, rates, norms_v)):
+            if theta == 0.0 and theta_dot == 0.0:
+                continue
+            v = tf.spatial.coeffs
+            # <u, v> and <grad u, grad v> from one shell sum (|xi|^2 = rho^2)
+            pairing = shell_sum((np.conj(v) * c).real.sum(axis=0), g)
+            u_v = pairing.sum()
+            gradu_gradv = (rho_sq * pairing).sum()
+            adv = -parseval_pair(v, u_cross_omega, g)
+            values[f, i] = jac * (-theta_dot * u_v + theta * (gradu_gradv + adv))
+            scales[f, i] = jac * (abs(theta_dot) * norm_u * norm_v
+                                  + theta * grad_norm_u * grad_norm_v
+                                  + theta * quartic * grad_norm_v)
+    return [(taus, val, scale) for val, scale in zip(values, scales)]
+
+
+def weak_residual(integrand) -> float:
+    """One test field's weak-form residual: the composite Simpson quadrature
+    in tau of its :func:`weak_integrands` integrand over that of its scale,
+    or 0 where the scale is 0. The C^3 envelope keeps the quadrature fourth
+    order in the tau spacing, with support ends between sample nodes."""
+    taus, values, scales = integrand
     scale = _simpson(scales, taus)
     if scale == 0.0:
         return 0.0
-    return float(residual / scale)
+    return float(_simpson(values, taus) / scale)
 
 
 def _simpson(vals: np.ndarray, taus: np.ndarray) -> float:

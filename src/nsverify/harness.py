@@ -32,6 +32,7 @@ from .dynamics import (
     make_test_field,
     rescale_data,
     simulate,
+    weak_integrands,
     weak_residual,
 )
 from .errors import ConfigurationError, FitError, ResolutionError
@@ -262,7 +263,7 @@ def run_scenario(
             reports = lg.check_inequality(name, series)
         except Exception as exc:  # its stand-in report fails; name it once
             failures.append(f"{name}: {exc}")
-            reports = [lg.InequalityReport(name, math.nan, math.inf, 0.0)]
+            reports = [lg.InequalityReport(math.nan, math.inf, 0.0)]
         else:
             if not all(r.passed for r in reports):
                 failures.append(name)
@@ -600,16 +601,16 @@ def _worst_weak_residual(
 ) -> float:
     """Worst |weak residual| of one run against five test fields, seeds
     ``first_seed .. first_seed + 4``, supported on ``window`` as fractions
-    of the last sample time. The run's snapshots go when this returns, so
-    the criterion holds one run in memory at a time."""
+    of the last sample time. One :func:`weak_integrands` pass serves the
+    five fields, then :func:`weak_residual` runs once per field, in seed
+    order. The run's snapshots go when this returns, so the criterion holds
+    one run in memory at a time."""
     snaps = list(simulate(u0, cfg))
     t_last = snaps[-1].frame.t
     lo, hi = window
-    return max(
-        abs(weak_residual(snaps, make_test_field(u0.grid, first_seed + k,
-                                                 lo * t_last, hi * t_last)))
-        for k in range(5)
-    )
+    testfields = [make_test_field(u0.grid, first_seed + k, lo * t_last, hi * t_last)
+                  for k in range(5)]
+    return max(abs(weak_residual(f)) for f in weak_integrands(snaps, testfields))
 
 
 @_timed

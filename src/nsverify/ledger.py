@@ -178,7 +178,6 @@ RECORD_FIELDS = [f.name for f in dc_fields(EnergyRecord)]
 class InequalityReport:
     """One differential balance evaluated at one sample (or one fit)."""
 
-    name: str
     tau: float
     residual: float
     tolerance: float
@@ -487,10 +486,10 @@ def _tolerance(scale):
     return np.maximum(REL_TOL * scale, ABS_TOL)
 
 
-def _reports(name, taus, residual, scale, constant=None):
+def _reports(taus, residual, scale, constant=None):
     """One report per sample from the per-sample columns of a check."""
     return [
-        InequalityReport(name, *row, constant)
+        InequalityReport(*row, constant)
         for row in zip(taus, residual, _tolerance(scale))
     ]
 
@@ -507,7 +506,7 @@ class Balance:
     quad_terms: tuple
     cubic_terms: tuple = ()
 
-    def __call__(self, name, series) -> list:
+    def __call__(self, series) -> list:
         taus = series.taus
         lhs = self.lhs_factor * _bracket_mean(series.column(self.lhs), taus)
         terms = [coef * _bracket_mean(series.column("cum_" + col), taus)
@@ -516,29 +515,29 @@ class Balance:
                   for coef, col in self.cubic_terms]
         rhs = sum(terms)
         scale = np.abs([lhs, *terms, rhs]).max(axis=0)
-        return _reports(name, taus[1:-1], np.abs(lhs - rhs), scale)
+        return _reports(taus[1:-1], np.abs(lhs - rhs), scale)
 
 
-def _decay(name, series, values, floor) -> list:
+def _decay(series, values, floor) -> list:
     """One report at the window's end: the rate :func:`decay_rate` fits to
     ``values`` is at least ``floor`` (signed residual ``floor - rate``)."""
     rate = decay_rate(series, values)
     tol = max(1e-9, REL_TOL * floor)
     end = _decay_window(series.taus)[1]
-    return [InequalityReport(name, end, floor - rate, tol, rate)]
+    return [InequalityReport(end, floor - rate, tol, rate)]
 
 
-def _prop3_2(name, series) -> list:
+def _prop3_2(series) -> list:
     """Prop 3.2: the weighted low+band energy decays at rate alpha or faster."""
-    return _decay(name, series, weighted_low_band_energy(series), series.ctx.alpha)
+    return _decay(series, weighted_low_band_energy(series), series.ctx.alpha)
 
 
-def _lemma4_3(name, series) -> list:
+def _lemma4_3(series) -> list:
     """Lemma 4.3: the curvature energy decays at rate LEMMA43_FLOOR or faster."""
-    return _decay(name, series, series.column("E2"), LEMMA43_FLOOR)
+    return _decay(series, series.column("E2"), LEMMA43_FLOOR)
 
 
-def _eq3_10(name, series) -> list:
+def _eq3_10(series) -> list:
     X = weighted_low_band_energy(series)
     alpha = series.ctx.alpha
     lhs = 0.5 * _bracket_mean(X, series.taus)
@@ -548,20 +547,20 @@ def _eq3_10(name, series) -> list:
     c_emp = max(c_req) if c_req else 0.0
     rhs = np.array([-alpha * x + c_emp * x**1.5 for x in xf])
     scale = np.max([np.abs(lhs), np.abs(rhs), alpha * xf], axis=0)
-    return _reports(name, series.taus[1:-1], lhs - rhs, scale, c_emp)
+    return _reports(series.taus[1:-1], lhs - rhs, scale, c_emp)
 
 
-def _eq4_4(name, series) -> list:
+def _eq4_4(series) -> list:
     E1h = series.column("E1_high")
     dissipation = _simpson3(series.column("E2_high"))
     lhs = 0.5 * _bracket_mean(E1h, series.taus)
     rhs = (-dissipation - 0.25 * _simpson3(E1h)
            + np.abs(_simpson3(series.column("T_grad_high"))))
     scale = np.max([np.abs(lhs), np.abs(rhs), dissipation], axis=0)
-    return _reports(name, series.taus[1:-1], lhs - rhs, scale)
+    return _reports(series.taus[1:-1], lhs - rhs, scale)
 
 
-def _lemma4_2(name, series) -> list:
+def _lemma4_2(series) -> list:
     taus = series.taus
     start = int(np.searchsorted(taus, FIT_START))
     if start >= len(series) - 1:
@@ -576,10 +575,10 @@ def _lemma4_2(name, series) -> list:
     c_emp = max(c_req) if c_req.size else 0.0
     rhs = decayed * e1_0 + 2.0 * c_emp * delta1 * (1.0 - decayed)
     scale = np.max([E1, np.abs(rhs), e1_0 * decayed], axis=0)
-    return _reports(name, taus[start + 1:], E1 - rhs, scale, c_emp)
+    return _reports(taus[start + 1:], E1 - rhs, scale, c_emp)
 
 
-def _eq3_13_14(name, series) -> list:
+def _eq3_13_14(series) -> list:
     """The low block's sup and L4 norms at the last sample are at most half
     their values at FIT_START; each report carries its budget ``max / delta``.
     A third report carries the gradient budget ``max(sup_grad_w_low) /
@@ -594,15 +593,15 @@ def _eq3_13_14(name, series) -> list:
         budget = float(vals.max()) / delta  # reported C(beta) analogue
         head, final = vals[start], vals[-1]
         reports.append(InequalityReport(
-            name, end, final - 0.5 * head, _tolerance(head), budget))
+            end, final - 0.5 * head, _tolerance(head), budget))
     grad_budget = float(series.column("sup_grad_w_low").max()) / delta
-    reports.append(InequalityReport(name, end, -math.inf, 0.0, grad_budget))
+    reports.append(InequalityReport(end, -math.inf, 0.0, grad_budget))
     return reports
 
 
 @dataclass(frozen=True)
 class Check:
-    """One of the paper's checks. ``evaluate(name, series)`` returns its
+    """One of the paper's checks. ``evaluate(series)`` returns its
     reports; a ``fitted`` check fits on tau >= FIT_START. Every tolerance is
     fixed by the program: ``REL_TOL`` of the check's own scale, with a floor
     (``ABS_TOL``, or 1e-9 on a fitted rate). No setting changes it."""
@@ -680,7 +679,7 @@ def check_inequality(name: str, series: RecordSeries) -> list:
         raise DomainError(f"unknown inequality name {name!r}")
     if len(series) < 5:
         raise DomainError("inequality checks need at least five samples")
-    return CHECKS[name].evaluate(name, series)
+    return CHECKS[name].evaluate(series)
 
 
 def summarize_reports(reports_by_name: dict) -> list:

@@ -9,6 +9,7 @@ import scipy.fft
 from nsverify import dynamics
 from nsverify.dynamics import (
     SimState,
+    Snapshot,
     TrajectoryConfig,
     _cfl_cap,
     _nonlinear_tendency,
@@ -20,6 +21,7 @@ from nsverify.dynamics import (
     rotational_product,
     simulate,
     step,
+    weak_integrands,
     weak_residual,
 )
 from nsverify.errors import (
@@ -30,7 +32,7 @@ from nsverify.errors import (
     StepSizeError,
 )
 from nsverify.fields import FieldSpec, generate
-from nsverify.similarity import t_of_tau
+from nsverify.similarity import frame, t_of_tau
 from nsverify.snapshot_io import write_snapshot
 from nsverify.spectral import (
     SpectralVectorField,
@@ -734,6 +736,12 @@ def random_weak_run(grid16):
     return snaps, tf
 
 
+def weak_form_residual(snaps, tf):
+    """One test field's residual through the one-pass form."""
+    (integrand,) = weak_integrands(snaps, [tf])
+    return weak_residual(integrand)
+
+
 class TestWeakForm:
     def _tg_snapshots(self, grid, samples=41):
         u0 = planar_vortex(grid)
@@ -748,13 +756,13 @@ class TestWeakForm:
         cfg = base_config(grid16, sample_taus=np.linspace(0.0, 0.4, 21))
         snaps = list(simulate(zero_field(grid16), cfg))
         tf = make_test_field(grid16, 0, 0.05, 0.25)
-        assert weak_residual(snaps, tf) == 0.0
+        assert weak_form_residual(snaps, tf) == 0.0
 
     def test_exact_trajectory_small_residual(self, grid16):
         snaps = self._tg_snapshots(grid16)
         t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
-        assert abs(weak_residual(snaps, tf)) <= 1e-5
+        assert abs(weak_form_residual(snaps, tf)) <= 1e-5
 
     def test_exact_trajectory_residual_golden(self, grid16):
         # 17 digits: the trajectory and every pairing of the residual are
@@ -763,27 +771,69 @@ class TestWeakForm:
         snaps = self._tg_snapshots(grid16)
         t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
-        assert weak_residual(snaps, tf) == -1.7173368890838132e-06
+        assert weak_form_residual(snaps, tf) == -1.7173368890838132e-06
 
     def test_random_run_residual_golden(self, random_weak_run):
         # recorded with every pairing a shell sum on the 2/3 band
         snaps, tf = random_weak_run
-        assert weak_residual(snaps, tf) == 1.8721440083634688e-05
+        assert weak_form_residual(snaps, tf) == 1.8721440083634688e-05
 
     def test_transforms_only_the_support(self, random_weak_run, monkeypatch):
-        # the test field's nine derivatives take one call, each sample
-        # inside the support one, and the others none
+        # each sample inside the support takes one inverse call of u and
+        # omega and one forward call of u x omega; the others and the test
+        # field take none
         snaps, tf = random_weak_run
-        calls = []
-        original = dynamics.spec_to_phys
+        inverse, forward = [], []
+        spec_to_phys, phys_to_spec = dynamics.spec_to_phys, dynamics.phys_to_spec
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted_inverse(coeffs, *args, **kwargs):
+            inverse.append(coeffs.shape[0])
+            return spec_to_phys(coeffs, *args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "spec_to_phys", counted)
-        weak_residual(snaps, tf)
-        assert len(calls) == 1 + 11
+        def counted_forward(samples, *args, **kwargs):
+            forward.append(samples.shape[0])
+            return phys_to_spec(samples, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "spec_to_phys", counted_inverse)
+        monkeypatch.setattr(dynamics, "phys_to_spec", counted_forward)
+        weak_integrands(snaps, [tf])
+        assert inverse == [6] * 11
+        assert forward == [3] * 11
+
+    def test_one_pass_serves_every_field(self, grid16):
+        # fields with different supports: each residual of the shared pass
+        # is bitwise the one-field pass's
+        snaps = self._tg_snapshots(grid16)
+        t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
+        span = t1 - t0
+        fields = [make_test_field(grid16, seed, t0 + lo * span, t0 + hi * span)
+                  for seed, lo, hi in ((1, 0.1, 0.9), (2, 0.0, 0.45), (3, 0.4, 1.0))]
+        shared = [weak_residual(f) for f in weak_integrands(snaps, fields)]
+        assert shared == [weak_form_residual(snaps, tf) for tf in fields]
+        assert len(set(shared)) == 3
+
+    def test_advection_is_the_convective_pairing(self, grid16):
+        # for a solenoidal v, -<F[u x omega], v> is <(u.grad)u, v>; the
+        # pass's integrand must match the convective-form oracle, which an
+        # advection sign error moves by about 3e-4 of its scale while the
+        # residual stays far below the criterion's bound
+        u = random_solenoidal(grid16, 0, target=1.0)
+        c = u.coeffs
+        v = make_test_field(grid16, 1, 0.0, 1.0).spatial.coeffs
+        advection = parseval_pair(v, convective_term(u).coeffs, grid16)
+        product = rotational_product(
+            spec_to_phys(c, grid16), spec_to_phys(curl(c, grid16), grid16), grid16)
+        assert -parseval_pair(v, product, grid16) == pytest.approx(advection, rel=1e-12)
+
+        snaps = [Snapshot(frame(1.0 - math.exp(-tau), 1.0), u, 0.0, l2_norm_sq(u))
+                 for tau in (0.0, 0.1, 0.2)]
+        tf = make_test_field(grid16, 1, snaps[0].frame.t, snaps[-1].frame.t)
+        ((_, values, scales),) = weak_integrands(snaps, [tf])
+        t = snaps[1].frame.t
+        expected = (1.0 - t) * (
+            -tf.envelope_rate(t) * parseval_pair(v, c, grid16)
+            + tf.envelope(t) * (parseval_pair(v, grid16.xi_sq * c, grid16) + advection))
+        assert abs(values[1] - expected) <= 1e-12 * scales[1]
 
     def test_quadrature_fourth_order(self, grid16):
         # halving the tau spacing must gain at least 8x (Simpson's 16x in the
@@ -794,14 +844,14 @@ class TestWeakForm:
             snaps = self._tg_snapshots(grid16, samples)
             t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
             tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
-            residuals.append(abs(weak_residual(snaps, tf)))
+            residuals.append(abs(weak_form_residual(snaps, tf)))
         assert residuals[1] * 8.0 <= residuals[0]
 
     def test_corruption_detected(self, grid16):
         snaps = self._tg_snapshots(grid16)
         t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
-        clean = abs(weak_residual(snaps, tf))
+        clean = abs(weak_form_residual(snaps, tf))
         k = len(snaps) // 2
         corrupted = list(snaps)
         bad = SpectralVectorField(grid16, corrupted[k].u_hat.coeffs * 1.1)
@@ -810,7 +860,7 @@ class TestWeakForm:
             tail_fraction=snaps[k].tail_fraction,
             energy=l2_norm_sq(bad),
         )
-        assert abs(weak_residual(corrupted, tf)) > 10.0 * clean
+        assert abs(weak_form_residual(corrupted, tf)) > 10.0 * clean
 
     def test_non_solenoidal_rejected(self, grid16):
         snaps = self._tg_snapshots(grid16)
@@ -818,13 +868,13 @@ class TestWeakForm:
         tf.spatial.coeffs[0, 1, 0, 0] += 0.5  # break divergence-freeness
         tf.spatial.coeffs[0, -1, 0, 0] += 0.5  # k = -1
         with pytest.raises(DomainError):
-            weak_residual(snaps, tf)
+            weak_integrands(snaps, [tf])
 
     def test_support_outside_window(self, grid16):
         snaps = self._tg_snapshots(grid16)
         tf = make_test_field(grid16, 3, 0.0, 5.0)
         with pytest.raises(DomainError):
-            weak_residual(snaps, tf)
+            weak_integrands(snaps, [tf])
 
     def test_snapshots_of_another_grid_rejected(self, random_weak_run, grid16):
         snaps, tf = random_weak_run
@@ -832,7 +882,7 @@ class TestWeakForm:
         moved = [replace(s, u_hat=SpectralVectorField(other, s.u_hat.coeffs))
                  for s in snaps]
         with pytest.raises(DomainError):
-            weak_residual(moved, tf)
+            weak_integrands(moved, [tf])
 
 
 def test_initial_from_snapshot(tmp_path, grid32):

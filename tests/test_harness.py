@@ -75,9 +75,11 @@ WEAK_FORM_RESIDUALS = [
 
 
 def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
-    # each run's five residuals follow it, and its snapshots are freed before
-    # the next run starts; the wrappers hold weak references only
-    simulate, weak_residual = harness.simulate, harness.weak_residual
+    # each run's one weak-form pass and five residuals follow it, and its
+    # snapshots are freed before the next run starts; the wrappers hold weak
+    # references only
+    simulate = harness.simulate
+    weak_integrands, weak_residual = harness.weak_integrands, harness.weak_residual
     runs, order, residuals = [], [], []
 
     def watched_simulate(u0, cfg):
@@ -89,18 +91,23 @@ def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
             refs.append(weakref.ref(snap.u_hat.coeffs))
             yield snap
 
-    def watched_weak_residual(snaps, tf):
-        value = weak_residual(snaps, tf)
-        order.append(("residual", tf.spatial.grid.l_box))
+    def watched_weak_integrands(snaps, testfields):
+        order.append(("pass", snaps[0].u_hat.grid.l_box, len(testfields)))
+        return weak_integrands(snaps, testfields)
+
+    def watched_weak_residual(integrand):
+        value = weak_residual(integrand)
+        order.append("residual")
         residuals.append(value.hex())
         return value
 
     monkeypatch.setattr(harness, "simulate", watched_simulate)
+    monkeypatch.setattr(harness, "weak_integrands", watched_weak_integrands)
     monkeypatch.setattr(harness, "weak_residual", watched_weak_residual)
     result = harness.criterion_weak_form(5)
     vortex, small = 2.0 * math.pi, 8.0 * math.pi
-    assert order == ([("run", vortex, [])] + [("residual", vortex)] * 5
-                     + [("run", small, [0])] + [("residual", small)] * 5)
+    assert order == ([("run", vortex, []), ("pass", vortex, 5)] + ["residual"] * 5
+                     + [("run", small, [0]), ("pass", small, 5)] + ["residual"] * 5)
     assert [len(run) for run in runs] == [101, 101]
     assert residuals == WEAK_FORM_RESIDUALS
     assert result.passed

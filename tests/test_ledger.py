@@ -540,9 +540,9 @@ def test_summary_margin_comes_from_one_sample():
     # the largest residual sits at tau 0.1 and the largest tolerance at 0.9,
     # but the sample closest to failing is at tau 0.5
     reports = [
-        InequalityReport("x", 0.1, 1e-6, 1e-5),
-        InequalityReport("x", 0.5, 5e-7, 1e-6),
-        InequalityReport("x", 0.9, 2e-7, 4e-5),
+        InequalityReport(0.1, 1e-6, 1e-5),
+        InequalityReport(0.5, 5e-7, 1e-6),
+        InequalityReport(0.9, 2e-7, 4e-5),
     ]
     (entry,) = summarize_reports({"x": reports})
     assert entry["worst_ratio"] == pytest.approx(0.5)
@@ -553,7 +553,7 @@ def test_summary_margin_comes_from_one_sample():
 
 
 def test_summary_of_an_unevaluable_check():
-    failed = InequalityReport("x", np.nan, np.inf, 0.0)
+    failed = InequalityReport(np.nan, np.inf, 0.0)
     (entry,) = summarize_reports({"x": [failed]})
     assert entry["worst_ratio"] is None and entry["max_residual"] is None
     assert "-" in format_summary_table("s", [entry]).splitlines()[-1]

@@ -256,10 +256,13 @@ def callers(tree, name):
 def test_one_quadratic_product_kernel():
     """``dynamics.rotational_product`` is the one function that transforms a
     pointwise product forward: in ``dynamics`` only it calls the forward
-    transform, the ledger's transfer calls it and the ledger imports no
-    forward transform, and ``spectral`` defines no cross product."""
+    transform, and only the integrator's tendency and the weak-form pass call
+    it; the ledger's transfer calls it and the ledger imports no forward
+    transform, and ``spectral`` defines no cross product."""
     trees = {path.name: ast.parse(path.read_text()) for path in ROOT.glob("*.py")}
     assert callers(trees["dynamics.py"], "phys_to_spec") == {"rotational_product"}
+    assert callers(trees["dynamics.py"], "rotational_product") == {
+        "_nonlinear_tendency", "weak_integrands"}
     assert callers(trees["ledger.py"], "rotational_product") == {"_shell_transfer"}
     ledger_imports = {alias.name for node in ast.walk(trees["ledger.py"])
                       if isinstance(node, ast.ImportFrom) for alias in node.names}
