@@ -15,14 +15,15 @@ u x curl u`` (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods, 2006,
 3.4), whose gradient the projection removes, and :func:`rotational_product`,
 the package's one quadratic product, forms ``F[u x curl u]``.
 
-:func:`simulate` steps on the integrator's schedule, not the sampler's.
-Samples uniform in ``tau`` crowd together in ``t``, so from each step end it
-takes one step to the furthest later sample within ``min(dt_max, CFL cap)``;
-a span whose next sample lies beyond the cap is split into equal steps. A
-sample strictly inside a step is the step's dense output: the classical RK4
-continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of
-``v``, built from the step's own four stages, so the linear part is exact
-there too and the local error is O(h^4).
+:func:`simulate` steps at its cap, not at the samples. Samples uniform in
+``tau`` crowd together in ``t``, so a step that ended on each would fall
+short of ``min(dt_max, CFL cap)``. Instead every step divides the time left
+to the last sample into the fewest equal steps the cap at that step's start
+allows, and takes the first of them; only the last step is bound to end on a
+sample. A sample strictly inside a step is the step's dense output: the
+classical RK4 continuous extension (Hairer, Norsett & Wanner, Solving ODEs
+I, II.6) of ``v``, built from the step's own four stages, so the linear part
+is exact there too and the local error is O(h^4).
 
 Every field is held on the grid's 2/3 band (:mod:`nsverify.spectral`):
 the state, the four stages, the viscous factors and the products. The
@@ -201,16 +202,8 @@ def _cfl_cap(u_hat: SpectralVectorField, cfg: TrajectoryConfig) -> float:
     return min(cfg.dt_max, cfg.cfl * dx / bound)
 
 
-def _viscous_factors(grid: Grid, dt: float):
-    half = np.exp(grid.xi_sq * (-dt / 2.0))
-    return half, half * half
-
-
 def _ifrk4(
-    u_hat: SpectralVectorField,
-    dt: float,
-    cfg: TrajectoryConfig,
-    factors=None,
+    u_hat: SpectralVectorField, dt: float, cfg: TrajectoryConfig
 ) -> tuple[SpectralVectorField, tuple | None]:
     """One integrating-factor RK4 step; it evaluates all four stages itself.
 
@@ -218,7 +211,8 @@ def _ifrk4(
     :func:`_dense_output` (``None`` for linear dynamics).
     """
     g = u_hat.grid
-    half, full = factors if factors is not None else _viscous_factors(g, dt)
+    half = np.exp(g.xi_sq * (-dt / 2.0))
+    full = half * half
     c = u_hat.coeffs
     if not cfg.nonlinear:
         return SpectralVectorField(g, c * full), None
@@ -282,15 +276,20 @@ def _dense_output(
     return out
 
 
+# relative slack of a step over its cap: it absorbs the rounding of a span
+# divided into equal steps
+STEP_SLACK = 1e-12
+
+
 def step(state: SimState, dt: float, cfg: TrajectoryConfig) -> SimState:
     """Advance one step of size ``dt``; validates the step against ``dt_max``
     and the advective CFL bound before moving."""
     if not dt > 0:
         raise StepSizeError(f"step size must be positive, got {dt}")
-    if dt > cfg.dt_max * (1.0 + 1e-12):
+    if dt > cfg.dt_max * (1.0 + STEP_SLACK):
         raise StepSizeError(f"step size {dt} exceeds dt_max {cfg.dt_max}")
     cap = _cfl_cap(state.u_hat, cfg)
-    if dt > cap * (1.0 + 1e-12):
+    if dt > cap * (1.0 + STEP_SLACK):
         raise StepSizeError(f"step size {dt} violates the CFL cap {cap:.3e}")
     new, _ = _ifrk4(state.u_hat, dt, cfg)
     return SimState(state.t + dt, new)
@@ -324,10 +323,11 @@ def simulate(
 ) -> Iterator[Snapshot]:
     """Integrate from ``t = 0`` and yield a snapshot at every sample tau.
 
-    The initial data is rescaled to ``||u0|| = delta`` on entry. From each
-    step end (a sample, or ``t = 0``) one IF-RK4 step goes to the furthest
-    later sample within ``min(dt_max, CFL cap at the step start)``; if even
-    the next sample lies beyond the cap, that span is split into equal steps.
+    The initial data is rescaled to ``||u0|| = delta`` on entry. Each step
+    reads ``cap = min(dt_max, CFL cap)`` at its own start and ``rest``, the
+    time left to the last sample, and takes ``h = rest / ceil(rest / cap)``,
+    the ceiling taken with :data:`STEP_SLACK`'s relative slack. The last step
+    ends on the last sample, and no step ends early for a sample in between.
     A sample strictly inside a step is the step's RK4 dense output
     (:func:`_dense_output`); a sample on a step end is the step's own result.
     Emitted fields are fresh arrays on ``u0.grid``, safe to hold and to
@@ -365,33 +365,23 @@ def simulate(
         )
 
     i = 0
-    while i < len(times):
-        span = times[i] - t
-        if span < -1e-13:
-            raise ConfigurationError("sample time precedes current state")
-        if span > 1e-15:
-            cap = _cfl_cap(u, cfg)
-            if span > cap:
-                nsteps = math.ceil(span / cap)
-                dt = span / nsteps
-                factors = _viscous_factors(grid, dt)
-                for _ in range(nsteps):
-                    u, _ = _ifrk4(u, dt, cfg, factors)
-            else:
-                j = i
-                while j + 1 < len(times) and times[j + 1] - t <= cap:
-                    j += 1
-                h = times[j] - t
-                end, stages = _ifrk4(u, h, cfg)
-                for k in range(i, j):
-                    theta = (times[k] - t) / h
-                    inside = _dense_output(u.coeffs, stages, h, theta, grid)
-                    yield sample(k, times[k], inside)
-                stages = None  # free the four stage arrays before the next step
-                u, i = end, j
-            t = times[i]
-        yield sample(i, t, u.coeffs)
-        i += 1
+    while True:
+        while i < len(times) and times[i] - t <= 1e-15:
+            yield sample(i, t, u.coeffs)
+            i += 1
+        if i == len(times):
+            return
+        rest = times[-1] - t
+        nsteps = math.ceil(rest / (_cfl_cap(u, cfg) * (1.0 + STEP_SLACK)))
+        h = rest / nsteps
+        end, stages = _ifrk4(u, h, cfg)
+        t_end = times[-1] if nsteps == 1 else t + h
+        while times[i] - t_end < -1e-15:
+            inside = _dense_output(u.coeffs, stages, h, (times[i] - t) / h, grid)
+            yield sample(i, times[i], inside)
+            i += 1
+        stages = None  # free the four stage arrays before the next step
+        u, t = end, t_end
 
 
 # -- symmetry ------------------------------------------------------------------

@@ -1,17 +1,23 @@
 import collections
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsverify import dynamics
 from nsverify.dynamics import (
+    STEP_SLACK,
     SimState,
     Snapshot,
     TrajectoryConfig,
     _cfl_cap,
+    _dense_output,
+    _ifrk4,
     _nonlinear_tendency,
     _prepare_initial,
     initial_from_snapshot,
@@ -69,25 +75,55 @@ def planar_vortex(grid, amplitude=1.0):
     return generate(FieldSpec("taylor_green", l2_norm_target=target), grid)
 
 
-def step_spans(snaps, cfg):
-    """The steps :func:`simulate` should have taken, as ``(start, end,
-    nsteps)`` sample indices: from each step end, one step to the furthest
-    sample within the cap there, or ``nsteps`` equal steps to the next
-    sample when even that one lies beyond the cap."""
-    spans, i = [], 0
-    while i + 1 < len(snaps):
-        t = snaps[i].frame.t
-        cap = _cfl_cap(snaps[i].u_hat, cfg)
-        j = i
-        while j + 1 < len(snaps) and snaps[j + 1].frame.t - t <= cap:
-            j += 1
-        if j == i:
-            spans.append((i, i + 1, math.ceil((snaps[i + 1].frame.t - t) / cap)))
-            i += 1
+def sample_times(cfg):
+    return [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
+
+
+def step_schedule(u0, cfg):
+    """The steps :func:`simulate` should take, replayed by chained
+    :func:`step` calls from the prepared initial state: each step takes ``rest
+    / ceil(rest / cap)``, ``rest`` the time left to the last sample and ``cap``
+    the cap at the step's own start, and the last one ends on the last
+    sample. Returns each step's start state and size, and the end state."""
+    t_last = sample_times(cfg)[-1]
+    state = SimState(0.0, _prepare_initial(u0, cfg))
+    steps = []
+    while t_last - state.t > 1e-15:
+        rest = t_last - state.t
+        nsteps = math.ceil(rest / (_cfl_cap(state.u_hat, cfg) * (1.0 + STEP_SLACK)))
+        steps.append((state, rest / nsteps))
+        state = step(state, rest / nsteps, cfg)
+        if nsteps == 1:
+            state = SimState(t_last, state.u_hat)
+    return steps, state
+
+
+def samples_reached(steps, cfg):
+    """Per step, the number of samples in ``(start, end]``: more than one
+    where a step spans several samples, 0 where a sample interval takes
+    several steps."""
+    times = np.array(sample_times(cfg))
+    return [int(((times > s.t) & (times <= s.t + h)).sum()) for s, h in steps]
+
+
+def chained_samples(u0, cfg):
+    """Every sample as the replayed schedule gives it, with the schedule: a
+    sample on a step end is the chained state there, and one strictly inside
+    a step the dense output of a fresh IF-RK4 step from the chained state
+    that starts it."""
+    steps, end = step_schedule(u0, cfg)
+    states = [state for state, _ in steps] + [end]
+    samples = []
+    for t_k in sample_times(cfg):
+        j = next(j for j, state in enumerate(states) if state.t >= t_k - 1e-15)
+        if states[j].t <= t_k + 1e-15:
+            samples.append(states[j].u_hat.coeffs)
         else:
-            spans.append((i, j, 1))
-            i = j
-    return spans
+            start, h = steps[j - 1]
+            _, stages = _ifrk4(start.u_hat, h, cfg)
+            samples.append(_dense_output(start.u_hat.coeffs, stages, h,
+                                         (t_k - start.t) / h, start.u_hat.grid))
+    return samples, steps
 
 
 # Samples every 0.1 in tau on [0, 2.5]: at dt_max = 0.04 the early intervals
@@ -184,30 +220,23 @@ def cube_trajectory(u0, cfg):
     coefficients of every sample."""
     grid = u0.grid
     c = scatter(_prepare_initial(u0, cfg).coeffs, grid)
-    times = [t_of_tau(tau, cfg.t_horizon) for tau in cfg.sample_taus]
-    samples, t, i = [], 0.0, 0
-    while i < len(times):
-        span = times[i] - t
-        if span > 1e-15:
-            cap = _cfl_cap(SpectralVectorField(grid, gather(c, grid)), cfg)
-            if span > cap:
-                nsteps = math.ceil(span / cap)
-                for _ in range(nsteps):
-                    c, _ = cube_ifrk4(c, span / nsteps, grid, cfg.nonlinear)
-            else:
-                j = i
-                while j + 1 < len(times) and times[j + 1] - t <= cap:
-                    j += 1
-                h = times[j] - t
-                end, stages = cube_ifrk4(c, h, grid, cfg.nonlinear)
-                for k in range(i, j):
-                    theta = (times[k] - t) / h
-                    samples.append(cube_dense_output(c, stages, h, theta, grid))
-                c, i = end, j
-            t = times[i]
-        samples.append(c)
-        i += 1
-    return samples
+    times = sample_times(cfg)
+    samples, t = [], 0.0
+    while True:
+        while len(samples) < len(times) and times[len(samples)] - t <= 1e-15:
+            samples.append(c)
+        if len(samples) == len(times):
+            return samples
+        rest = times[-1] - t
+        cap = _cfl_cap(SpectralVectorField(grid, gather(c, grid)), cfg)
+        nsteps = math.ceil(rest / (cap * (1.0 + STEP_SLACK)))
+        h = rest / nsteps
+        end, stages = cube_ifrk4(c, h, grid, cfg.nonlinear)
+        t_end = times[-1] if nsteps == 1 else t + h
+        while times[len(samples)] - t_end < -1e-15:
+            theta = (times[len(samples)] - t) / h
+            samples.append(cube_dense_output(c, stages, h, theta, grid))
+        c, t = end, t_end
 
 
 def orthogonality_ratio(u):
@@ -430,37 +459,31 @@ class TestSimulate:
             list(simulate(u0, base_config(grid16)))
 
     def test_handed_over_first_stage_equals_fresh_steps(self, grid32):
-        # a span split into several steps equals the same number of chained
-        # step() calls from the sample that starts it
+        # with several steps between samples, every sample equals the chain
+        # of step() calls on the schedule bitwise: the last one its end, the
+        # others the dense output of a fresh step from the state before them
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.004)
         snaps = list(simulate(u0, cfg))
-        u_hat = snaps[0].u_hat
-        most = 0
-        for prev, snap in zip(snaps, snaps[1:]):
-            span = snap.frame.t - prev.frame.t
-            nsteps = math.ceil(span / _cfl_cap(u_hat, cfg))
-            most = max(most, nsteps)
-            state = SimState(prev.frame.t, u_hat)
-            for _ in range(nsteps):
-                state = step(state, span / nsteps, cfg)
-            u_hat = state.u_hat
-            assert np.array_equal(u_hat.coeffs, snap.u_hat.coeffs)
-        assert most > 1
+        expected, steps = chained_samples(u0, cfg)
+        reached = samples_reached(steps, cfg)
+        assert max(reached) == 1 and min(reached) == 0
+        assert len(expected) == len(snaps)
+        for snap, coeffs in zip(snaps, expected):
+            assert np.array_equal(snap.u_hat.coeffs, coeffs)
 
     def test_step_ends_equal_chained_steps(self, grid32):
+        # the same with steps that span several samples and sample intervals
+        # that take several steps
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS)
         snaps = list(simulate(u0, cfg))
-        spans = step_spans(snaps, cfg)
-        assert any(end - start > 1 for start, end, _ in spans)
-        assert any(nsteps > 1 for _, _, nsteps in spans)
-        for start, end, nsteps in spans:
-            state = SimState(snaps[start].frame.t, snaps[start].u_hat)
-            dt = (snaps[end].frame.t - snaps[start].frame.t) / nsteps
-            for _ in range(nsteps):
-                state = step(state, dt, cfg)
-            assert np.array_equal(state.u_hat.coeffs, snaps[end].u_hat.coeffs)
+        expected, steps = chained_samples(u0, cfg)
+        reached = samples_reached(steps, cfg)
+        assert max(reached) > 1 and min(reached) == 0
+        assert len(expected) == len(snaps)
+        for snap, coeffs in zip(snaps, expected):
+            assert np.array_equal(snap.u_hat.coeffs, coeffs)
 
     def test_tendency_count(self, grid32, monkeypatch):
         # every step evaluates its four stages, and emitting a sample
@@ -474,13 +497,12 @@ class TestSimulate:
         u0 = random_solenoidal(grid32, 9, target=0.05)
         cfg = base_config(grid32, dt_max=0.04, sample_taus=MIXED_TAUS)
         monkeypatch.setattr(dynamics, "_nonlinear_tendency", counted)
-        snaps = list(simulate(u0, cfg))
+        list(simulate(u0, cfg))
         monkeypatch.undo()
-        spans = step_spans(snaps, cfg)
-        assert any(end - start > 1 for start, end, _ in spans)
-        assert any(nsteps > 1 for _, _, nsteps in spans)
-        steps = sum(nsteps for _, _, nsteps in spans)
-        assert len(calls) == 4 * steps
+        steps, _ = step_schedule(u0, cfg)
+        reached = samples_reached(steps, cfg)
+        assert max(reached) > 1 and min(reached) == 0
+        assert len(calls) == 4 * len(steps)
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_band_integrator_equals_the_cube_reference(self, grid32, nonlinear):
@@ -492,9 +514,8 @@ class TestSimulate:
             grid32, dt_max=0.04, sample_taus=MIXED_TAUS, nonlinear=nonlinear
         )
         snaps = list(simulate(u0, cfg))
-        spans = step_spans(snaps, cfg)
-        assert any(end - start > 1 for start, end, _ in spans)
-        assert any(nsteps > 1 for _, _, nsteps in spans)
+        reached = samples_reached(step_schedule(u0, cfg)[0], cfg)
+        assert max(reached) > 1 and min(reached) == 0
         reference = cube_trajectory(u0, cfg)
         assert len(reference) == len(snaps)
         for snap, expected in zip(snaps, reference):
@@ -544,9 +565,8 @@ class TestSimulate:
         u0 = random_solenoidal(grid16, 9, target=0.05)
         cfg = base_config(grid16, dt_max=0.04, sample_taus=MIXED_TAUS)
         clean = list(simulate(u0, cfg))
-        spans = step_spans(clean, cfg)
-        assert any(end - start > 1 for start, end, _ in spans)
-        assert any(nsteps > 1 for _, _, nsteps in spans)
+        reached = samples_reached(step_schedule(u0, cfg)[0], cfg)
+        assert max(reached) > 1 and min(reached) == 0
         for snap, ref in zip(simulate(u0, cfg), clean):
             assert snap.u_hat.grid == grid16
             assert snap.u_hat.coeffs.shape == (3,) + grid16.xi_sq.shape
@@ -577,7 +597,7 @@ class TestSimulate:
             grid32, dt_max=0.04, sample_taus=MIXED_TAUS, nonlinear=False
         )
         snaps = list(simulate(u0, cfg))
-        assert any(end - start > 1 for start, end, _ in step_spans(snaps, cfg))
+        assert max(samples_reached(step_schedule(u0, cfg)[0], cfg)) > 1
         c0 = snaps[0].u_hat.coeffs
         for snap in snaps:
             exact = np.exp(-grid32.xi_sq * snap.frame.t) * c0
@@ -622,6 +642,102 @@ class TestSimulate:
             base_config(grid16, delta=-1.0)
         with pytest.raises(ConfigurationError):
             base_config(grid16, alpha=0.3)
+
+
+@st.composite
+def tau_grids(draw):
+    """Increasing sample taus from ``tau = 0.0`` to ``1.0`` on, up to 12
+    gaps of 0.005 to 0.5."""
+    start = draw(st.floats(0.0, 1.0))
+    gaps = draw(st.lists(st.floats(0.005, 0.5), max_size=12))
+    return start + np.cumsum([0.0] + gaps)
+
+
+def recorded_steps(u0, cfg):
+    """The steps :func:`simulate` takes, as ``(start, size, cap at the
+    start)``, read by wrapping :func:`_ifrk4`; and the snapshots."""
+    steps = []
+    ifrk4 = dynamics._ifrk4
+
+    def recorded(u_hat, dt, cfg):
+        start = steps[-1][0] + steps[-1][1] if steps else 0.0
+        steps.append((start, dt, dynamics._cfl_cap(u_hat, cfg)))
+        return ifrk4(u_hat, dt, cfg)
+
+    with mock.patch.object(dynamics, "_ifrk4", recorded):
+        snaps = list(simulate(u0, cfg))
+    return steps, snaps
+
+
+def assert_steps_reach_the_last_sample(steps, snaps, cfg):
+    t_last = sample_times(cfg)[-1]
+    assert len(snaps) == len(cfg.sample_taus)
+    assert snaps[-1].frame.t == t_last
+    if t_last > 0.0:
+        start, h, _ = steps[-1]
+        assert abs(start + h - t_last) <= 1e-15
+        assert all(start + h < t_last for start, h, _ in steps[:-1])
+
+
+class TestSchedule:
+    # The cap is a law of the state's energy, which decays as exp(-2 t) for
+    # a single |xi| = 1 mode under linear dynamics: rate > 0 shrinks it along
+    # the run, rate < 0 grows it, and the real CFL cap grows too.
+    @settings(max_examples=40, deadline=None)
+    @given(taus=tau_grids(), dt_max=st.floats(0.002, 0.2),
+           law=st.one_of(st.none(), st.tuples(st.floats(0.002, 0.2),
+                                              st.floats(-2.0, 2.0))),
+           cfl=st.floats(1e-3, 1.0))
+    def test_every_step_is_within_the_cap_at_its_own_start(
+        self, grid16, taus, dt_max, law, cfl
+    ):
+        u0 = single_mode_field(grid16, 1)
+        cfg = base_config(grid16, sample_taus=taus, dt_max=dt_max, cfl=cfl,
+                          delta=1.0, nonlinear=False)
+
+        def energy_law(u_hat, cfg):
+            cap0, rate = law
+            return min(cfg.dt_max, cap0 * l2_norm_sq(u_hat) ** rate)
+
+        with mock.patch.object(dynamics, "_cfl_cap",
+                               energy_law if law else _cfl_cap):
+            steps, snaps = recorded_steps(u0, cfg)
+        for _, h, cap in steps:
+            assert cap <= dt_max
+            assert h <= cap * (1.0 + 1e-12)
+        assert_steps_reach_the_last_sample(steps, snaps, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(taus=tau_grids(), count=st.integers(1, 60), short=st.floats(0.0, 0.99))
+    def test_a_constant_cap_takes_the_fewest_steps(self, grid16, taus, count, short):
+        # the zero field has no CFL cap, so every step's cap is dt_max, set
+        # here so that count - 1 steps fall short of the span; short = 0
+        # makes the span an exact multiple of dt_max up to rounding
+        t_last = t_of_tau(taus[-1], 1.0)
+        assume(t_last > 0.0)
+        cfg = base_config(grid16, sample_taus=taus, dt_max=t_last / (count - short))
+        steps, snaps = recorded_steps(zero_field(grid16), cfg)
+        assert len(steps) == count
+        for _, h, cap in steps:
+            assert cap == cfg.dt_max
+            assert h <= cap * (1.0 + 1e-12)
+        assert_steps_reach_the_last_sample(steps, snaps, cfg)
+
+    def test_samples_match_a_sixteen_times_finer_run(self, grid32):
+        # the verify-n32 data (seed 0) on tau in [0, 0.3], where its largest
+        # dense-output error lies: every sample within 1e-11 of the largest
+        # coefficient of the run at dt_max / 16. Measured 4.4e-12 here, and
+        # 6.4e-13 when every step ended on a sample
+        u0 = random_solenoidal(grid32, 0, target=0.05)
+        taus = np.arange(0.0, 0.3 + 1e-9, 0.02)
+        coarse, fine = (
+            list(simulate(u0, base_config(grid32, dt_max=dt, sample_taus=taus)))
+            for dt in (0.02, 0.02 / 16)
+        )
+        scale = max(np.abs(s.u_hat.coeffs).max() for s in fine)
+        err = max(np.abs(a.u_hat.coeffs - b.u_hat.coeffs).max()
+                  for a, b in zip(coarse, fine))
+        assert err <= 1e-11 * scale
 
 
 class TestRescale:
@@ -767,16 +883,18 @@ class TestWeakForm:
     def test_exact_trajectory_residual_golden(self, grid16):
         # 17 digits: the trajectory and every pairing of the residual are
         # bitwise reproducible, so a change that moves it shows here;
-        # recorded with every pairing a shell sum on the 2/3 band
+        # recorded with every pairing a shell sum on the 2/3 band and the
+        # integrator stepping at its cap
         snaps = self._tg_snapshots(grid16)
         t0, t1 = snaps[0].frame.t, snaps[-1].frame.t
         tf = make_test_field(grid16, 1, t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0))
-        assert weak_form_residual(snaps, tf) == -1.7173368890838132e-06
+        assert weak_form_residual(snaps, tf) == -1.7173368890893672e-06
 
     def test_random_run_residual_golden(self, random_weak_run):
-        # recorded with every pairing a shell sum on the 2/3 band
+        # recorded with every pairing a shell sum on the 2/3 band and the
+        # integrator stepping at its cap
         snaps, tf = random_weak_run
-        assert weak_form_residual(snaps, tf) == 1.8721440083634688e-05
+        assert weak_form_residual(snaps, tf) == 1.8721439903183005e-05
 
     def test_transforms_only_the_support(self, random_weak_run, monkeypatch):
         # each sample inside the support takes one inverse call of u and

@@ -67,20 +67,25 @@ def test_taylor_green_criterion_passes():
 # criterion_weak_form(5)'s ten residuals as float.hex: the planar vortex
 # against test fields 100..104, then the random run against 200..204
 WEAK_FORM_RESIDUALS = [
-    "0x1.96eb2af6e4c48p-25", "-0x1.8f6868069ac76p-24", "-0x1.cac9facca35f8p-24",
-    "0x1.81af9b3ea6448p-23", "0x1.150f64b357929p-23",
-    "0x1.706c9dc29e68dp-27", "0x1.bd31889cde0e1p-25", "0x1.e09131f615026p-27",
-    "0x1.c731016853c51p-28", "0x1.a7fb52303ac58p-26",
+    "0x1.96eb2af16f68ap-25", "-0x1.8f686800f456ap-24", "-0x1.cac9fac6f080dp-24",
+    "0x1.81af9b39d1a6ep-23", "0x1.150f64af45472p-23",
+    "0x1.706c9decae1efp-27", "0x1.bd31889e3e08ap-25", "0x1.e09131bbace4ep-27",
+    "0x1.c7310132262a4p-28", "0x1.a7fb5248a0692p-26",
 ]
 
 
 def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
     # each run's one weak-form pass and five residuals follow it, and its
     # snapshots are freed before the next run starts; the wrappers hold weak
-    # references only
-    simulate = harness.simulate
+    # references only. Stepping at its cap, the integrator takes 100 + 87
+    # steps of four tendencies each
+    simulate, tendency = harness.simulate, dynamics._nonlinear_tendency
     weak_integrands, weak_residual = harness.weak_integrands, harness.weak_residual
-    runs, order, residuals = [], [], []
+    runs, order, residuals, tendencies = [], [], [], []
+
+    def counted_tendency(*args):
+        tendencies.append(1)
+        return tendency(*args)
 
     def watched_simulate(u0, cfg):
         alive = [sum(ref() is not None for ref in run) for run in runs]
@@ -104,12 +109,14 @@ def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
     monkeypatch.setattr(harness, "simulate", watched_simulate)
     monkeypatch.setattr(harness, "weak_integrands", watched_weak_integrands)
     monkeypatch.setattr(harness, "weak_residual", watched_weak_residual)
+    monkeypatch.setattr(dynamics, "_nonlinear_tendency", counted_tendency)
     result = harness.criterion_weak_form(5)
     vortex, small = 2.0 * math.pi, 8.0 * math.pi
     assert order == ([("run", vortex, []), ("pass", vortex, 5)] + ["residual"] * 5
                      + [("run", small, [0]), ("pass", small, 5)] + ["residual"] * 5)
     assert [len(run) for run in runs] == [101, 101]
     assert residuals == WEAK_FORM_RESIDUALS
+    assert len(tendencies) == 748
     assert result.passed
     assert result.detail == "worst normalized residual 1.80e-07"
 
