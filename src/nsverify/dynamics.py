@@ -158,10 +158,10 @@ def rotational_product(u: np.ndarray, vort: np.ndarray, grid: Grid) -> np.ndarra
 
 def _nonlinear_tendency(c: np.ndarray, grid: Grid) -> np.ndarray:
     """Projected nonlinear tendency ``-P[(u.grad)u] = P[F[u x curl u]]`` of
-    the band coefficients ``c``."""
-    product = rotational_product(
-        spec_to_phys(c, grid), spec_to_phys(curl(c, grid), grid), grid
-    )
+    the band coefficients ``c``: one inverse call takes ``u`` and its
+    vorticity to samples."""
+    samples = spec_to_phys(np.concatenate((c, curl(c, grid))), grid)
+    product = rotational_product(samples[:3], samples[3:], grid)
     return leray_project(SpectralVectorField(grid, product)).coeffs
 
 

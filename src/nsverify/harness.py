@@ -589,10 +589,15 @@ def criterion_scaling_symmetry(n: int = 64, seed: int = 3) -> CriterionResult:
     snap_b = list(simulate(v0, cfg_b))[-1]
     diff = SpectralVectorField(grid, snap_b.u_hat.coeffs - ref.coeffs)
     err = math.sqrt(l2_norm_sq(diff) / l2_norm_sq(ref))
-    passed = err <= 1e-6
-    return CriterionResult(
-        "scaling-symmetry", passed, f"relative field discrepancy {err:.2e}"
-    )
+    # rescale_data(., 2) drops the inactive modes beyond K/2 on some axis;
+    # the larger share of its two calls is reported
+    far = 2 * np.abs(grid.wavenumbers) > grid.dealias_kmax
+    far = far[:, None, None] | far[None, :, None] | far[: grid.dealias_kmax + 1]
+    dropped = max(math.sqrt(l2_norm_sq(SpectralVectorField(grid, u.coeffs * far))
+                            / l2_norm_sq(u)) for u in (u0, snap_a.u_hat))
+    return CriterionResult("scaling-symmetry", err <= 1e-6,
+                           f"relative field discrepancy={err:.2e}, "
+                           f"dropped as inactive={dropped:.2e}")
 
 
 def _worst_weak_residual(

@@ -533,16 +533,19 @@ class TestSimulate:
         self, grid32, monkeypatch
     ):
         # the benchmark counts transforms and projections at these bindings
-        # of dynamics: per tendency the rotational product takes u and its
-        # vorticity back (two calls) and the product forward (one), and the
-        # tendency projects once
+        # of dynamics: per tendency u and its vorticity go back in one call
+        # of six components, the product forward in one, and the tendency
+        # projects once
         counts = collections.Counter()
+        components = []
 
         def counted(name):
             original = getattr(dynamics, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
+                if name == "spec_to_phys":
+                    components.append(args[0].shape[0])
                 return original(*args, **kwargs)
 
             return wrapper
@@ -555,9 +558,10 @@ class TestSimulate:
         tendencies = counts["_nonlinear_tendency"]
         assert tendencies > 0
         assert counts == {"_nonlinear_tendency": tendencies,
-                          "spec_to_phys": 2 * tendencies,
+                          "spec_to_phys": tendencies,
                           "phys_to_spec": tendencies,
                           "leray_project": tendencies}
+        assert components == [6] * tendencies
 
     def test_snapshots_own_their_band_coefficients(self, grid16):
         # each snapshot holds a copy of the band state: setting one to NaN

@@ -9,7 +9,7 @@ import numpy as np
 
 from nsverify import dynamics, harness, ledger
 from nsverify.snapshot_io import write_snapshot
-from nsverify.spectral import RealVectorField, build_grid
+from nsverify.spectral import RealVectorField, SpectralVectorField, build_grid
 from nsverify.harness import (
     CriterionResult,
     criterion_decomposition,
@@ -34,6 +34,25 @@ def test_spectral_infrastructure_criterion_passes():
 def detail_values(detail):
     """The ``name=value`` numbers of a criterion's detail string."""
     return {k: float(v) for k, v in (part.split("=") for part in detail.split(", "))}
+
+
+def test_scaling_symmetry_reports_what_the_dilation_drops(monkeypatch):
+    # a shear u_y(x) on kx = 1, plus a mode on kx = 4 at 1e-10 of it, below
+    # rescale_data's activity threshold and beyond K/2 = 2 at n = 16; the
+    # shear's advection is a gradient, so the run is heat flow and the
+    # kx = 4 mode is relatively weakest in the data, where it reads exactly
+    def sheared(spec, grid):
+        coeffs = np.zeros((3,) + grid.xi_sq.shape, dtype=complex)
+        for k, amplitude in ((1, 0.05 / math.sqrt(2.0)), (4, 0.05e-10 / math.sqrt(2.0))):
+            coeffs[1, k, 0, 0] = coeffs[1, -k, 0, 0] = amplitude
+        return SpectralVectorField(grid, coeffs)
+
+    monkeypatch.setattr(harness, "generate", sheared)
+    result = harness.criterion_scaling_symmetry(n=16)
+    assert result.passed, result.detail
+    values = detail_values(result.detail)
+    assert values["relative field discrepancy"] <= 1e-12
+    assert values["dropped as inactive"] == 1.00e-10
 
 
 def test_decomposition_criterion_passes():

@@ -134,8 +134,10 @@ class TestTransforms:
         w = transform_forward(random_band_limited(grid16, 5))
         assert plane_hermitian_error(w) < 1e-13 * np.abs(w.coeffs).max()
 
-    @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("batch", [1, 3, 9])
+    # n = 24 and 48 are not powers of two: the inverse's 1/n^3 multiply after
+    # the last pass is bitwise scipy's normalization there too
+    @pytest.mark.parametrize("n", [16, 24, 32, 48])
+    @pytest.mark.parametrize("batch", [1, 3, 6, 9])
     def test_inverse_per_component_equals_batched(self, n, batch):
         grid = build_grid(n, 2.0 * math.pi)
         rng = np.random.default_rng(batch)
@@ -204,18 +206,31 @@ class TestBand:
         inv[0, 0, 0] = np.inf
         assert np.array_equal(grid16.inv_xi_sq, 1.0 / inv)
 
-    def test_transforms_equal_the_grids(self, grid16):
+    @pytest.mark.parametrize("n", [16, 24, 32, 48])
+    def test_transforms_equal_the_grids(self, n):
         # bitwise: the inverse transforms the scaled, zero-padded half
         # spectrum, and the forward gathers the band out of the scaled one,
         # dropping the Nyquist planes and every mode beyond K
-        b = random_band(grid16, 3)
-        scale = grid16.n**3 / grid16.l_box**1.5
+        grid = build_grid(n, 2.0 * math.pi)
+        b = random_band(grid, 3)
+        scale = n**3 / grid.l_box**1.5
         samples = scipy.fft.irfftn(
-            scatter(b, grid16) * scale, s=(16, 16, 16), axes=(-3, -2, -1))
-        assert np.array_equal(spec_to_phys(b, grid16), samples)
+            scatter(b, grid) * scale, s=(n, n, n), axes=(-3, -2, -1))
+        assert np.array_equal(spec_to_phys(b, grid), samples)
         half = scipy.fft.rfftn(samples**2, axes=(-3, -2, -1))
-        expected = gather(half, grid16) * (grid16.l_box**1.5 / grid16.n**3)
-        assert np.array_equal(phys_to_spec(samples**2, grid16), expected)
+        expected = gather(half, grid) * (grid.l_box**1.5 / n**3)
+        assert np.array_equal(phys_to_spec(samples**2, grid), expected)
+
+    def test_transforms_leave_their_input(self, grid16):
+        # callers reuse what they transform; the inverse's zeroed buffers,
+        # reused across components, rely on the same of each pocketfft pass
+        b = random_band(grid16, 5)
+        kept = b.copy()
+        samples = spec_to_phys(b, grid16)
+        assert np.array_equal(b, kept)
+        kept = samples.copy()
+        phys_to_spec(samples, grid16)
+        assert np.array_equal(samples, kept)
 
     def test_operators_run_on_band_fields(self, grid16):
         # the projection and the Parseval pairing on the band equal their
