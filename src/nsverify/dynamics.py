@@ -31,8 +31,10 @@ forward transform of a product is its truncation to the band.
 
 The integrator computes nothing for the ledger: a nonlinear trajectory costs
 exactly four tendency evaluations per step, and a snapshot carries the field
-(a copy of its band coefficients), its energy and its tail fraction, both
-read from one :func:`~nsverify.spectral.shell_sum` of its mode energies. The
+(a copy of its band coefficients), its shell energies (one
+:func:`~nsverify.spectral.shell_sum` of its mode energies), and the energy
+and tail fraction read from them. The ledger and the weak form read the
+shell energies too, and compute none of their own. The
 ledger forms the energy transfer from its own samples of ``u`` and ``omega``
 with :func:`rotational_product` (:mod:`nsverify.ledger`), and so does the weak
 form's advection pairing (:func:`weak_integrands`).
@@ -99,12 +101,14 @@ class SimState:
 @dataclass
 class Snapshot:
     """One emitted sample: its frame, the field on the grid's 2/3 band, and
-    the field's energy and tail fraction (:func:`spectral.tail_fraction`)."""
+    the field's energy, tail fraction (:func:`spectral.tail_fraction`) and
+    per-shell energies (:func:`spectral.shell_sum` of its mode energies)."""
 
     frame: SimilarityFrame
     u_hat: SpectralVectorField
     tail_fraction: float
     energy: float
+    shell_energies: np.ndarray
 
 
 @dataclass
@@ -362,6 +366,7 @@ def simulate(
             u_hat=SpectralVectorField(grid, coeffs.copy()),
             tail_fraction=tail,
             energy=energy,
+            shell_energies=shell_e,
         )
 
     i = 0
@@ -464,6 +469,10 @@ class TestField:
         sin = math.sin(math.pi * z)
         return 4.0 * math.pi / width * sin**3 * math.cos(math.pi * z)
 
+    def active(self, t: float) -> bool:
+        """Whether the envelope or its rate is nonzero at ``t``."""
+        return (self.envelope(t), self.envelope_rate(t)) != (0.0, 0.0)
+
 
 def make_test_field(grid: Grid, seed: int, t_start: float, t_end: float) -> TestField:
     """Random band-limited solenoidal test field with the C^3 ``sin^4`` time
@@ -495,16 +504,18 @@ def weak_integrands(
     :func:`rotational_product`. The cubic bound reads ``sum_jk ||u_j
     u_k||^2`` as ``|| |u|^2 ||^2``. A snapshot inside any field's support is
     transformed once for all the fields (6 inverse and 3 forward components);
-    one outside every support, where each envelope and its rate are 0, and
-    the test fields are not transformed.
+    a snapshot where no field is :meth:`~TestField.active` is not
+    transformed, and neither are the test fields. Such a snapshot is read
+    for its frame only, so its ``u_hat`` may be None.
     """
     if len(snapshots) < 3:
         raise DomainError("weak-form quadrature needs at least three snapshots")
-    g = snapshots[0].u_hat.grid
+    grids = {tf.spatial.grid for tf in testfields}
+    grids.update(s.u_hat.grid for s in snapshots if s.u_hat is not None)
+    if len(grids) > 1:
+        raise DomainError("test fields and snapshots live on different grids")
     t_first, t_last = snapshots[0].frame.t, snapshots[-1].frame.t
     for tf in testfields:
-        if tf.spatial.grid != g:
-            raise DomainError("test field lives on a different grid")
         if solenoidal_error(tf.spatial) > 1e-10:
             raise DomainError("test field is not solenoidal")
         if tf.t_start < t_first - 1e-12 or tf.t_end > t_last + 1e-12:
@@ -514,7 +525,10 @@ def weak_integrands(
     dtaus = np.diff(taus)
     if dtaus.size >= 2 and np.max(np.abs(dtaus - dtaus[0])) > 1e-9 * abs(dtaus[0]):
         raise DomainError("weak-form quadrature requires uniform tau sampling")
+    if not testfields:
+        return []
 
+    g = testfields[0].spatial.grid
     rho_sq = g.shell_radii**2
     shells_v = [shell_sum(mode_energy(tf.spatial.coeffs), g) for tf in testfields]
     norms_v = [(math.sqrt(s.sum()), math.sqrt((rho_sq * s).sum())) for s in shells_v]
@@ -524,8 +538,7 @@ def weak_integrands(
     scales = np.zeros_like(values)
     for i, snap in enumerate(snapshots):
         t = snap.frame.t
-        rates = [(tf.envelope(t), tf.envelope_rate(t)) for tf in testfields]
-        if all(rate == (0.0, 0.0) for rate in rates):
+        if not any(tf.active(t) for tf in testfields):
             continue
         c = snap.u_hat.coeffs
         spec_to_phys(np.concatenate((c, curl(c, g))), g, out=samples)
@@ -533,12 +546,12 @@ def weak_integrands(
         u_sq = samples[0] ** 2 + samples[1] ** 2 + samples[2] ** 2
         quartic = math.sqrt(float((u_sq**2).sum() * cell))
         norm_u = math.sqrt(snap.energy)
-        grad_norm_u = math.sqrt((rho_sq * shell_sum(mode_energy(c), g)).sum())
+        grad_norm_u = math.sqrt((rho_sq * snap.shell_energies).sum())
         jac = snap.frame.t_horizon - t  # dt/dtau
-        for f, (tf, (theta, theta_dot), (norm_v, grad_norm_v)) in enumerate(
-                zip(testfields, rates, norms_v)):
-            if theta == 0.0 and theta_dot == 0.0:
+        for f, (tf, (norm_v, grad_norm_v)) in enumerate(zip(testfields, norms_v)):
+            if not tf.active(t):
                 continue
+            theta, theta_dot = tf.envelope(t), tf.envelope_rate(t)
             v = tf.spatial.coeffs
             # <u, v> and <grad u, grad v> from one shell sum (|xi|^2 = rho^2)
             pairing = shell_sum((np.conj(v) * c).real.sum(axis=0), g)

@@ -27,19 +27,26 @@ truncates to the band.
 
 What the ledger reads in physical space is the transfer's product ``u x
 omega`` and the sup and L4 norms. It splits the field at the low-pass weight
-``phi(s|xi|)``. The low block ``u_low = F^-1[phi c]`` takes 3 inverse
+``phi(s|xi|)`` and evaluates the low block first, in its own scope
+(:func:`_low_block`). The low block ``u_low = F^-1[phi c]`` takes 3 inverse
 transforms and its gradient tensor 8: the trace closes the tensor, ``d_2 u_2
-= -(d_0 u_0 + d_1 u_1)``, and ``omega_low`` is its differences. While ``1 -
-phi(s r)`` is nonzero on some shell that carries energy, one more call
-transforms the high block's velocity ``F^-1[(1 - phi) c]`` and vorticity
-``F^-1[i xi x (1 - phi) c]`` (6 components), and ``u`` and ``omega`` are the
-sums of the two blocks'. Once it is exactly 0 on every such shell (late tau,
-when the low block takes in the whole dealiased band), the low block is the
-field itself and the ledger transforms ``c`` and its gradient tensor only.
-So a high-pass sample transforms 17 components back, a low-pass one 11, and
-each 3 forward (``u x omega``). The ``T_*`` columns read the transfer,
-``sup_norm_w`` reads ``|u|``, ``sup_w_low`` and ``l4_w_low`` read
-``|u_low|``, and ``sup_grad_w_low`` reads ``|grad u_low|``.
+= -(d_0 u_0 + d_1 u_1)``, and ``omega_low`` is its differences. The block is
+reduced at once to ``sup_w_low`` and ``l4_w_low``, which read ``|u_low|``,
+and ``sup_grad_w_low``, which reads ``|grad u_low|``; only the samples of
+``u_low`` and ``omega_low`` outlive that scope, and the gradient tensor, its
+spectra and the squares are freed. While ``1 - phi(s r)`` is nonzero on some
+shell that carries energy, one more call then transforms the high block's
+velocity ``F^-1[(1 - phi) c]`` and vorticity ``F^-1[i xi x (1 - phi) c]`` (6
+components), which are added into the low block's in place, so that they
+become ``u`` and ``omega``, and freed. Once it is exactly 0 on every such
+shell (late tau, when the low block takes in the whole dealiased band), the
+low block is the field itself and the ledger transforms ``c`` and its
+gradient tensor only. So a high-pass sample transforms 17 components back, a
+low-pass one 11, and each 3 forward (``u x omega``). At n=32 a sample's
+allocations peak at 19.5 (high pass) and 18.6 (low pass) n^3 float64 arrays
+(tracemalloc; a Tier-1 test bounds them). The ``T_*`` columns read
+the transfer and ``sup_norm_w`` reads ``|u|``. The shell energies are the
+snapshot's own (:class:`~nsverify.dynamics.Snapshot`).
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -70,7 +77,7 @@ import numpy as np
 from .cutoffs import weight_tables
 from .dynamics import Snapshot, rotational_product
 from .errors import DomainError, FitError
-from .spectral import Grid, curl, mode_energy, shell_sum, spec_to_phys
+from .spectral import Grid, curl, shell_sum, spec_to_phys
 
 __all__ = [
     "EnergyRecord",
@@ -375,6 +382,27 @@ def _shell_transfer(u, vort, c, grid: Grid) -> np.ndarray:
     return shell_sum(-(lamb * np.conj(c)).real.sum(axis=0), grid)
 
 
+def _low_block(low: np.ndarray, grid: Grid, s: float):
+    """Samples of the low block's velocity and vorticity from its band
+    coefficients ``low``, and its three norms in the frame of scale ``s``:
+    ``sup_w_low``, ``l4_w_low`` and ``sup_grad_w_low``. The gradient tensor
+    and the squares are freed on return."""
+    u_low = spec_to_phys(low, grid)
+    grads = _gradient_tensor(low, grid)
+    vort_low = np.empty_like(u_low)  # omega_i = d_j u_k - d_k u_j, cyclic
+    for i, j, k in _CYCLIC:
+        np.subtract(grads[j, k], grads[k, j], out=vort_low[i])
+    grad2 = np.einsum("jk...,jk...->...", grads, grads)
+    del grads
+    mag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
+    norms = {
+        "sup_w_low": s * math.sqrt(mag2.max()),
+        "sup_grad_w_low": s**2 * math.sqrt(grad2.max()),
+        "l4_w_low": float((s * grid.cell_volume * (mag2**2).sum()) ** 0.25),
+    }
+    return u_low, vort_low, norms
+
+
 def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     g = ctx.grid
     if snap.u_hat.grid != g:
@@ -384,7 +412,7 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     rho = g.shell_radii
     r = s * rho
     tables = weight_tables(r, ctx.alpha)
-    shell_e = shell_sum(mode_energy(c), g)
+    shell_e = snap.shell_energies
 
     # the low block phi(s|xi|) c; once 1 - phi(s r) is exactly 0 on every
     # shell that carries energy, that is c itself and the high block is zero
@@ -394,24 +422,19 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     def per_mode(shell_weight):
         return np.sqrt(shell_weight)[g.shell_index].reshape(g.xi_sq.shape)
 
-    low = per_mode(tables["phi"][0]) * c if high_pass else c
-    u_low = spec_to_phys(low, g)
-    lowgrads = _gradient_tensor(low, g)
-    vort_low = np.empty_like(u_low)  # omega_i = d_j u_k - d_k u_j, cyclic
-    for i, j, k in _CYCLIC:
-        np.subtract(lowgrads[j, k], lowgrads[k, j], out=vort_low[i])
-    lowmag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
-    lowgrad2 = np.einsum("jk...,jk...->...", lowgrads, lowgrads)
+    u, vort, norms = _low_block(
+        per_mode(tables["phi"][0]) * c if high_pass else c, g, s)
     if high_pass:
-        # the high block's velocity and vorticity in one call; u and omega
-        # are the sums of the two blocks'
+        # the high block's velocity and vorticity in one call, added into
+        # the low block's: u and omega are the sums of the two blocks'
         hc = per_mode(high_sq) * c
         high = spec_to_phys(np.concatenate([hc, curl(hc, g)]), g)
-        u = np.add(u_low, high[:3], out=high[:3])
-        vort = np.add(vort_low, high[3:], out=high[3:])
-        umag2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+        u += high[:3]
+        vort += high[3:]
+        del high
+        sup_norm_w = s * math.sqrt((u[0] ** 2 + u[1] ** 2 + u[2] ** 2).max())
     else:
-        u, vort, umag2 = u_low, vort_low, lowmag2
+        sup_norm_w = norms["sup_w_low"]
 
     # shell energies, transfers and the energies' exact tau-derivative
     # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
@@ -430,11 +453,9 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
 
     rec = EnergyRecord(
         tau=snap.frame.tau,
-        sup_norm_w=s * math.sqrt(umag2.max()),
-        sup_w_low=s * math.sqrt(lowmag2.max()),
-        sup_grad_w_low=s**2 * math.sqrt(lowgrad2.max()),
-        l4_w_low=float((s * g.cell_volume * (lowmag2**2).sum()) ** 0.25),
+        sup_norm_w=sup_norm_w,
         tail_fraction=snap.tail_fraction,
+        **norms,
         **values,
     )
     return rec, fdots, (shell_e, shell_edot)

@@ -11,7 +11,9 @@ from nsverify.spectral import (
     RealVectorField,
     SpectralVectorField,
     build_grid,
+    mode_energy,
     phys_to_spec,
+    shell_sum,
     spec_to_phys,
     transform_forward,
 )
@@ -105,7 +107,9 @@ def ledger_record(u, t, alpha=0.1):
     """The ledger's record of the field ``u`` at time ``t`` below the horizon
     ``T = 1`` (``s = sqrt(1 - t)``), read from a snapshot as :func:`simulate`
     emits it."""
-    snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0, energy=0.0)
+    shells = shell_sum(mode_energy(u.coeffs), u.grid)
+    snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0,
+                    energy=float(shells.sum()), shell_energies=shells)
     return RecordsBuilder(LedgerContext(u.grid, alpha, 0.05)).feed(snap)
 
 

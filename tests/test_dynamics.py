@@ -922,6 +922,15 @@ class TestWeakForm:
         assert inverse == [6] * 11
         assert forward == [3] * 11
 
+    def test_reads_only_the_frames_outside_the_supports(self, random_weak_run):
+        # a snapshot where the field is not active may come without its
+        # field, as the weak-form criterion keeps it; the integrand is the same
+        snaps, tf = random_weak_run
+        frames = [s if tf.active(s.frame.t) else replace(s, u_hat=None) for s in snaps]
+        assert sum(s.u_hat is None for s in frames) == 10
+        (full,), (thin,) = weak_integrands(snaps, [tf]), weak_integrands(frames, [tf])
+        assert all(np.array_equal(a, b) for a, b in zip(full, thin))
+
     def test_one_pass_serves_every_field(self, grid16):
         # fields with different supports: each residual of the shared pass
         # is bitwise the one-field pass's
@@ -947,7 +956,8 @@ class TestWeakForm:
             spec_to_phys(c, grid16), spec_to_phys(curl(c, grid16), grid16), grid16)
         assert -parseval_pair(v, product, grid16) == pytest.approx(advection, rel=1e-12)
 
-        snaps = [Snapshot(frame(1.0 - math.exp(-tau), 1.0), u, 0.0, l2_norm_sq(u))
+        shells = shell_sum(mode_energy(c), grid16)
+        snaps = [Snapshot(frame(1.0 - math.exp(-tau), 1.0), u, 0.0, l2_norm_sq(u), shells)
                  for tau in (0.0, 0.1, 0.2)]
         tf = make_test_field(grid16, 1, snaps[0].frame.t, snaps[-1].frame.t)
         ((_, values, scales),) = weak_integrands(snaps, [tf])
@@ -981,6 +991,7 @@ class TestWeakForm:
             frame=snaps[k].frame, u_hat=bad,
             tail_fraction=snaps[k].tail_fraction,
             energy=l2_norm_sq(bad),
+            shell_energies=shell_sum(mode_energy(bad.coeffs), grid16),
         )
         assert abs(weak_form_residual(corrupted, tf)) > 10.0 * clean
 

@@ -96,8 +96,9 @@ WEAK_FORM_RESIDUALS = [
 def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
     # each run's one weak-form pass and five residuals follow it, and its
     # snapshots are freed before the next run starts; the wrappers hold weak
-    # references only. Stepping at its cap, the integrator takes 100 + 87
-    # steps of four tendencies each
+    # references only. At each pass every sample's frame is there, but the
+    # only live fields are those inside some test field's support. Stepping
+    # at its cap, the integrator takes 100 + 87 steps of four tendencies each
     simulate, tendency = harness.simulate, dynamics._nonlinear_tendency
     weak_integrands, weak_residual = harness.weak_integrands, harness.weak_residual
     runs, order, residuals, tendencies = [], [], [], []
@@ -116,7 +117,13 @@ def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
             yield snap
 
     def watched_weak_integrands(snaps, testfields):
-        order.append(("pass", snaps[0].u_hat.grid.l_box, len(testfields)))
+        in_support = sum(
+            any(tf.envelope(s.frame.t) != 0.0 or tf.envelope_rate(s.frame.t) != 0.0
+                for tf in testfields)
+            for s in snaps)
+        live = sum(ref() is not None for ref in runs[-1])
+        order.append(("pass", testfields[0].spatial.grid.l_box, len(testfields),
+                      len(snaps), in_support, live))
         return weak_integrands(snaps, testfields)
 
     def watched_weak_residual(integrand):
@@ -131,8 +138,10 @@ def test_weak_form_criterion_holds_one_run_at_a_time(monkeypatch):
     monkeypatch.setattr(dynamics, "_nonlinear_tendency", counted_tendency)
     result = harness.criterion_weak_form(5)
     vortex, small = 2.0 * math.pi, 8.0 * math.pi
-    assert order == ([("run", vortex, []), ("pass", vortex, 5)] + ["residual"] * 5
-                     + [("run", small, [0]), ("pass", small, 5)] + ["residual"] * 5)
+    assert order == ([("run", vortex, []), ("pass", vortex, 5, 101, 68, 68)]
+                     + ["residual"] * 5
+                     + [("run", small, [0]), ("pass", small, 5, 101, 71, 71)]
+                     + ["residual"] * 5)
     assert [len(run) for run in runs] == [101, 101]
     assert residuals == WEAK_FORM_RESIDUALS
     assert len(tendencies) == 748

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -454,6 +455,27 @@ def test_ledger_transform_count(grid32, monkeypatch):
     rec, counts = ledger_components(low, grid32, monkeypatch)
     assert rec.E0_high == 0.0
     assert counts == {"inverse": 11, "forward": 3}
+
+
+def test_ledger_sample_working_set(grid32):
+    # the tracemalloc peak of one warmed sample, in n^3 float64 arrays: the
+    # low block's gradient tensor is freed before the high block is
+    # transformed, and the high block is added into the low block's samples
+    # (19.5 and 18.6). Keeping the low block's tensor and squares alive to
+    # the end of the sample reads 34.4 (high pass) and 25.7 (low pass)
+    peaks = []
+    for snap in high_and_low_pass(grid32):
+        builder = RecordsBuilder(LedgerContext(grid32, 0.1, 0.05))
+        builder.feed(snap)
+        tracemalloc.start()
+        try:
+            builder.feed(snap)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * grid32.n**3))
+        finally:
+            tracemalloc.stop()
+    high, low = peaks
+    assert high <= 22.0
+    assert low <= 20.0
 
 
 def test_both_branches_give_one_shell_transfer(grid32, monkeypatch):
