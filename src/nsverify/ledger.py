@@ -26,27 +26,20 @@ energy, the block weights and the transfer, which the forward transform
 truncates to the band.
 
 What the ledger reads in physical space is the transfer's product ``u x
-omega`` and the sup and L4 norms. It splits the field at the low-pass weight
-``phi(s|xi|)`` and evaluates the low block first, in its own scope
-(:func:`_low_block`). The low block ``u_low = F^-1[phi c]`` takes 3 inverse
-transforms and its gradient tensor 8: the trace closes the tensor, ``d_2 u_2
-= -(d_0 u_0 + d_1 u_1)``, and ``omega_low`` is its differences. The block is
-reduced at once to ``sup_w_low`` and ``l4_w_low``, which read ``|u_low|``,
-and ``sup_grad_w_low``, which reads ``|grad u_low|``; only the samples of
-``u_low`` and ``omega_low`` outlive that scope, and the gradient tensor, its
-spectra and the squares are freed. While ``1 - phi(s r)`` is nonzero on some
-shell that carries energy, one more call then transforms the high block's
-velocity ``F^-1[(1 - phi) c]`` and vorticity ``F^-1[i xi x (1 - phi) c]`` (6
-components), which are added into the low block's in place, so that they
-become ``u`` and ``omega``, and freed. Once it is exactly 0 on every such
-shell (late tau, when the low block takes in the whole dealiased band), the
-low block is the field itself and the ledger transforms ``c`` and its
-gradient tensor only. So a high-pass sample transforms 17 components back, a
-low-pass one 11, and each 3 forward (``u x omega``). At n=32 a sample's
-allocations peak at 19.5 (high pass) and 18.6 (low pass) n^3 float64 arrays
-(tracemalloc; a Tier-1 test bounds them). The ``T_*`` columns read
-the transfer and ``sup_norm_w`` reads ``|u|``. The shell energies are the
-snapshot's own (:class:`~nsverify.dynamics.Snapshot`).
+omega`` and the sup and L4 norms. One inverse call takes ``u`` and ``omega``
+to samples from ``c`` and ``curl c`` (6 components). While ``1 - phi(s r)``
+is nonzero on some shell that carries energy, 3 more take the low block
+``u_low = F^-1[phi(s|xi|) c]`` to samples; once it is exactly 0 on every
+such shell (late tau), ``u_low`` is ``u``. The sup of ``grad u_low`` is read
+only through its maximum over tau (:attr:`RecordSeries.max_sup_grad_w_low`),
+so its tensor (8 transforms; the trace closes it) is formed only where the
+shell bound of :func:`_gradient_bound`, times ``1 + 1e-9``, reaches the
+running maximum, as on a builder's first sample; that maximum is bitwise the
+maximum over every sample. So a sample transforms 6, 9, 14 or 17 components
+back, and 3 forward (``u x omega``). The tensor is reduced and freed before
+any other sample array exists. The ``T_*`` columns read the transfer and
+``sup_norm_w`` reads ``|u|``. The shell energies are the snapshot's own
+(:class:`~nsverify.dynamics.Snapshot`).
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -163,7 +156,6 @@ class EnergyRecord:
     flux_one_minus_phi_grad: float
     sup_norm_w: float
     sup_w_low: float
-    sup_grad_w_low: float
     l4_w_low: float
     tail_fraction: float
     cum_E0: float = math.nan
@@ -202,6 +194,9 @@ class LedgerContext:
         self.grid = grid
         self.alpha = float(alpha)
         self.delta = delta
+        # l_box^(-3/2) rho sqrt(N) per shell, N its lattice-mode count
+        modes = shell_sum(np.ones(grid.xi_sq.shape), grid)
+        self.gradient_bound_factor = grid.shell_radii * np.sqrt(modes) / grid.l_box**1.5
 
 
 class RecordsBuilder:
@@ -210,12 +205,14 @@ class RecordsBuilder:
     def __init__(self, ctx: LedgerContext):
         self.ctx = ctx
         self.records: list[EnergyRecord] = []
+        self.max_sup_grad_w_low = -math.inf
         self._quad_fdot = {name: [] for name in _CUMULATED}
         self._shell_e: list[np.ndarray] = []
         self._shell_edot: list[np.ndarray] = []
 
     def feed(self, snap: Snapshot) -> EnergyRecord:
-        rec, fdots, shells = _evaluate_sample(snap, self.ctx)
+        rec, fdots, shells, self.max_sup_grad_w_low = _evaluate_sample(
+            snap, self.ctx, self.max_sup_grad_w_low)
         self.records.append(rec)
         for name in _CUMULATED:
             self._quad_fdot[name].append(fdots[name])
@@ -240,17 +237,20 @@ class RecordsBuilder:
                 cum = cum + corrections[name]
             for rec, value in zip(self.records, cum):
                 setattr(rec, "cum_" + name, float(value))
-        return RecordSeries(self.records, self.ctx)
+        return RecordSeries(self.records, self.ctx, self.max_sup_grad_w_low)
 
 
 class RecordSeries:
-    """Ordered records plus run metadata; column access for the checkers."""
+    """Ordered records plus run metadata; column access for the checkers, and
+    ``max_sup_grad_w_low``, the largest ``s^2 max |grad u_low|`` over tau."""
 
-    def __init__(self, records: Sequence[EnergyRecord], ctx: LedgerContext):
+    def __init__(self, records: Sequence[EnergyRecord], ctx: LedgerContext,
+                 max_sup_grad_w_low: float):
         if len(records) == 0:
             raise DomainError("empty record series")
         self.records = list(records)
         self.ctx = ctx
+        self.max_sup_grad_w_low = max_sup_grad_w_low
         self.taus = np.array([r.tau for r in self.records])
 
     def __len__(self):
@@ -354,9 +354,6 @@ def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
     return out
 
 
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
 def _gradient_tensor(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """``grads[j, k] = d_j u_k`` of a solenoidal field from its band
     coefficients: its first eight components in row-major order (all but
@@ -374,6 +371,14 @@ def _gradient_tensor(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return grads
 
 
+def _gradient_bound(low_sq, shell_e, s: float, ctx: LedgerContext) -> float:
+    """Bound on ``s^2 max |grad u_low|`` for the low block ``sqrt(low_sq) c``
+    from the shell energies ``E`` of ``c``: pointwise ``|grad u_low| <=
+    l_box^(-3/2) sum |xi| |c_low(xi)|``, and ``sum |c(xi)| <= sqrt(N E)`` on a
+    shell of ``N`` lattice modes (Cauchy-Schwarz)."""
+    return s**2 * float((np.sqrt(low_sq * shell_e) * ctx.gradient_bound_factor).sum())
+
+
 def _shell_transfer(u, vort, c, grid: Grid) -> np.ndarray:
     """Per-shell ``-Re<F[u x omega], u_hat>`` from the samples of ``u`` and
     ``omega``. ``u_hat`` is solenoidal and lies inside the 2/3 band, where
@@ -382,28 +387,16 @@ def _shell_transfer(u, vort, c, grid: Grid) -> np.ndarray:
     return shell_sum(-(lamb * np.conj(c)).real.sum(axis=0), grid)
 
 
-def _low_block(low: np.ndarray, grid: Grid, s: float):
-    """Samples of the low block's velocity and vorticity from its band
-    coefficients ``low``, and its three norms in the frame of scale ``s``:
-    ``sup_w_low``, ``l4_w_low`` and ``sup_grad_w_low``. The gradient tensor
-    and the squares are freed on return."""
-    u_low = spec_to_phys(low, grid)
-    grads = _gradient_tensor(low, grid)
-    vort_low = np.empty_like(u_low)  # omega_i = d_j u_k - d_k u_j, cyclic
-    for i, j, k in _CYCLIC:
-        np.subtract(grads[j, k], grads[k, j], out=vort_low[i])
-    grad2 = np.einsum("jk...,jk...->...", grads, grads)
-    del grads
-    mag2 = u_low[0] ** 2 + u_low[1] ** 2 + u_low[2] ** 2
-    norms = {
-        "sup_w_low": s * math.sqrt(mag2.max()),
-        "sup_grad_w_low": s**2 * math.sqrt(grad2.max()),
-        "l4_w_low": float((s * grid.cell_volume * (mag2**2).sum()) ** 0.25),
-    }
-    return u_low, vort_low, norms
+def _sup_and_l4(u: np.ndarray, grid: Grid, s: float) -> tuple:
+    """``s max |u|`` and ``(s int |u|^4)^(1/4)`` from the samples of ``u``."""
+    mag2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+    l4 = float((s * grid.cell_volume * (mag2**2).sum()) ** 0.25)
+    return s * math.sqrt(mag2.max()), l4
 
 
-def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
+def _evaluate_sample(snap: Snapshot, ctx: LedgerContext, max_sup_grad: float):
+    """One snapshot's record, cumulated columns' tau-derivatives and shell
+    energies with their rate, and the running max of ``s^2 max |grad u_low|``."""
     g = ctx.grid
     if snap.u_hat.grid != g:
         raise DomainError("the ledger reads snapshots on its own grid")
@@ -415,26 +408,27 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     shell_e = snap.shell_energies
 
     # the low block phi(s|xi|) c; once 1 - phi(s r) is exactly 0 on every
-    # shell that carries energy, that is c itself and the high block is zero
-    high_sq = tables["one_minus_phi"][0]  # (1 - phi(s r))^2 per shell
-    high_pass = bool(high_sq[shell_e > 0].any())
-
-    def per_mode(shell_weight):
-        return np.sqrt(shell_weight)[g.shell_index].reshape(g.xi_sq.shape)
-
-    u, vort, norms = _low_block(
-        per_mode(tables["phi"][0]) * c if high_pass else c, g, s)
+    # shell that carries energy, that is c itself
+    high_pass = bool(tables["one_minus_phi"][0][shell_e > 0].any())
     if high_pass:
-        # the high block's velocity and vorticity in one call, added into
-        # the low block's: u and omega are the sums of the two blocks'
-        hc = per_mode(high_sq) * c
-        high = spec_to_phys(np.concatenate([hc, curl(hc, g)]), g)
-        u += high[:3]
-        vort += high[3:]
-        del high
-        sup_norm_w = s * math.sqrt((u[0] ** 2 + u[1] ** 2 + u[2] ** 2).max())
+        low_sq = tables["phi"][0]  # phi(s r)^2 per shell
+        low = np.sqrt(low_sq)[g.shell_index].reshape(g.xi_sq.shape) * c
     else:
-        sup_norm_w = norms["sup_w_low"]
+        low_sq, low = 1.0, c
+    # grad u_low where its bound reaches the running max, before any other
+    # sample array exists
+    if not _gradient_bound(low_sq, shell_e, s, ctx) * (1.0 + 1e-9) < max_sup_grad:
+        grads = _gradient_tensor(low, g)
+        grad2 = np.einsum("jk...,jk...->...", grads, grads).max()
+        max_sup_grad = max(max_sup_grad, s**2 * math.sqrt(grad2))
+        del grads
+    if high_pass:
+        low_norms = _sup_and_l4(spec_to_phys(low, g), g, s)
+
+    samples = spec_to_phys(np.concatenate((c, curl(c, g))), g)
+    u, vort = samples[:3], samples[3:]
+    sup_norm_w, l4 = _sup_and_l4(u, g, s)
+    sup_w_low, l4_w_low = low_norms if high_pass else (sup_norm_w, l4)
 
     # shell energies, transfers and the energies' exact tau-derivative
     # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
@@ -454,11 +448,12 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext):
     rec = EnergyRecord(
         tau=snap.frame.tau,
         sup_norm_w=sup_norm_w,
+        sup_w_low=sup_w_low,
+        l4_w_low=l4_w_low,
         tail_fraction=snap.tail_fraction,
-        **norms,
         **values,
     )
-    return rec, fdots, (shell_e, shell_edot)
+    return rec, fdots, (shell_e, shell_edot), max_sup_grad
 
 
 # -- checks ----------------------------------------------------------------------
@@ -482,7 +477,8 @@ def _decay_window(taus: np.ndarray) -> tuple:
 
 def decay_rate(series: RecordSeries, values: np.ndarray) -> float:
     """Least-squares slope of ``-ln(values)`` against tau on the decay window
-    ``[FIT_START, min(DECAY_END, last tau)]``."""
+    ``[FIT_START, min(DECAY_END, last tau)]``, in closed form from the
+    mean-centred data (no LAPACK, so no thread-dependent rounding)."""
     taus = series.taus
     window = _decay_window(taus)
     mask = (taus >= window[0]) & (taus <= window[1])
@@ -490,7 +486,8 @@ def decay_rate(series: RecordSeries, values: np.ndarray) -> float:
         raise FitError(f"window {window} holds fewer than two samples")
     if np.any(values[mask] <= 0):
         raise FitError("decay fit requires positive values in the window")
-    return float(np.polyfit(taus[mask], -np.log(values[mask]), 1)[0])
+    dx, y = taus[mask] - taus[mask].mean(), -np.log(values[mask])
+    return float((dx * (y - y.mean())).sum() / (dx**2).sum())
 
 
 def _simpson3(col: np.ndarray) -> np.ndarray:
@@ -602,9 +599,11 @@ def _lemma4_2(series) -> list:
 def _eq3_13_14(series) -> list:
     """The low block's sup and L4 norms at the last sample are at most half
     their values at FIT_START; each report carries its budget ``max / delta``.
-    A third report carries the gradient budget ``max(sup_grad_w_low) /
-    delta`` with residual -inf, so it always passes. It comes last, so it is
-    the constant :func:`summarize_reports` gives for this check."""
+    A third report carries the gradient budget
+    ``series.max_sup_grad_w_low / delta``, the largest ``s^2 max |grad
+    u_low|`` over tau, with residual -inf, so it always passes. It comes
+    last, so it is the constant :func:`summarize_reports` gives for this
+    check."""
     delta = series.ctx.delta
     end = series.taus[-1]
     start = min(int(np.searchsorted(series.taus, FIT_START)), len(series) - 2)
@@ -615,7 +614,7 @@ def _eq3_13_14(series) -> list:
         head, final = vals[start], vals[-1]
         reports.append(InequalityReport(
             end, final - 0.5 * head, _tolerance(head), budget))
-    grad_budget = float(series.column("sup_grad_w_low").max()) / delta
+    grad_budget = series.max_sup_grad_w_low / delta
     reports.append(InequalityReport(end, -math.inf, 0.0, grad_budget))
     return reports
 

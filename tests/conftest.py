@@ -137,17 +137,22 @@ checks = lemma2.1
 """
 
 
-def small_run(grid, seed=0, tau_max=1.0, dtau=0.02, delta=0.05, alpha=0.1,
-              nonlinear=True):
-    """Short small-data trajectory with its record series, on a small grid."""
+def small_trajectory(grid, seed=0, tau_max=1.0, dtau=0.02, delta=0.05,
+                     alpha=0.1, nonlinear=True):
+    """Initial field and configuration of a short small-data trajectory."""
     u0 = random_solenoidal(grid, seed, target=delta)
     taus = np.arange(0.0, tau_max + 1e-9, dtau)
     cfg = TrajectoryConfig(
         n=grid.n, l_box=grid.l_box, t_horizon=1.0, dt_max=0.02, cfl=0.4,
         sample_taus=taus, delta=delta, alpha=alpha, nonlinear=nonlinear,
     )
-    ctx = LedgerContext(grid, alpha, delta)
-    builder = RecordsBuilder(ctx)
+    return u0, cfg
+
+
+def small_run(grid, **kwargs):
+    """:func:`small_trajectory` with its record series and snapshots."""
+    u0, cfg = small_trajectory(grid, **kwargs)
+    builder = RecordsBuilder(LedgerContext(grid, cfg.alpha, cfg.delta))
     snaps = []
     for snap in simulate(u0, cfg):
         builder.feed(snap)

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsverify import dynamics
@@ -713,12 +713,15 @@ class TestSchedule:
 
     @settings(max_examples=40, deadline=None)
     @given(taus=tau_grids(), count=st.integers(1, 60), short=st.floats(0.0, 0.99))
+    @example(taus=np.array([1e-15]), count=1, short=0.0)  # t_last 9.99e-16: left out
+    @example(taus=np.array([2e-15]), count=1, short=0.0)  # t_last 2.0e-15: one step
     def test_a_constant_cap_takes_the_fewest_steps(self, grid16, taus, count, short):
         # the zero field has no CFL cap, so every step's cap is dt_max, set
         # here so that count - 1 steps fall short of the span; short = 0
-        # makes the span an exact multiple of dt_max up to rounding
+        # makes the span an exact multiple of dt_max up to rounding. A last
+        # sample within simulate's 1e-15 of t = 0 takes no step (see below)
         t_last = t_of_tau(taus[-1], 1.0)
-        assume(t_last > 0.0)
+        assume(t_last > 1e-15)
         cfg = base_config(grid16, sample_taus=taus, dt_max=t_last / (count - short))
         steps, snaps = recorded_steps(zero_field(grid16), cfg)
         assert len(steps) == count
@@ -726,6 +729,17 @@ class TestSchedule:
             assert cap == cfg.dt_max
             assert h <= cap * (1.0 + 1e-12)
         assert_steps_reach_the_last_sample(steps, snaps, cfg)
+
+    def test_a_sample_within_the_tolerance_of_the_start_takes_no_step(self, grid16):
+        # t = 9.99e-16 lies within simulate's 1e-15 sample tolerance of t = 0,
+        # so the sample is the prepared initial data, emitted at t = 0
+        cfg = base_config(grid16, sample_taus=[1e-15], delta=1.0)
+        assert 0.0 < sample_times(cfg)[0] <= 1e-15
+        u0 = single_mode_field(grid16, 1)
+        steps, snaps = recorded_steps(u0, cfg)
+        assert steps == [] and len(snaps) == 1
+        assert snaps[0].frame.t == 0.0
+        assert np.array_equal(snaps[0].u_hat.coeffs, _prepare_initial(u0, cfg).coeffs)
 
     def test_samples_match_a_sixteen_times_finer_run(self, grid32):
         # the verify-n32 data (seed 0) on tau in [0, 0.3], where its largest

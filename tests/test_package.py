@@ -272,14 +272,15 @@ def test_one_quadratic_product_kernel():
 
 
 # numpy calls that reduce through BLAS, whose summation order follows its
-# thread count
-BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+# thread count, or solve through LAPACK, which calls BLAS
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "polyfit", "lstsq"}
 
 
 def blas_reductions(tree):
     """Lines of a parsed module that reduce through BLAS: a call named in
-    ``BLAS_CALLS`` (``np.dot``, a ``.dot`` method), the ``@`` operator, or an
-    ``einsum`` given ``optimize``."""
+    ``BLAS_CALLS`` (``np.dot``, a ``.dot`` method, ``np.polyfit``,
+    ``np.linalg.lstsq``), the ``@`` operator, or an ``einsum`` given
+    ``optimize``."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
@@ -296,15 +297,17 @@ def blas_reductions(tree):
 
 def test_no_blas_reduction():
     """Every full-lattice sum is a ``spectral.shell_sum`` and numpy's own
-    ``sum``, so no output depends on the BLAS thread count."""
+    ``sum``, and the decay fits are closed-form, so no output depends on the
+    BLAS thread count."""
     found = {}
     for path in ROOT.glob("*.py"):
         lines = blas_reductions(ast.parse(path.read_text()))
         if lines:
             found[path.name] = lines
     assert found == {}
-    probe = ast.parse("a @ b\nnp.dot(a, b)\nx.vdot(y)\nnp.einsum('i,i', a, b, optimize=True)")
-    assert blas_reductions(probe) == [1, 2, 3, 4]
+    probe = ast.parse("a @ b\nnp.dot(a, b)\nx.vdot(y)\nnp.einsum('i,i', a, b, optimize=True)"
+                      "\nnp.polyfit(x, y, 1)\nnp.linalg.lstsq(a, b)")
+    assert blas_reductions(probe) == [1, 2, 3, 4, 5, 6]
 
 
 def test_multiplicity_is_read_by_shell_sum_only():
