@@ -523,16 +523,16 @@ def criterion_identity_suite(seeds=(0, 1, 2), tau_limit: float = 3.0) -> Criteri
 @_timed
 def criterion_decay_suite(seeds=(0, 1, 2)) -> CriterionResult:
     """Fitted decay of the weighted low+band energy and of the curvature energy."""
-    min_x_rate = math.inf
-    min_e2_rate = math.inf
+    x_rates, e2_rates = [], []  # the weighted energy's floor is its series' alpha
     for seed in seeds:
         series = cached_series(default_run_config(seed))
         rep_x = lg.check_inequality("prop3.2-decay", series)[0]
-        rep_e2 = lg.check_inequality("lemma4.3", series)[0]
-        min_x_rate = min(min_x_rate, rep_x.empirical_constant)
-        min_e2_rate = min(min_e2_rate, rep_e2.empirical_constant)
-    alpha = 0.1
-    passed = min_x_rate >= alpha and min_e2_rate >= lg.LEMMA43_FLOOR
+        x_rates.append((rep_x.empirical_constant, series.ctx.alpha))
+        e2_rates.append(lg.check_inequality("lemma4.3", series)[0].empirical_constant)
+    min_x_rate, alpha = min(x_rates)
+    min_e2_rate = min(e2_rates)
+    passed = (all(rate >= floor for rate, floor in x_rates)
+              and min_e2_rate >= lg.LEMMA43_FLOOR)
     return CriterionResult(
         "decay-suite", passed,
         f"min fitted rates: weighted-energy {min_x_rate:.3f} (floor {alpha}), "

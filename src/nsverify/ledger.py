@@ -25,21 +25,22 @@ and the ledger forms every spectrum there: the gradient spectra, the mode
 energy, the block weights and the transfer, which the forward transform
 truncates to the band.
 
-What the ledger reads in physical space is the transfer's product ``u x
-omega`` and the sup and L4 norms. One inverse call takes ``u`` and ``omega``
-to samples from ``c`` and ``curl c`` (6 components). While ``1 - phi(s r)``
-is nonzero on some shell that carries energy, 3 more take the low block
-``u_low = F^-1[phi(s|xi|) c]`` to samples; once it is exactly 0 on every
-such shell (late tau), ``u_low`` is ``u``. The sup of ``grad u_low`` is read
-only through its maximum over tau (:attr:`RecordSeries.max_sup_grad_w_low`),
-so its tensor (8 transforms; the trace closes it) is formed only where the
-shell bound of :func:`_gradient_bound`, times ``1 + 1e-9``, reaches the
-running maximum, as on a builder's first sample; that maximum is bitwise the
-maximum over every sample. So a sample transforms 6, 9, 14 or 17 components
-back, and 3 forward (``u x omega``). The tensor is reduced and freed before
-any other sample array exists. The ``T_*`` columns read the transfer and
-``sup_norm_w`` reads ``|u|``. The shell energies are the snapshot's own
-(:class:`~nsverify.dynamics.Snapshot`).
+What a fed sample does in physical space is the transfer's product ``u x
+omega``, the sup and L4 norms and the gradient budget. One inverse call
+takes ``u`` and ``omega`` to samples from ``c`` and ``curl c`` (6
+components). While ``1 - phi(s r)`` is nonzero on some shell that carries
+energy, 3 more take the low block ``u_low = F^-1[phi(s|xi|) c]`` to samples;
+once it is exactly 0 on every such shell (late tau), ``u_low`` is ``u``. The
+sup of ``grad u_low`` is read only through its maximum over tau
+(:attr:`RecordSeries.max_sup_grad_w_low`), so its tensor (8 transforms; the
+trace closes it) is formed only where the shell bound of
+:func:`_gradient_bound`, times ``1 + 1e-9``, reaches the running maximum, as
+on a builder's first sample; that maximum is bitwise the maximum over every
+sample. So a sample transforms 6, 9, 14 or 17 components back, and 3
+forward (``u x omega``). The tensor is reduced and freed before any other
+sample array exists. :meth:`RecordsBuilder.finish` forms every shell-sum
+column through :func:`_shell_term` from the samples' shell transfers and
+the snapshots' own shell energies, ``_BLOCK`` samples at a time.
 
 Checking a differential balance ``dE/dtau = R(tau)`` from sampled data uses
 two independent evaluations:
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, make_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,50 +128,17 @@ _CUMULATED = (
 _CHI_CUMULATED = ("E0_low_chi", "E1_low_chi", "flux_chi")
 
 
-@dataclass
-class EnergyRecord:
-    """All scalar functionals evaluated at one sample."""
-
-    tau: float
-    E0: float
-    E1: float
-    E2: float
-    E3: float
-    E0_low: float
-    E0_tilde: float
-    E0_high: float
-    E0_low_chi: float
-    E1_low: float
-    E1_low_chi: float
-    E1_tilde: float
-    E1_high: float
-    E2_high: float
-    T_grad: float
-    T_lap: float
-    T_low: float
-    T_chi: float
-    T_grad_high: float
-    flux_phi: float
-    flux_chi: float
-    flux_one_minus_phi: float
-    flux_one_minus_phi_grad: float
-    sup_norm_w: float
-    sup_w_low: float
-    l4_w_low: float
-    tail_fraction: float
-    cum_E0: float = math.nan
-    cum_E1: float = math.nan
-    cum_E2: float = math.nan
-    cum_E3: float = math.nan
-    cum_E0_low: float = math.nan
-    cum_E1_low: float = math.nan
-    cum_flux_phi: float = math.nan
-    cum_E0_low_chi: float = math.nan
-    cum_E1_low_chi: float = math.nan
-    cum_flux_chi: float = math.nan
-
-
-RECORD_FIELDS = [f.name for f in dc_fields(EnergyRecord)]
+# the record columns, in the CSV's order
+RECORD_FIELDS = [
+    "tau", *_SHELL_TERMS, "sup_norm_w", "sup_w_low", "l4_w_low", "tail_fraction",
+    *("cum_" + name for name in _CUMULATED),
+]
+EnergyRecord = make_dataclass(
+    "EnergyRecord", [(name, float) for name in RECORD_FIELDS], slots=True,
+    namespace={"__doc__": "All scalar functionals evaluated at one sample."})
+# samples per block of RecordsBuilder.finish: its working set is a few
+# sample-by-shell tables of this many rows
+_BLOCK = 32
 
 
 @dataclass
@@ -200,44 +168,58 @@ class LedgerContext:
 
 
 class RecordsBuilder:
-    """Streaming consumer turning snapshots into an aligned record series."""
+    """Streaming consumer turning snapshots into an aligned record series:
+    :meth:`feed` does a sample's physical-space work, and :meth:`finish`
+    forms every shell-sum column, its tau-rate and the ``cum_`` integrals."""
 
     def __init__(self, ctx: LedgerContext):
         self.ctx = ctx
-        self.records: list[EnergyRecord] = []
         self.max_sup_grad_w_low = -math.inf
-        self._quad_fdot = {name: [] for name in _CUMULATED}
+        # per sample: s, tau, sup_norm_w, sup_w_low, l4_w_low, tail_fraction
+        self._samples: list[tuple] = []
         self._shell_e: list[np.ndarray] = []
-        self._shell_edot: list[np.ndarray] = []
+        self._shell_t: list[np.ndarray] = []
 
-    def feed(self, snap: Snapshot) -> EnergyRecord:
-        rec, fdots, shells, self.max_sup_grad_w_low = _evaluate_sample(
+    def feed(self, snap: Snapshot) -> None:
+        norms, transfer, self.max_sup_grad_w_low = _evaluate_sample(
             snap, self.ctx, self.max_sup_grad_w_low)
-        self.records.append(rec)
-        for name in _CUMULATED:
-            self._quad_fdot[name].append(fdots[name])
-        self._shell_e.append(shells[0])
-        self._shell_edot.append(shells[1])
-        return rec
+        self._samples.append(
+            (snap.frame.scale, snap.frame.tau, *norms, snap.tail_fraction))
+        self._shell_e.append(snap.shell_energies)
+        self._shell_t.append(transfer)
 
     def finish(self) -> "RecordSeries":
-        taus = np.array([r.tau for r in self.records])
+        rho = self.ctx.grid.shell_radii
+        s, *sampled = np.array(self._samples).T
+        columns = dict(zip(
+            ("tau", "sup_norm_w", "sup_w_low", "l4_w_low", "tail_fraction"), sampled))
+        shell_e, shell_t = np.array(self._shell_e), np.array(self._shell_t)
+        # the shell energies' exact tau-derivative (per mode Re<du/dt, conj u>
+        # = -|xi|^2 |u|^2 - transfer, the pressure part dropping against the
+        # radial weights)
+        shell_edot = 2.0 * s[:, None] ** 2 * (-(rho**2) * shell_e - shell_t)
+        columns.update((name, np.empty(len(s))) for name in _SHELL_TERMS)
+        rates = {name: np.empty(len(s)) for name in _CUMULATED}
+        for start in range(0, len(s), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            s_rows = s[rows, None]
+            tables = weight_tables(s_rows * rho, self.ctx.alpha)
+            for name in _SHELL_TERMS:
+                term, rate = _shell_term(name, tables, s_rows, rho, shell_e[rows],
+                                         shell_t[rows], shell_edot[rows])
+                columns[name][rows] = term.sum(axis=1)
+                if name in rates:
+                    rates[name][rows] = rate.sum(axis=1)
         corrections = _chi_crossing_corrections(
-            taus,
-            np.asarray(self._shell_e),
-            np.asarray(self._shell_edot),
-            self.ctx.grid.shell_radii,
-            self.ctx.alpha,
-        )
+            columns["tau"], shell_e, shell_edot, rho, self.ctx.alpha)
         for name in _CUMULATED:
-            f = np.array([getattr(rec, name) for rec in self.records])
-            fd = np.asarray(self._quad_fdot[name])
-            cum = _corrected_trapezoid(taus, f, fd)
+            cum = _corrected_trapezoid(columns["tau"], columns[name], rates[name])
             if name in corrections:
                 cum = cum + corrections[name]
-            for rec, value in zip(self.records, cum):
-                setattr(rec, "cum_" + name, float(value))
-        return RecordSeries(self.records, self.ctx, self.max_sup_grad_w_low)
+            columns["cum_" + name] = cum
+        records = [EnergyRecord(*row) for row in zip(
+            *(columns[name].tolist() for name in RECORD_FIELDS))]
+        return RecordSeries(records, self.ctx, self.max_sup_grad_w_low)
 
 
 class RecordSeries:
@@ -277,18 +259,21 @@ _GAUSS3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def _weight(tables: dict, r, weight):
-    """``m(r)`` and ``r m'(r)`` of a shell-term weight, from the profile table."""
+def _shell_term(name, tables, s, rho, energy, transfer, energy_rate):
+    """Per-shell summand of the column ``name`` and, for an energy column,
+    of its tau-rate for ``s = exp(-tau/2)`` (None for a transfer column). The
+    arrays broadcast; ``tables`` is :func:`weight_tables` at ``s * rho``."""
+    density, p, j, weight = _SHELL_TERMS[name]
     if weight is None:
-        return 1.0, 0.0
-    sq, kern, kern_slope = tables[weight[0]]
-    return (sq, kern) if weight[1] == 0 else (kern, r * kern_slope)
-
-
-def _tau_rate(p, m, rm, energy, energy_rate):
-    """``d/dtau [s**p m(s rho) E] / s**p`` for ``s = exp(-tau/2)``, given the
-    weight ``m``, its ``r m'`` and the shell energy ``E`` with its rate."""
-    return m * energy_rate - 0.5 * (p * m + rm) * energy
+        m, rm = 1.0, 0.0  # the weight m and its r m'(r)
+    else:
+        sq, kern, kern_slope = tables[weight[0]]
+        m, rm = (sq, kern) if weight[1] == 0 else (kern, s * rho * kern_slope)
+    scale = s**p * rho ** (2 * j)
+    if density == "t":
+        return scale * m * transfer, None
+    return (scale * m * energy,
+            scale * (m * energy_rate - 0.5 * (p * m + rm) * energy))
 
 
 def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
@@ -336,14 +321,9 @@ def _chi_crossing_corrections(taus, shell_e, shell_edot, radii, alpha) -> dict:
 
     rho = radii[shells][:, None]
     s = np.exp(-0.5 * nodes)
-    r = s * rho
-    tables = weight_tables(r, alpha)
+    tables = weight_tables(s * rho, alpha)
     for name in _CHI_CUMULATED:
-        _, p, j, weight = _SHELL_TERMS[name]
-        m, rm = _weight(tables, r, weight)
-        scale = s**p * rho ** (2 * j)
-        g = scale * m * energy
-        gdot = scale * _tau_rate(p, m, rm, energy, energy_rate)
+        g, gdot = _shell_term(name, tables, s, rho, energy, None, energy_rate)
         cell_rule = h / 2.0 * (g[:, 0] + g[:, 1]) - h**2 / 12.0 * (
             gdot[:, 1] - gdot[:, 0]
         )
@@ -395,16 +375,15 @@ def _sup_and_l4(u: np.ndarray, grid: Grid, s: float) -> tuple:
 
 
 def _evaluate_sample(snap: Snapshot, ctx: LedgerContext, max_sup_grad: float):
-    """One snapshot's record, cumulated columns' tau-derivatives and shell
-    energies with their rate, and the running max of ``s^2 max |grad u_low|``."""
+    """One snapshot's physical-space work: its norms ``(sup_norm_w,
+    sup_w_low, l4_w_low)``, its shell transfers, and the running max of ``s^2
+    max |grad u_low|``."""
     g = ctx.grid
     if snap.u_hat.grid != g:
         raise DomainError("the ledger reads snapshots on its own grid")
     s = snap.frame.scale
     c = snap.u_hat.coeffs
-    rho = g.shell_radii
-    r = s * rho
-    tables = weight_tables(r, ctx.alpha)
+    tables = weight_tables(s * g.shell_radii, ctx.alpha)
     shell_e = snap.shell_energies
 
     # the low block phi(s|xi|) c; once 1 - phi(s r) is exactly 0 on every
@@ -428,32 +407,8 @@ def _evaluate_sample(snap: Snapshot, ctx: LedgerContext, max_sup_grad: float):
     samples = spec_to_phys(np.concatenate((c, curl(c, g))), g)
     u, vort = samples[:3], samples[3:]
     sup_norm_w, l4 = _sup_and_l4(u, g, s)
-    sup_w_low, l4_w_low = low_norms if high_pass else (sup_norm_w, l4)
-
-    # shell energies, transfers and the energies' exact tau-derivative
-    # (per mode Re<du/dt, conj u> = -|xi|^2 |u|^2 - transfer, the pressure
-    # part dropping against the radial weights)
-    totals = {"e": shell_e, "t": _shell_transfer(u, vort, c, g)}
-    shell_edot = 2.0 * s**2 * (-(rho**2) * shell_e - totals["t"])
-    values = {}
-    fdots = {}
-    for name, (density, p, j, weight) in _SHELL_TERMS.items():
-        m, rm = _weight(tables, r, weight)
-        scale = s**p * rho ** (2 * j)
-        values[name] = float((scale * m * totals[density]).sum())
-        if name in _CUMULATED:
-            rate = _tau_rate(p, m, rm, shell_e, shell_edot)
-            fdots[name] = float((scale * rate).sum())
-
-    rec = EnergyRecord(
-        tau=snap.frame.tau,
-        sup_norm_w=sup_norm_w,
-        sup_w_low=sup_w_low,
-        l4_w_low=l4_w_low,
-        tail_fraction=snap.tail_fraction,
-        **values,
-    )
-    return rec, fdots, (shell_e, shell_edot), max_sup_grad
+    norms = (sup_norm_w, *(low_norms if high_pass else (sup_norm_w, l4)))
+    return norms, _shell_transfer(u, vort, c, g), max_sup_grad
 
 
 # -- checks ----------------------------------------------------------------------

@@ -110,7 +110,9 @@ def ledger_record(u, t, alpha=0.1):
     shells = shell_sum(mode_energy(u.coeffs), u.grid)
     snap = Snapshot(frame(t, 1.0), u, tail_fraction=0.0,
                     energy=float(shells.sum()), shell_energies=shells)
-    return RecordsBuilder(LedgerContext(u.grid, alpha, 0.05)).feed(snap)
+    builder = RecordsBuilder(LedgerContext(u.grid, alpha, 0.05))
+    builder.feed(snap)
+    return builder.finish().records[0]
 
 
 def random_solenoidal(grid, seed, target=1.0, cutoff=2.3):
@@ -149,14 +151,21 @@ def small_trajectory(grid, seed=0, tau_max=1.0, dtau=0.02, delta=0.05,
     return u0, cfg
 
 
-def small_run(grid, **kwargs):
-    """:func:`small_trajectory` with its record series and snapshots."""
+def small_builder(grid, **kwargs):
+    """A record builder fed :func:`small_trajectory`'s snapshots, and the
+    snapshots."""
     u0, cfg = small_trajectory(grid, **kwargs)
     builder = RecordsBuilder(LedgerContext(grid, cfg.alpha, cfg.delta))
     snaps = []
     for snap in simulate(u0, cfg):
         builder.feed(snap)
         snaps.append(snap)
+    return builder, snaps
+
+
+def small_run(grid, **kwargs):
+    """:func:`small_trajectory` with its record series and snapshots."""
+    builder, snaps = small_builder(grid, **kwargs)
     return builder.finish(), snaps
 
 
@@ -167,6 +176,11 @@ def small_series(grid32):
 
 
 @pytest.fixture(scope="session")
-def long_series(grid32):
-    series, _ = small_run(grid32, tau_max=5.0)
-    return series
+def long_builder(grid32):
+    """The builder of ``long_series``, fed and not yet finished."""
+    return small_builder(grid32, tau_max=5.0)[0]
+
+
+@pytest.fixture(scope="session")
+def long_series(long_builder):
+    return long_builder.finish()

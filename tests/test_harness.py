@@ -192,6 +192,29 @@ def test_fitted_rates_are_the_decay_checks_fits():
     assert all(s["description"] for s in result.summaries)
 
 
+def test_decay_suite_floor_is_each_series_alpha(long_series, monkeypatch):
+    # long_series with its weighted energy scaled by exp((rate - 0.11) tau),
+    # which moves its fitted decay rate to 0.11: with alpha 0.1 it passes,
+    # with alpha 0.12 it fails
+    rate = ledger.decay_rate(long_series, ledger.weighted_low_band_energy(long_series))
+    records = [
+        dataclasses.replace(rec, E0_low_chi=f * rec.E0_low_chi, E0_tilde=f * rec.E0_tilde)
+        for rec, f in zip(long_series.records, np.exp((rate - 0.11) * long_series.taus))
+    ]
+    ctx = long_series.ctx
+    by_seed = {
+        seed: ledger.RecordSeries(
+            records, ledger.LedgerContext(ctx.grid, alpha, ctx.delta),
+            long_series.max_sup_grad_w_low)
+        for seed, alpha in ((0, 0.1), (1, 0.12))
+    }
+    monkeypatch.setattr(harness, "cached_series", lambda cfg: by_seed[cfg.seed])
+    result = harness.criterion_decay_suite(seeds=(0,))
+    assert result.passed, result.detail
+    assert "weighted-energy 0.110 (floor 0.1)" in result.detail
+    assert not harness.criterion_decay_suite(seeds=(0, 1)).passed
+
+
 def test_raising_check_is_named_once(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")

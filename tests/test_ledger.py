@@ -141,6 +141,20 @@ def test_golden_covers_every_column():
     assert set(GOLDEN) == set(RECORD_FIELDS) - {"tau"}
 
 
+def test_record_fields_are_the_csv_header():
+    # the CSV's columns and their order, which RECORD_FIELDS derives from
+    # the shell-term table
+    assert RECORD_FIELDS == [
+        "tau", "E0", "E1", "E2", "E3", "E0_low", "E0_tilde", "E0_high",
+        "E0_low_chi", "E1_low", "E1_low_chi", "E1_tilde", "E1_high", "E2_high",
+        "T_grad", "T_lap", "T_low", "T_chi", "T_grad_high", "flux_phi",
+        "flux_chi", "flux_one_minus_phi", "flux_one_minus_phi_grad",
+        "sup_norm_w", "sup_w_low", "l4_w_low", "tail_fraction", "cum_E0",
+        "cum_E1", "cum_E2", "cum_E3", "cum_E0_low", "cum_E1_low",
+        "cum_flux_phi", "cum_E0_low_chi", "cum_E1_low_chi", "cum_flux_chi",
+    ]
+
+
 def assert_golden(series, name, taus, values):
     column = series.column(name)
     scale = np.abs(column).max()
@@ -426,10 +440,10 @@ def test_gradient_bound_holds_at_every_point(grid32, seed, cutoff, s):
 
 
 def ledger_components(builder, snap, monkeypatch):
-    """Inverse and forward components the ledger transforms for one sample
-    fed to ``builder``, counted at its own binding of the inverse and at the
-    forward binding that its transfer's product,
-    :func:`dynamics.rotational_product`, calls."""
+    """The record of one sample fed to ``builder``, and the inverse and
+    forward components the ledger transforms for it, counted at its own
+    binding of the inverse and at the forward binding that its transfer's
+    product, :func:`dynamics.rotational_product`, calls."""
     counts = {"inverse": 0, "forward": 0}
 
     def counted(kind, fn):
@@ -441,8 +455,8 @@ def ledger_components(builder, snap, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(ledger, "spec_to_phys", counted("inverse", ledger.spec_to_phys))
         patch.setattr(dynamics, "phys_to_spec", counted("forward", dynamics.phys_to_spec))
-        rec = builder.feed(snap)
-    return rec, counts
+        builder.feed(snap)
+    return builder.finish().records[-1], counts
 
 
 def test_ledger_reads_its_own_grid_only(grid32, early_run):
@@ -503,6 +517,31 @@ def test_ledger_sample_working_set(grid32):
     high, low = peaks
     assert high <= 22.0
     assert low <= 20.0
+
+
+def test_blocks_do_not_change_the_columns(long_builder, long_series, monkeypatch):
+    # finish evaluates _BLOCK samples at a time; one sample a block and all
+    # samples in one give every column bitwise
+    for block in (1, len(long_series) + 1):
+        monkeypatch.setattr(ledger, "_BLOCK", block)
+        series = long_builder.finish()
+        for name in RECORD_FIELDS:
+            assert series.column(name).tobytes() == long_series.column(name).tobytes(), name
+
+
+def test_finish_working_set(grid32, long_builder):
+    # the tracemalloc peak of finish on the 251 samples of long_series, in
+    # n^3 float64 arrays, under the bound of one ledger sample: in blocks of
+    # _BLOCK samples it reads 11.6, one sample a block 6.1, and all samples
+    # in one block 40
+    long_builder.finish()
+    tracemalloc.start()
+    try:
+        long_builder.finish()
+        peak = tracemalloc.get_traced_memory()[1] / (8 * grid32.n**3)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22.0
 
 
 def test_both_branches_give_one_shell_transfer(grid32, monkeypatch):

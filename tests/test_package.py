@@ -271,6 +271,43 @@ def test_one_quadratic_product_kernel():
     assert "cross" not in {name for _, name, _ in spectral}
 
 
+def row_readers(tree, table):
+    """Functions and classes of a parsed module (``<module>`` for its top
+    level) that read the rows of the module-level dict ``table``: subscript
+    it, or call its ``items``, ``values`` or ``get``. Iterating its keys
+    reads no row."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if (isinstance(node, ast.Subscript) or (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("items", "values", "get"))) and getattr(
+                    node.value, "id", None) == table:
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return readers
+
+
+def test_one_shell_term_evaluator():
+    """``ledger._shell_term`` is the one reader of the ``_SHELL_TERMS`` rows:
+    every shell-sum column and tau-rate, per sample and at the cap-crossing
+    Gauss nodes, is formed there, and no other module names the table."""
+    trees = {path.name: ast.parse(path.read_text()) for path in ROOT.glob("*.py")}
+    assert row_readers(trees["ledger.py"], "_SHELL_TERMS") == {"_shell_term"}
+    assert [module for module, name, _ in name_uses(trees)
+            if name == "_SHELL_TERMS" and module != "ledger.py"] == []
+    # the probe: an unpacking loop and a subscript are caught, a key loop not
+    probe = ast.parse("def f():\n    for k, (d, p, j, w) in _SHELL_TERMS.items(): pass\n"
+                      "def g(name):\n    return _SHELL_TERMS[name]\n"
+                      "def h():\n    return [k for k in _SHELL_TERMS]\n")
+    assert row_readers(probe, "_SHELL_TERMS") == {"f", "g"}
+
+
 # numpy calls that reduce through BLAS, whose summation order follows its
 # thread count, or solve through LAPACK, which calls BLAS
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "polyfit", "lstsq"}
